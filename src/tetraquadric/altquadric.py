@@ -63,9 +63,9 @@ def q_ijkl(t: Tetrahedron, perm: tuple[int, int, int, int]) -> QuadForm3:
     return outer_sym(edge_vector(t, i, j), edge_vector(t, k, l))
 
 
-def q_star(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> QuadForm3:
+def q_star(t: Tetrahedron) -> QuadForm3:
     """The traceless lambda-weighted combination of the three basic forms."""
-    lam = lambdas(t, tol)
+    lam = lambdas(t)
     return (
         lam.l01 * q_ijkl(t, (0, 1, 2, 3))
         + lam.l02 * q_ijkl(t, (0, 2, 3, 1))
@@ -73,18 +73,18 @@ def q_star(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> QuadForm3:
     )
 
 
-def q_star_two_term(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> QuadForm3:
+def q_star_two_term(t: Tetrahedron) -> QuadForm3:
     """Equivalent two-term expression for the same form; used as a cross-check."""
-    lam = lambdas(t, tol)
+    lam = lambdas(t)
     return (
         -(lam.l03 - lam.l01) * q_ijkl(t, (0, 1, 2, 3))
         + (lam.l02 - lam.l03) * q_ijkl(t, (0, 2, 3, 1))
     )
 
 
-def rhs(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> float:
+def rhs(t: Tetrahedron) -> float:
     """Right-hand side (l01-l02)(l02-l03)(l03-l01) of the altitude-quadric equation."""
-    lam = lambdas(t, tol)
+    lam = lambdas(t)
     return (lam.l01 - lam.l02) * (lam.l02 - lam.l03) * (lam.l03 - lam.l01)
 
 
@@ -114,9 +114,9 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
     orthogonal midplanes; orthocentric -> trivial (zero form).
     """
     cls = classify(t, tol)
-    m = monge_point(t, tol)
-    form = q_star(t, tol)
-    r = rhs(t, tol)
+    m = monge_point(t)
+    form = q_star(t)
+    r = rhs(t)
     if cls.kind is TetraKind.ORTHOCENTRIC:
         return AltitudeQuadric(m, form, r, QuadricKind.TRIVIAL)
     if cls.kind is TetraKind.SEMI_ORTHOCENTRIC:
@@ -182,7 +182,7 @@ def regulus_of(
         return RegulusTag.NOT_ON_QUADRIC
     meets = 0
     for l in range(4):
-        rel = line_line_meet(line, altitude(t, l, tol), tol).relation
+        rel = line_line_meet(line, altitude(t, l), tol).relation
         if rel is LineRelation.MEETING:
             meets += 1
     if meets >= 3:

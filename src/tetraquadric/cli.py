@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,13 +19,31 @@ from .errors import GeometryError, InternalInvariantError, ParseError
 from .forms import QuadForm3
 
 
+def _checked(cast, ok, what: str):
+    """argparse type: `cast` the text, then reject values failing `ok`."""
+
+    def parse(text: str):
+        x = cast(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return x
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid ... value"
+    return parse
+
+
+_finite = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
+_count = _checked(int, lambda n: n >= 1, "at least 1")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tetraquadric",
         description="Altitudes, Monge point, and the altitude quadric of a tetrahedron.",
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-9, metavar="REL_EPS",
+        "--tol", type=_positive, default=1e-9, metavar="REL_EPS",
         help="relative tolerance for zero tests (default 1e-9)",
     )
     parser.add_argument(
@@ -41,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quadric", help="emit the altitude quadric as an OBJ mesh")
     p.add_argument("file", type=Path)
     p.add_argument("--obj", type=Path, required=True, help="output OBJ path")
-    p.add_argument("--extent", type=float, default=3.0)
+    p.add_argument("--extent", type=_finite, default=3.0)
     p.add_argument("--res", type=int, default=32)
 
     p = sub.add_parser("porism", help="inscribed-triangle family of a cone section")
@@ -49,8 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--form", required=True, metavar="s11,s22,s33,s12,s13,s23",
         help="coefficients of a traceless rank-3 form",
     )
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--count", type=int, default=12)
+    p.add_argument("--rho", type=_finite, required=True)
+    p.add_argument("--count", type=_count, default=12)
     p.add_argument("--svg", type=Path, required=True, help="output SVG path")
 
     p = sub.add_parser("random", help="generate a tetrahedron of a requested class")

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParallelPlanes, SingularSystem
+from .errors import CollinearPoints, ParallelPlanes, SingularSystem
 
 Vec3 = np.ndarray
 
@@ -148,6 +148,18 @@ def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
     u = normalize(cross(n, k))
     v = cross(n, u)
     return u, v
+
+
+def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
+    """Orthocenter of a triangle given by three coplanar 3D points."""
+    v0, v1, v2 = (as_vec(p) for p in tri)
+    n = cross(v1 - v0, v2 - v0)
+    scale = max(norm(v1 - v0), norm(v2 - v0))
+    if norm(n) <= tol.gate(scale, scale):
+        raise CollinearPoints("triangle vertices are collinear")
+    a = np.array([v1 - v2, v2 - v0, n / norm(n)])
+    b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n / norm(n))])
+    return np.linalg.solve(a, b)
 
 
 def solve3(p1: Plane3, p2: Plane3, p3: Plane3, tol: Tolerance = DEFAULT_TOL) -> Vec3:

@@ -13,10 +13,6 @@ class ParallelPlanes(GeometryError):
     """Two plane normals are parallel within tolerance."""
 
 
-class NoConvergence(GeometryError):
-    """Iterative eigensolver exhausted its sweep budget."""
-
-
 class NotTraceless(GeometryError):
     """A traceless form was required but the trace is not zero."""
 

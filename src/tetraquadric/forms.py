@@ -1,9 +1,9 @@
 """Quadratic forms on 3-space.
 
-Covers the polar form, the basis-independent trace, principal-axes
-decomposition via cyclic Jacobi rotations, the three-way classification of
-traceless forms (zero form / orthogonal plane pair / equilateral cone), and
-the orthogonal tripods carried by every equilateral cone.
+Covers the polar form, the basis-independent trace, principal axes from
+numpy's symmetric eigensolver, the three-way classification of traceless
+forms (zero form / orthogonal plane pair / equilateral cone), and the
+orthogonal tripods carried by every equilateral cone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     normalize,
     plane_basis,
 )
-from .errors import DegenerateForm, NoConvergence, NotOnCone, NotTraceless
+from .errors import DegenerateForm, NotOnCone, NotTraceless
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -122,51 +122,24 @@ class EigenFrame:
         )
 
 
-def eigendecompose(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> EigenFrame:
-    """Diagonalize with cyclic Jacobi rotations.
+def eigendecompose(q: QuadForm3) -> EigenFrame:
+    """Diagonalize with numpy's symmetric eigensolver.
 
-    Convergence: off-diagonal Frobenius norm below 1e-14 of the diagonal norm,
-    at most 50 sweeps.  Output is deterministic: eigenvalues descending,
-    eigenvector signs canonicalized on the largest-magnitude component.
+    Output is deterministic: eigenvalues descending, eigenvector signs
+    canonicalized on the largest-magnitude component.
     """
-    a = q.matrix.copy()
-    v = np.eye(3)
-    for _ in range(50):
-        off = math.sqrt(2.0 * (a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2))
-        diag = max(1e-300, float(np.linalg.norm(np.diag(a))))
-        if off <= 1e-14 * max(diag, q.max_abs(), 1e-300):
-            break
-        for p, r in ((0, 1), (0, 2), (1, 2)):
-            apr = a[p, r]
-            if apr == 0.0:
-                continue
-            theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[r, r] = c
-            rot[p, r] = s
-            rot[r, p] = -s
-            a = rot.T @ a @ rot
-            v = v @ rot
-    else:
-        raise NoConvergence("Jacobi iteration did not converge in 50 sweeps")
-
-    values = np.diag(a).copy()
-    order = np.argsort(-values)
-    values = values[order]
-    axes = v.T[order]
+    values, vectors = np.linalg.eigh(q.matrix)
+    axes = vectors.T[::-1]
     for r in range(3):
         lead = int(np.argmax(np.abs(axes[r])))
         if axes[r][lead] < 0:
             axes[r] = -axes[r]
-    return EigenFrame(values, axes)
+    return EigenFrame(values[::-1], axes)
 
 
 def rank(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of eigenvalues significantly different from zero."""
-    values = eigendecompose(q, tol).values
+    values = eigendecompose(q).values
     thresh = tol.gate(max(1.0, float(np.max(np.abs(values)))))
     return int(np.sum(np.abs(values) > thresh))
 
@@ -195,7 +168,7 @@ def classify_traceless(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> TracelessC
     if r <= 1:
         return TracelessClass(TracelessKind.ZERO_FORM)
     if r == 2:
-        frame = eigendecompose(q, tol)
+        frame = eigendecompose(q)
         # eigenvalues are (s, 0, -s); zero set is the plane pair xi1 = +-xi3
         e1, e3 = frame.axes[0], frame.axes[2]
         p1 = Plane3((e1 + e3) / _SQRT2, 0.0)

@@ -14,14 +14,11 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
-    as_vec,
-    cross,
     dot,
     norm,
     normalize,
 )
 from .errors import (
-    CollinearPoints,
     DegenerateForm,
     PlaneMissesLeg,
     ZeroOffset,
@@ -81,18 +78,6 @@ def trirect_from_tripod(
     return TrirectangularTetra(np.zeros(3), tuple(points))
 
 
-def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
-    """Orthocenter of a triangle given by three coplanar 3D points."""
-    v0, v1, v2 = (as_vec(p) for p in tri)
-    n = cross(v1 - v0, v2 - v0)
-    scale = max(norm(v1 - v0), norm(v2 - v0))
-    if norm(n) <= tol.gate(scale, scale):
-        raise CollinearPoints("triangle vertices are collinear")
-    a = np.array([v1 - v2, v2 - v0, n / norm(n)])
-    b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n / norm(n))])
-    return np.linalg.solve(a, b)
-
-
 def _cone_frame(q: QuadForm3, tol: Tolerance) -> tuple[QuadForm3, EigenFrame]:
     """Principal frame with two positive eigenvalues and one negative.
 
@@ -101,13 +86,13 @@ def _cone_frame(q: QuadForm3, tol: Tolerance) -> tuple[QuadForm3, EigenFrame]:
     """
     if abs(trace(q)) > tol.gate(max(1.0, q.max_abs())):
         raise DegenerateForm("cone sections need a traceless form")
-    frame = eigendecompose(q, tol)
+    frame = eigendecompose(q)
     thresh = tol.gate(max(1.0, float(np.max(np.abs(frame.values)))))
     if int(np.sum(np.abs(frame.values) > thresh)) < 3:
         raise DegenerateForm("cone sections need a rank-3 form")
     if int(np.sum(frame.values > 0.0)) == 1:
         q = -q
-        frame = eigendecompose(q, tol)
+        frame = eigendecompose(q)
     return q, frame
 
 
@@ -121,7 +106,7 @@ def ellipse_section(
     """
     if rho == 0.0:
         raise ZeroOffset("section plane must not pass through the cone vertex")
-    qn, frame = _cone_frame(q, tol)
+    _, frame = _cone_frame(q, tol)
     v1, v2, v3 = frame.values
     e1, e2, e3 = frame.axes
     center = rho * e3

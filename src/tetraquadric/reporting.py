@@ -12,15 +12,16 @@ import numpy as np
 
 from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
-from .core import DEFAULT_TOL, Tolerance, Vec3, dot, norm
+from .core import DEFAULT_TOL, Tolerance, Vec3, dot, norm, orthocenter2d
 from .errors import (
+    DegenerateTetrahedron,
     EmptyFamily,
     InternalInvariantError,
     NotHyperboloid,
     ParseError,
 )
 from .forms import eigendecompose, trace
-from .porism import Ellipse3, InscribedTriangle, orthocenter2d
+from .porism import Ellipse3, InscribedTriangle
 from .tetra import TetraClass, TetraKind, Tetrahedron
 
 
@@ -98,12 +99,12 @@ def altitude_level_residual(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> flo
     scale of the equation.
     """
     qd = altquadric.build(t, tol)
-    lam = tetra.lambdas(t, tol).as_array()
+    lam = tetra.lambdas(t).as_array()
     denom = max(abs(qd.rhs), float(np.max(np.abs(lam))) ** 3, tol.abs_eps)
     s = t.edge_scale()
     worst = 0.0
     for l in range(4):
-        h = tetra.altitude(t, l, tol)
+        h = tetra.altitude(t, l)
         for k in range(-3, 4):
             p = h.point_at(k * s)
             worst = max(worst, qd.level_residual(p) / denom)
@@ -114,7 +115,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     """Aggregate every construction and its residuals into one report."""
     cls = tetra.classify(t, tol)
     points = tetra.noteworthy(t, tol)
-    lam = tetra.lambdas(t, tol)
+    lam = tetra.lambdas(t)
     qd = altquadric.build(t, tol)
     s = t.edge_scale()
 
@@ -125,7 +126,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
         if i != j
     )
     circum_d = [norm(t.vertex(i) - points.circumcenter) for i in range(4)]
-    two_term = altquadric.q_star_two_term(t, tol)
+    two_term = altquadric.q_star_two_term(t)
     residuals = {
         "pluecker": abs(tetra.pluecker_residual(t)),
         "monge_midplanes": midplane_res,
@@ -328,7 +329,7 @@ def _draw_tetra(kind: TetraKind, rng: np.random.Generator) -> Optional[Tetrahedr
     verts = verts @ rot.T + shift
     try:
         return Tetrahedron(verts)
-    except Exception:
+    except DegenerateTetrahedron:
         return None
 
 

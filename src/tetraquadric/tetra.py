@@ -7,7 +7,7 @@ semi-orthocentric / orthocentric classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -21,9 +21,8 @@ from .core import (
     Vec3,
     cross,
     dot,
-    line_from_two_planes,
     norm,
-    solve3,
+    orthocenter2d,
     triple,
 )
 from .errors import BadIndex, DegenerateTetrahedron
@@ -83,27 +82,17 @@ def pluecker_residual(t: Tetrahedron) -> float:
     )
 
 
-def _best_conditioned_pair(normals: list[Vec3]) -> tuple[int, int]:
-    """Among three dependent plane normals, pick the pair with the largest cross."""
-    best, best_mag = (0, 1), -1.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            mag = norm(cross(normals[a] / norm(normals[a]), normals[b] / norm(normals[b])))
-            if mag > best_mag:
-                best, best_mag = (a, b), mag
-    return best
-
-
-def altitude(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) -> Line3:
-    """Altitude through vertex l, orthogonal to the opposite face."""
+def _face_normal(t: Tetrahedron, l: int) -> Vec3:
+    """Normal (a_j - a_i) x (a_k - a_i) of the face opposite vertex l."""
     if not 0 <= l <= 3:
         raise BadIndex(f"vertex index {l} out of range")
     i, j, k = t.others(l)
-    normals = [edge_vector(t, i, j), edge_vector(t, j, k), edge_vector(t, k, i)]
-    a, b = _best_conditioned_pair(normals)
-    planes = [Plane3.from_point_normal(t.vertex(l), n) for n in normals]
-    line = line_from_two_planes(planes[a], planes[b], tol)
-    return Line3(t.vertex(l), line.dir)
+    return cross(t.vertex(j) - t.vertex(i), t.vertex(k) - t.vertex(i))
+
+
+def altitude(t: Tetrahedron, l: int) -> Line3:
+    """Altitude through vertex l, orthogonal to the opposite face."""
+    return Line3(t.vertex(l), _face_normal(t, l))
 
 
 def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) -> Line3:
@@ -111,14 +100,8 @@ def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) ->
 
     Parallel to the altitude through l, but in general a different line.
     """
-    if not 0 <= l <= 3:
-        raise BadIndex(f"vertex index {l} out of range")
-    i, j, k = t.others(l)
-    normals = [edge_vector(t, i, j), edge_vector(t, j, k), edge_vector(t, k, i)]
-    through = [t.vertex(k), t.vertex(i), t.vertex(j)]
-    a, b = _best_conditioned_pair(normals)
-    planes = [Plane3.from_point_normal(p, n) for p, n in zip(through, normals)]
-    return line_from_two_planes(planes[a], planes[b], tol)
+    n = _face_normal(t, l)
+    return Line3(orthocenter2d(tuple(t.vertex(i) for i in t.others(l)), tol), n)
 
 
 def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
@@ -136,9 +119,17 @@ def perp_bisector(t: Tetrahedron, i: int, j: int) -> Plane3:
     return Plane3.from_point_normal(mid, edge_vector(t, i, j))
 
 
-def monge_point(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> Vec3:
-    """Common point of the six midplanes."""
-    return solve3(midplane(t, 0, 1), midplane(t, 0, 2), midplane(t, 0, 3), tol)
+def _edge_matrix(t: Tetrahedron) -> np.ndarray:
+    """Rows b_01, b_02, b_03; invertible for every accepted tetrahedron."""
+    return t.vertex(0) - t.vertices[1:]
+
+
+def monge_point(t: Tetrahedron) -> Vec3:
+    """Common point of the six midplanes: b_0j . m = b_0j . mid(opposite edge)."""
+    b = _edge_matrix(t)
+    v = t.vertices
+    mids = 0.5 * np.array([v[2] + v[3], v[3] + v[1], v[1] + v[2]])
+    return np.linalg.solve(b, (b * mids).sum(axis=1))
 
 
 def monge_identity_residual(t: Tetrahedron) -> float:
@@ -156,11 +147,11 @@ def centroid(t: Tetrahedron) -> Vec3:
     return t.vertices.mean(axis=0)
 
 
-def circumcenter(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> Vec3:
-    """Point equidistant from all four vertices."""
-    return solve3(
-        perp_bisector(t, 0, 1), perp_bisector(t, 0, 2), perp_bisector(t, 0, 3), tol
-    )
+def circumcenter(t: Tetrahedron) -> Vec3:
+    """Point equidistant from all four vertices: b_0j . c = b_0j . mid(edge 0j)."""
+    b = _edge_matrix(t)
+    mids = 0.5 * (t.vertex(0) + t.vertices[1:])
+    return np.linalg.solve(b, (b * mids).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -175,12 +166,12 @@ class LambdaTriple:
         return np.array([self.l01, self.l02, self.l03])
 
 
-def lambdas(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> LambdaTriple:
+def lambdas(t: Tetrahedron) -> LambdaTriple:
     """The three scalars (a_0-m).(a_j-m) with m the Monge point.
 
     By the Monge identity these cover all six pairwise products.
     """
-    m = monge_point(t, tol)
+    m = monge_point(t)
     a0 = t.vertex(0) - m
     return LambdaTriple(*(dot(a0, t.vertex(j) - m) for j in (1, 2, 3)))
 
@@ -268,9 +259,9 @@ def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints
     Euler line is their join when they differ.  The orthocenter exists exactly
     in the orthocentric case and then coincides with the Monge point.
     """
-    m = monge_point(t, tol)
+    m = monge_point(t)
     g = centroid(t)
-    c = circumcenter(t, tol)
+    c = circumcenter(t)
     h = m if classify(t, tol).kind is TetraKind.ORTHOCENTRIC else None
     euler = None
     if norm(c - m) > tol.gate(t.edge_scale()):

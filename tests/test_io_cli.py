@@ -216,3 +216,31 @@ def test_cli_random(capsys):
     doc = json.loads(capsys.readouterr().out)
     t = parse_tetrahedron(json.dumps(doc))
     assert classify(t).kind is TetraKind.ORTHOCENTRIC
+
+
+
+_PORISM = "porism --form 1,1,-2,0,0,0 --svg {out}"
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        f"--tol 0 {_PORISM} --rho 1",
+        f"--tol -1 {_PORISM} --rho 1",
+        f"--tol nan {_PORISM} --rho 1",
+        f"--tol inf {_PORISM} --rho 1",
+        f"{_PORISM} --rho 1 --count 0",
+        f"{_PORISM} --rho nan",
+        f"{_PORISM} --rho inf",
+        "quadric {tetra} --obj {out} --extent nan",
+        "quadric {tetra} --obj {out} --extent inf",
+    ],
+)
+def test_cli_rejects_bad_numbers(tmp_path, capsys, cmd):
+    f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tetra=f, out=out) for a in cmd.split()])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err

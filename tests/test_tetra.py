@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from tetraquadric import (
     LineRelation,
+    Plane3,
     TetraKind,
     Tetrahedron,
     altitude,
@@ -12,6 +15,7 @@ from tetraquadric import (
     classify,
     edge_vector,
     lambdas,
+    line_from_two_planes,
     line_line_meet,
     midplane,
     monge_identity_residual,
@@ -21,6 +25,7 @@ from tetraquadric import (
     perp_bisector,
     pluecker_residual,
     random_tetra,
+    solve3,
 )
 from tetraquadric.errors import BadIndex, DegenerateTetrahedron
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
@@ -301,3 +306,61 @@ def test_similarity_equivariance():
             np.testing.assert_allclose(
                 f(t2), q @ f(t) + shift, atol=1e-9 * max(1.0, scale)
             )
+
+
+def _plane_pair_line(points, normals):
+    """Line through the two planes (point, normal) whose unit normals are most
+    nearly orthogonal; the construction the closed forms replaced."""
+    unit = [n / np.linalg.norm(n) for n in normals]
+    a, b = max(
+        itertools.combinations(range(3), 2),
+        key=lambda ab: np.linalg.norm(np.cross(unit[ab[0]], unit[ab[1]])),
+    )
+    planes = [Plane3.from_point_normal(p, n) for p, n in zip(points, normals)]
+    return line_from_two_planes(planes[a], planes[b])
+
+
+def _needle(rng):
+    """Tetrahedron whose face 012 is a needle: |a_2 - a_1 - s(a_1 - a_0)| = 1e-6."""
+    a0 = rng.uniform(-5, 5, size=3)
+    d = rng.normal(size=3)
+    d *= rng.uniform(2, 5) / np.linalg.norm(d)
+    off = np.cross(d, rng.normal(size=3))
+    off /= np.linalg.norm(off)
+    a1 = a0 + d
+    a2 = a1 + rng.uniform(0.3, 1.0) * d + 1e-6 * off
+    a3 = a0 + 0.5 * d + rng.uniform(2, 4) * np.cross(d, off) / np.linalg.norm(d)
+    return Tetrahedron(np.array([a0, a1, a2, a3]))
+
+
+def _same_dir(u, v):
+    return min(np.linalg.norm(u - v), np.linalg.norm(u + v))
+
+
+@pytest.mark.parametrize("shape, bound", [("random", 1e-12), ("needle", 1e-8)])
+def test_closed_forms_match_plane_intersections(shape, bound):
+    rng = np.random.default_rng(31)
+    if shape == "random":
+        cases = random_mixed(30, seed0=900)
+    else:
+        cases = [_needle(rng) for _ in range(30)]
+    for t in cases:
+        v = t.vertices
+        g = centroid(t)
+        m_ref = solve3(*(midplane(t, 0, j) for j in (1, 2, 3)))
+        c_ref = solve3(*(perp_bisector(t, 0, j) for j in (1, 2, 3)))
+        assert np.linalg.norm(monge_point(t) - m_ref) <= bound * np.linalg.norm(m_ref - g)
+        assert np.linalg.norm(circumcenter(t) - c_ref) <= bound * np.linalg.norm(c_ref - g)
+        for l in range(4):
+            i, j, k = t.others(l)
+            edges = [v[i] - v[j], v[j] - v[k], v[k] - v[i]]
+            h, n = altitude(t, l), ortho_perpendicular(t, l)
+            h_ref = _plane_pair_line([v[l]] * 3, edges)
+            n_ref = _plane_pair_line([v[k], v[i], v[j]], edges)
+            assert _same_dir(h.dir, h_ref.dir) <= bound
+            assert _same_dir(n.dir, n_ref.dir) <= bound
+            reach = max(np.linalg.norm(n_ref.base - g), t.edge_scale())
+            assert n.distance_to_point(n_ref.base) <= bound * reach
+            for e in edges:
+                e = e / np.linalg.norm(e)
+                assert abs(h.dir @ e) <= 1e-8 and abs(n.dir @ e) <= 1e-8
