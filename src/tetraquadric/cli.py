@@ -34,7 +34,9 @@ def _checked(cast, ok, what: str):
 
 _finite = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(float, lambda x: math.isfinite(x) and x > 0, "finite and positive")
-_count = _checked(int, lambda n: n >= 1, "at least 1")
+_res = _checked(int, lambda n: 8 <= n <= 2048, "between 8 and 2048")
+_count = _checked(int, lambda n: 1 <= n <= 100_000, "between 1 and 100000")
+_seed = _checked(int, lambda n: n >= 0, "at least 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,8 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quadric", help="emit the altitude quadric as an OBJ mesh")
     p.add_argument("file", type=Path)
     p.add_argument("--obj", type=Path, required=True, help="output OBJ path")
-    p.add_argument("--extent", type=_finite, default=3.0)
-    p.add_argument("--res", type=int, default=32)
+    p.add_argument("--extent", type=_positive, default=3.0)
+    p.add_argument("--res", type=_res, default=32)
 
     p = sub.add_parser("porism", help="inscribed-triangle family of a cone section")
     p.add_argument(
@@ -77,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--class", dest="klass", required=True,
         choices=["generic", "semi", "ortho"],
     )
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     return parser
 
 
@@ -87,6 +89,13 @@ def _load(path: Path) -> tetra.Tetrahedron:
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return reporting.parse_tetrahedron(text)
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(doc: dict, pretty: bool) -> None:
@@ -114,11 +123,8 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "quadric":
         t = _load(args.file)
         qd = altquadric.build(t, tol)
-        try:
-            mesh = reporting.quadric_mesh(qd, args.extent, args.res)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        args.obj.write_text(reporting.mesh_to_obj(mesh))
+        mesh = reporting.quadric_mesh(qd, args.extent, args.res)
+        _write(args.obj, reporting.mesh_to_obj(mesh))
         _emit(
             {
                 "obj": str(args.obj),
@@ -137,7 +143,7 @@ def _run(args: argparse.Namespace) -> int:
         q = QuadForm3(*coeffs)
         family = porism.porism_family(q, args.rho, args.count, tol)
         ellipse = porism.ellipse_section(q, args.rho, tol)
-        args.svg.write_text(reporting.emit_svg_porism(family, ellipse))
+        _write(args.svg, reporting.emit_svg_porism(family, ellipse))
         _emit({"svg": str(args.svg), "triangles": len(family)}, args.pretty)
     elif args.command == "random":
         kind = {

@@ -21,9 +21,6 @@ from .core import (
     Tolerance,
     Vec3,
     as_vec,
-    canonical_dir,
-    norm,
-    normalize,
     plane_basis,
 )
 from .errors import DegenerateForm, NotOnCone, NotTraceless
@@ -193,21 +190,45 @@ def tripod_through_generator(
     form to the plane orthogonal to g; the restriction is traceless there, so
     its zero lines are the diagonals of its principal axes.
     """
-    g = as_vec(g)
-    if norm(g) == 0.0:
+    return Tripod(tuple(_tripods(q, as_vec(g)[None], tol)[0]))
+
+
+def _canonical_rows(v: np.ndarray) -> np.ndarray:
+    """`canonical_dir` along the last axis.  With weights 4, 2, 1 the first
+    component above 1e-12 in magnitude decides the sign of `lead`."""
+    u = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    lead = ((np.abs(u) > 1e-12) * np.sign(u)) @ [4.0, 2.0, 1.0]
+    return np.where(lead[..., None] < 0, -u, u)
+
+
+def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Legs (N, 3, 3) of the tripods through the generators g (N, 3), by the
+    construction of `tripod_through_generator`; leg 0 is the generator."""
+    lengths = np.linalg.norm(g, axis=1)
+    if np.any(lengths == 0.0):
         raise NotOnCone("zero vector is not a generator")
     if rank(q, tol) < 3:
         raise DegenerateForm("cone requires a rank-3 traceless form")
-    ghat = normalize(g)
-    if abs(evaluate(q, ghat)) > tol.gate(max(1.0, q.max_abs())):
-        raise NotOnCone(f"Q(g) = {evaluate(q, ghat)} is not zero")
-    m2, (u, v) = restrict_to_plane(q, Plane3(ghat, 0.0))
-    theta = 0.5 * math.atan2(2.0 * m2[0, 1], m2[0, 0] - m2[1, 1])
-    e1 = math.cos(theta) * u + math.sin(theta) * v
-    e2 = -math.sin(theta) * u + math.cos(theta) * v
-    leg1 = canonical_dir((e1 + e2) / _SQRT2)
-    leg2 = canonical_dir((e1 - e2) / _SQRT2)
-    return Tripod((canonical_dir(ghat), leg1, leg2))
+    m = q.matrix
+    ghat = g / lengths[:, None]
+    on_cone = np.sum(ghat @ m * ghat, axis=1)
+    bad = np.abs(on_cone) > tol.gate(max(1.0, q.max_abs()))
+    if np.any(bad):
+        raise NotOnCone(f"Q(g) = {on_cone[np.argmax(bad)]} is not zero")
+    # restriction to the plane orthogonal to g, in the orthonormal basis (u, n x u)
+    # where u is the coordinate axis least aligned with g, projected onto the plane
+    n = _canonical_rows(ghat)
+    k = np.argmin(np.abs(n), axis=1)
+    u = np.eye(3)[k] - n[np.arange(len(n)), k, None] * n
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = n[:, [1, 2, 0]] * u[:, [2, 0, 1]] - n[:, [2, 0, 1]] * u[:, [1, 2, 0]]
+    basis = np.stack([u, v], axis=1)
+    m2 = basis @ m @ basis.transpose(0, 2, 1)
+    # its zero lines lie 45 degrees off its principal axes
+    theta = 0.5 * np.arctan2(2.0 * m2[:, 0, 1], m2[:, 0, 0] - m2[:, 1, 1])
+    phi = theta[:, None] + [math.pi / 4, -math.pi / 4]
+    legs = np.cos(phi)[..., None] * u[:, None] + np.sin(phi)[..., None] * v[:, None]
+    return np.concatenate([n[:, None], _canonical_rows(legs)], axis=1)
 
 
 def restrict_to_plane(

@@ -9,29 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Plane3,
-    Tolerance,
-    Vec3,
-    dot,
-    norm,
-    normalize,
-)
-from .errors import (
-    DegenerateForm,
-    PlaneMissesLeg,
-    ZeroOffset,
-)
-from .forms import (
-    EigenFrame,
-    QuadForm3,
-    Tripod,
-    eigendecompose,
-    evaluate,
-    trace,
-    tripod_through_generator,
-)
+from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3
+from .errors import DegenerateForm, PlaneMissesLeg, ZeroOffset
+from .forms import EigenFrame, QuadForm3, Tripod, _tripods, eigendecompose, trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +29,7 @@ class Ellipse3:
     plane: Plane3
 
     def scale(self) -> float:
-        return max(norm(self.semi_axes[0]), norm(self.semi_axes[1]))
+        return max(math.hypot(*self.semi_axes[0]), math.hypot(*self.semi_axes[1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,23 +39,26 @@ class InscribedTriangle:
 
 
 def trirect_from_tripod(
-    q: QuadForm3, tripod: Tripod, cut: Plane3, tol: Tolerance = DEFAULT_TOL
+    tripod: Tripod, cut: Plane3, tol: Tolerance = DEFAULT_TOL
 ) -> TrirectangularTetra:
     """Intersect the tripod legs with a cutting plane.
 
     The apex stays at the cone vertex (the origin); the base vertices inherit
     mutual orthogonality from the tripod legs.
     """
-    points = []
-    for g in tripod.legs:
-        denom = dot(cut.normal, g)
-        if abs(denom) <= tol.gate(1.0):
-            raise PlaneMissesLeg("cutting plane is parallel to a tripod leg")
-        s = cut.offset / denom
-        if abs(s) <= tol.gate(1.0):
-            raise PlaneMissesLeg("cutting plane passes through the apex")
-        points.append(s * g)
+    points = _cut(np.array(tripod.legs)[None], cut, tol)[0]
     return TrirectangularTetra(np.zeros(3), tuple(points))
+
+
+def _cut(legs: np.ndarray, cut: Plane3, tol: Tolerance) -> np.ndarray:
+    """Points (N, 3, 3) where the tripod legs (N, 3, 3) pierce the plane."""
+    denom = legs @ cut.normal
+    if np.any(np.abs(denom) <= tol.gate(1.0)):
+        raise PlaneMissesLeg("cutting plane is parallel to a tripod leg")
+    s = cut.offset / denom
+    if np.any(np.abs(s) <= tol.gate(1.0)):
+        raise PlaneMissesLeg("cutting plane passes through the apex")
+    return s[..., None] * legs
 
 
 def _cone_frame(q: QuadForm3, tol: Tolerance) -> tuple[QuadForm3, EigenFrame]:
@@ -110,29 +93,10 @@ def ellipse_section(
     v1, v2, v3 = frame.values
     e1, e2, e3 = frame.axes
     center = rho * e3
-    a = math.sqrt(-v3 * rho * rho / v1)
-    b = math.sqrt(-v3 * rho * rho / v2)
+    a = abs(rho) * math.sqrt(-v3 / v1)
+    b = abs(rho) * math.sqrt(-v3 / v2)
     plane = Plane3.from_point_normal(center, e3)
     return Ellipse3(center, (a * e1, b * e2), plane)
-
-
-def _ccw_in_plane(points: list[Vec3], e1: Vec3, e2: Vec3) -> list[Vec3]:
-    coords = [(dot(p, e1), dot(p, e2)) for p in points]
-    area2 = sum(
-        coords[i][0] * coords[(i + 1) % 3][1] - coords[(i + 1) % 3][0] * coords[i][1]
-        for i in range(3)
-    )
-    if area2 < 0:
-        return [points[0], points[2], points[1]]
-    return points
-
-
-def _angles(v0: Vec3, v1: Vec3, v2: Vec3) -> tuple[float, float, float]:
-    out = []
-    for a, b, c in ((v0, v1, v2), (v1, v2, v0), (v2, v0, v1)):
-        u, w = normalize(b - a), normalize(c - a)
-        out.append(math.acos(max(-1.0, min(1.0, dot(u, w)))))
-    return tuple(out)
 
 
 def porism_family(
@@ -155,17 +119,24 @@ def porism_family(
     qn, frame = _cone_frame(q, tol)
     v1, v2, v3 = frame.values
     e1, e2, e3 = frame.axes
-    cut = Plane3.from_point_normal(rho * e3, e3)
-    out = []
-    for idx in range(count):
-        phi = 2.0 * math.pi * idx / count
-        g = (
-            math.cos(phi) / math.sqrt(v1) * e1
-            + math.sin(phi) / math.sqrt(v2) * e2
-            + 1.0 / math.sqrt(-v3) * e3
-        )
-        tripod = tripod_through_generator(qn, g, tol)
-        tet = trirect_from_tripod(qn, tripod, cut, tol)
-        verts = _ccw_in_plane(list(tet.legs), e1, e2)
-        out.append(InscribedTriangle(tuple(verts), _angles(*verts)))
-    return out
+    # the family at height rho is |rho| times the family at height +-1; cutting
+    # at unit height keeps every product below free of overflow and underflow
+    cut = Plane3.from_point_normal(math.copysign(1.0, rho) * e3, e3)
+    phi = 2.0 * math.pi * np.arange(count) / count
+    g = (
+        (np.cos(phi) / math.sqrt(v1))[:, None] * e1
+        + (np.sin(phi) / math.sqrt(v2))[:, None] * e2
+        + 1.0 / math.sqrt(-v3) * e3
+    )
+    pts = _cut(_tripods(qn, g, tol), cut, tol)
+    # counter-clockwise in the (e1, e2) frame
+    x, y, nxt = pts @ e1, pts @ e2, [1, 2, 0]
+    area2 = np.sum(x * y[:, nxt] - x[:, nxt] * y, axis=1)
+    pts[area2 < 0] = pts[area2 < 0][:, [0, 2, 1]]
+    # unit edges i -> i+1: the angle at vertex i is between edge i and edge i-1 reversed
+    d = pts[:, nxt] - pts
+    d /= np.linalg.norm(d, axis=2, keepdims=True)
+    angles = np.arccos(np.clip(-np.sum(d * d[:, [2, 0, 1]], axis=2), -1.0, 1.0))
+    rows = list((abs(rho) * pts).reshape(-1, 3))
+    vertices = zip(rows[0::3], rows[1::3], rows[2::3])
+    return list(map(InscribedTriangle, vertices, map(tuple, angles.tolist())))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
-from .core import DEFAULT_TOL, Tolerance, Vec3, dot, norm, orthocenter2d
+from .core import DEFAULT_TOL, Tolerance, norm, orthocenter2d
 from .errors import (
     DegenerateTetrahedron,
     EmptyFamily,
@@ -182,21 +182,25 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    vertices: list
-    triangles: list
+    """Vertices (n, 3) and zero-based vertex indices of the triangles (m, 3)."""
+
+    vertices: np.ndarray
+    triangles: np.ndarray
 
     def __post_init__(self):
-        n = len(self.vertices)
-        for tri in self.triangles:
-            if any(not 0 <= i < n for i in tri):
-                raise InternalInvariantError("triangle index out of range")
+        tris = np.asarray(self.triangles, dtype=np.int64)
+        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
+        object.__setattr__(self, "triangles", tris)
+        if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
+            raise InternalInvariantError("triangle index out of range")
 
 
 def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     """Parametric mesh of the one-sheet hyperboloid in its principal frame.
 
     `extent` bounds the coordinate along the hyperboloid axis; every emitted
-    vertex satisfies the quadric equation up to roundoff.
+    vertex satisfies the quadric equation up to roundoff.  Vertex
+    `j * resolution + i` sits at angle 2 pi i / resolution on ring j.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("meshes are generated for the hyperboloid case")
@@ -216,34 +220,33 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     e_a, e_b, e_c = frame.axes[pos[0]], frame.axes[pos[1]], frame.axes[neg[0]]
     u_max = math.asinh(extent / c)
 
-    verts = []
-    for jj in range(resolution + 1):
-        u = -u_max + 2.0 * u_max * jj / resolution
-        for ii in range(resolution):
-            th = 2.0 * math.pi * ii / resolution
-            p = (
-                qd.center
-                + a * math.cos(th) * math.cosh(u) * e_a
-                + b * math.sin(th) * math.cosh(u) * e_b
-                + c * math.sinh(u) * e_c
-            )
-            verts.append(p)
-    tris = []
-    for jj in range(resolution):
-        for ii in range(resolution):
-            i0 = jj * resolution + ii
-            i1 = jj * resolution + (ii + 1) % resolution
-            i2 = i0 + resolution
-            i3 = i1 + resolution
-            tris.append((i0, i1, i3))
-            tris.append((i0, i3, i2))
-    return Mesh(verts, tris)
+    n = resolution
+    u = -u_max + 2.0 * u_max * np.arange(n + 1) / n
+    th = 2.0 * math.pi * np.arange(n) / n
+    # 1-D samples through `math`, so that every vertex equals the pointwise
+    # formula to the bit (numpy's cosh and sinh can differ in the last bit)
+    cos_t, sin_t = np.array([[math.cos(t), math.sin(t)] for t in th.tolist()]).T
+    cosh_u, sinh_u = np.array([[math.cosh(x), math.sinh(x)] for x in u.tolist()]).T
+    verts = (
+        qd.center
+        + (a * cos_t)[:, None] * cosh_u[:, None, None] * e_a
+        + (b * sin_t)[:, None] * cosh_u[:, None, None] * e_b
+        + (c * sinh_u)[:, None, None] * e_c
+    )
+    i0 = np.arange(n * n).reshape(n, n)
+    i1 = i0 - np.arange(n) + (np.arange(n) + 1) % n
+    tris = np.stack([i0, i1, i1 + n, i0, i1 + n, i0 + n], axis=-1)
+    return Mesh(verts.reshape(-1, 3), tris.reshape(-1, 3))
 
 
 def mesh_to_obj(mesh: Mesh) -> str:
-    lines = [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}" for v in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
-    return "\n".join(lines) + "\n"
+    # a block of rows at a time, so that no Python number outlives its block
+    v, f = mesh.vertices, mesh.triangles + 1
+    return "".join(
+        (fmt * len(b)) % tuple(b.ravel().tolist())
+        for fmt, rows in (("v %.12g %.12g %.12g\n", v), ("f %d %d %d\n", f))
+        for b in np.split(rows, range(4096, len(rows), 4096))
+    )
 
 
 def _random_rigid_motion(rng: np.random.Generator):
@@ -338,21 +341,18 @@ def emit_svg_porism(family: list[InscribedTriangle], ellipse: Ellipse3) -> str:
     common orthocenter mark."""
     if not family:
         raise EmptyFamily("need at least one triangle")
-    u = ellipse.semi_axes[0] / norm(ellipse.semi_axes[0])
-    v = ellipse.semi_axes[1] / norm(ellipse.semi_axes[1])
-    rx, ry = norm(ellipse.semi_axes[0]), norm(ellipse.semi_axes[1])
-
-    def to2d(p: Vec3) -> tuple[float, float]:
-        d = p - ellipse.center
-        # y flipped for SVG screen coordinates
-        return dot(d, u), -dot(d, v)
-
+    # lengths in units of the largest semi-axis coordinate, so that no square
+    # overflows or underflows at extreme section heights
+    s = float(np.max(np.abs(ellipse.semi_axes)))
+    axes = np.array(ellipse.semi_axes) / s
+    rx, ry = np.linalg.norm(axes, axis=1)
     pad = 1.15 * max(rx, ry)
     size = 480.0
     k = size / (2.0 * pad)
-
-    def pix(xy: tuple[float, float]) -> str:
-        return f"{size / 2 + k * xy[0]:.2f},{size / 2 + k * xy[1]:.2f}"
+    d = (np.array([tri.vertices for tri in family]) - ellipse.center) / s
+    # y flipped for SVG screen coordinates
+    xs = (size / 2 + k * (d @ axes[0]) / rx).tolist()
+    ys = (size / 2 - k * (d @ axes[1]) / ry).tolist()
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
@@ -360,8 +360,8 @@ def emit_svg_porism(family: list[InscribedTriangle], ellipse: Ellipse3) -> str:
         f'<ellipse cx="{size / 2:.2f}" cy="{size / 2:.2f}" rx="{k * rx:.2f}" '
         f'ry="{k * ry:.2f}" fill="none" stroke="black" stroke-width="1.5"/>',
     ]
-    for tri in family:
-        pts = " ".join(pix(to2d(p)) for p in tri.vertices)
+    for tx, ty in zip(xs, ys):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(tx, ty))
         lines.append(
             f'<polygon points="{pts}" fill="none" stroke="steelblue" '
             f'stroke-width="0.8"/>'

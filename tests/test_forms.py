@@ -18,7 +18,9 @@ from tetraquadric import (
     tripod_through_generator,
     vec,
 )
+from tetraquadric.core import canonical_dir
 from tetraquadric.errors import DegenerateForm, NotOnCone, NotTraceless
+from tetraquadric.forms import _tripods
 
 D = QuadForm3.diagonal
 
@@ -173,6 +175,58 @@ def test_tripod_property_random():
         for a in range(3):
             for b in range(a + 1, 3):
                 assert abs(np.dot(tp.legs[a], tp.legs[b])) <= 1e-9
+
+
+def _cone_generators(rng, count):
+    """A random rank-3 traceless form with two positive eigenvalues and
+    `count` generators of its cone."""
+    while True:
+        m = rng.normal(size=(3, 3))
+        q = QuadForm3.from_matrix(m + m.T)
+        q = q - trace(q) / 3.0 * D(1, 1, 1)
+        if rank(q) == 3:
+            break
+    if (eigendecompose(q).values > 0).sum() == 1:
+        q = -q
+    frame = eigendecompose(q)
+    (v1, v2, v3), (e1, e2, e3) = frame.values, frame.axes
+    phi = rng.uniform(0, 2 * math.pi, size=count)
+    g = (
+        (np.cos(phi) / math.sqrt(v1))[:, None] * e1
+        + (np.sin(phi) / math.sqrt(v2))[:, None] * e2
+        + 1.0 / math.sqrt(-v3) * e3
+    )
+    return q, g * rng.uniform(0.1, 10.0, size=(count, 1))
+
+
+def test_tripod_is_the_batched_kernel():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        q, g = _cone_generators(rng, 9)
+        legs = _tripods(q, g)
+        assert legs.shape == (9, 3, 3)
+        for row, gi in zip(legs, g):
+            scalar = tripod_through_generator(q, gi)
+            np.testing.assert_array_equal(np.array(scalar.legs), row)
+            # leg 0 is the generator; every leg is a sign-canonical unit vector
+            assert np.linalg.norm(np.cross(row[0], gi)) <= 1e-12 * np.linalg.norm(gi)
+            for leg in row:
+                np.testing.assert_allclose(leg, canonical_dir(leg), rtol=0, atol=1e-15)
+
+
+def test_batched_tripod_keeps_every_check():
+    rng = np.random.default_rng(32)
+    q, g = _cone_generators(rng, 5)
+    zero = g.copy()
+    zero[3] = 0.0
+    with pytest.raises(NotOnCone, match="zero vector"):
+        _tripods(q, zero)
+    off = g.copy()
+    off[2] += np.array([0.3, -0.2, 0.1])
+    with pytest.raises(NotOnCone, match="is not zero"):
+        _tripods(q, off)
+    with pytest.raises(DegenerateForm):
+        _tripods(D(1, -1, 0), np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]))
 
 
 def test_restrict_to_plane_examples():

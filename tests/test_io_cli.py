@@ -1,14 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tetraquadric import (
+    Mesh,
     QuadricKind,
     TetraKind,
     analyze,
     build,
     classify,
+    eigendecompose,
     emit_svg_porism,
     ellipse_section,
     evaluate,
@@ -19,8 +22,14 @@ from tetraquadric import (
     random_tetra,
     serialize_tetrahedron,
 )
-from tetraquadric.cli import main
-from tetraquadric.errors import DegenerateTetrahedron, EmptyFamily, NotHyperboloid, ParseError
+from tetraquadric.cli import _build_parser, main
+from tetraquadric.errors import (
+    DegenerateTetrahedron,
+    EmptyFamily,
+    InternalInvariantError,
+    NotHyperboloid,
+    ParseError,
+)
 from tetraquadric.forms import QuadForm3
 
 
@@ -103,6 +112,61 @@ def test_quadric_mesh(t_gen, t_semi):
         quadric_mesh(qd, -1.0, 32)
     with pytest.raises(NotHyperboloid):
         quadric_mesh(build(t_semi), 3.0, 32)
+
+
+def _reference_mesh(qd, extent, n):
+    """Point by point, ring by ring, in the principal frame."""
+    frame = eigendecompose(qd.form)
+    ratios = frame.values / qd.rhs
+    pos = [r for r in range(3) if ratios[r] > 0]
+    (neg,) = [r for r in range(3) if ratios[r] <= 0]
+    a, b = (1.0 / math.sqrt(ratios[r]) for r in pos)
+    c = 1.0 / math.sqrt(-ratios[neg])
+    e_a, e_b, e_c = frame.axes[pos[0]], frame.axes[pos[1]], frame.axes[neg]
+    u_max = math.asinh(extent / c)
+    verts = []
+    for jj in range(n + 1):
+        u = -u_max + 2.0 * u_max * jj / n
+        for ii in range(n):
+            th = 2.0 * math.pi * ii / n
+            verts.append(
+                qd.center
+                + a * math.cos(th) * math.cosh(u) * e_a
+                + b * math.sin(th) * math.cosh(u) * e_b
+                + c * math.sinh(u) * e_c
+            )
+    tris = []
+    for jj in range(n):
+        for ii in range(n):
+            i0, i1 = jj * n + ii, jj * n + (ii + 1) % n
+            tris += [(i0, i1, i1 + n), (i0, i1 + n, i0 + n)]
+    return np.array(verts), np.array(tris)
+
+
+def test_quadric_mesh_matches_reference_loop(t_gen):
+    qd = build(t_gen)
+    for extent, n in ((3.0, 16), (0.5, 9)):
+        mesh = quadric_mesh(qd, extent, n)
+        verts, tris = _reference_mesh(qd, extent, n)
+        assert mesh.vertices.shape == ((n + 1) * n, 3)
+        assert mesh.triangles.shape == (2 * n * n, 3)
+        np.testing.assert_array_equal(mesh.vertices, verts)
+        np.testing.assert_array_equal(mesh.triangles, tris)
+
+
+def test_mesh_to_obj_matches_line_by_line_text(t_gen):
+    mesh = quadric_mesh(build(t_gen), 3.0, 16)
+    lines = [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}" for v in mesh.vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
+    assert mesh_to_obj(mesh) == "\n".join(lines) + "\n"
+
+
+def test_mesh_rejects_out_of_range_index():
+    verts = np.zeros((4, 3))
+    assert Mesh(verts, [(0, 1, 3)]).triangles.shape == (1, 3)
+    for bad in ((0, 1, 4), (-1, 1, 2)):
+        with pytest.raises(InternalInvariantError):
+            Mesh(verts, [(0, 1, 2), bad])
 
 
 def test_random_tetra_classes_and_determinism():
@@ -234,6 +298,8 @@ _PORISM = "porism --form 1,1,-2,0,0,0 --svg {out}"
         f"{_PORISM} --rho inf",
         "quadric {tetra} --obj {out} --extent nan",
         "quadric {tetra} --obj {out} --extent inf",
+        "quadric {tetra} --obj {out} --extent 0",
+        "quadric {tetra} --obj {out} --extent -1",
     ],
 )
 def test_cli_rejects_bad_numbers(tmp_path, capsys, cmd):
@@ -244,3 +310,54 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, cmd):
     assert exc.value.code == 2
     assert not out.exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        "quadric t.json --obj o.obj --res 7",
+        "quadric t.json --obj o.obj --res 2049",
+        "quadric t.json --obj o.obj --res 100000",
+        "porism --form 1,1,-2,0,0,0 --rho 1 --svg o.svg --count 100001",
+        "random --class generic --seed -1",
+    ],
+)
+def test_cli_rejects_out_of_range_sizes(capsys, cmd):
+    # parsing only, so that a missing bound cannot start the oversized run
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(cmd.split())
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_accepts_the_ends_of_each_range():
+    parse = _build_parser().parse_args
+    for res in (8, 2048):
+        assert parse(f"quadric t.json --obj o.obj --res {res}".split()).res == res
+    for count in (1, 100000):
+        cmd = f"porism --form 1,1,-2,0,0,0 --rho 1 --svg o.svg --count {count}"
+        assert parse(cmd.split()).count == count
+    assert parse("random --class generic --seed 0".split()).seed == 0
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
+    missing = tmp_path / "no" / "such"
+    assert main(["quadric", str(f), "--obj", str(missing / "q.obj"), "--res", "8"]) == 2
+    form = ["--form", "1,1,-2,0,0,0", "--rho", "1"]
+    assert main(["porism", *form, "--svg", str(missing / "p.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("cannot write") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rho", ["1e300", "-1e300", "1e-300", "-1e-300"])
+def test_cli_porism_at_extreme_heights(tmp_path, capsys, rho):
+    out, unit = tmp_path / "p.svg", tmp_path / "unit.svg"
+    form = ["--form", "2,1,-3,0,0,0"]
+    assert main(["porism", *form, f"--rho={rho}", "--svg", str(out)]) == 0
+    unit_rho = "-1" if rho.startswith("-") else "1"
+    assert main(["porism", *form, f"--rho={unit_rho}", "--svg", str(unit)]) == 0
+    capsys.readouterr()
+    svg = out.read_text()
+    assert "nan" not in svg and "inf" not in svg
+    assert svg == unit.read_text()

@@ -20,6 +20,7 @@ from tetraquadric.errors import (
     PlaneMissesLeg,
     ZeroOffset,
 )
+from tetraquadric.forms import eigendecompose
 from tetraquadric.tetra import TetraKind, Tetrahedron
 
 D = QuadForm3.diagonal
@@ -29,7 +30,7 @@ def test_trirect_from_tripod_cone():
     q = D(1, 1, -2)
     tp = tripod_through_generator(q, vec(1, 1, 1) / math.sqrt(3))
     cut = Plane3(vec(0, 0, 1.0), 1.0)
-    tet = trirect_from_tripod(q, tp, cut)
+    tet = trirect_from_tripod(tp, cut)
     np.testing.assert_allclose(tet.apex, 0)
     for a in range(3):
         for b in range(a + 1, 3):
@@ -38,11 +39,10 @@ def test_trirect_from_tripod_cone():
 
 def test_trirect_recovers_axis_tetrahedron():
     # the cone through all three axes, cut by the unit-sum plane
-    q = QuadForm3(0, 0, 0, 0.5, 0.5, 0.5)
     from tetraquadric.forms import Tripod
 
     tp = Tripod((vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)))
-    tet = trirect_from_tripod(q, tp, Plane3(vec(1, 1, 1.0), 1.0))
+    tet = trirect_from_tripod(tp, Plane3(vec(1, 1, 1.0), 1.0))
     got = sorted(tuple(np.round(l, 9)) for l in tet.legs)
     assert got == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     verts = np.vstack([tet.apex, tet.legs])
@@ -55,9 +55,9 @@ def test_trirect_plane_misses_leg():
     # plane parallel to the seed leg
     n = np.cross(tp.legs[0], tp.legs[1])
     with pytest.raises(PlaneMissesLeg):
-        trirect_from_tripod(q, tp, Plane3(n, 1.0))
+        trirect_from_tripod(tp, Plane3(n, 1.0))
     with pytest.raises(PlaneMissesLeg):
-        trirect_from_tripod(q, tp, Plane3(vec(0, 0, 1.0), 0.0))
+        trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), 0.0))
 
 
 def test_orthocenter2d_examples():
@@ -183,3 +183,69 @@ def test_triangles_ccw_in_section_plane():
             for i in range(3)
         )
         assert area2 > 0
+
+
+def _reference_family(q, rho, count):
+    """Triangle by triangle: tripod, cut, counter-clockwise order, angles."""
+    frame = eigendecompose(q)
+    if (frame.values > 0).sum() == 1:
+        q = -q
+        frame = eigendecompose(q)
+    (v1, v2, v3), (e1, e2, e3) = frame.values, frame.axes
+    cut = Plane3.from_point_normal(rho * e3, e3)
+    out = []
+    for idx in range(count):
+        phi = 2.0 * math.pi * idx / count
+        g = (
+            math.cos(phi) / math.sqrt(v1) * e1
+            + math.sin(phi) / math.sqrt(v2) * e2
+            + 1.0 / math.sqrt(-v3) * e3
+        )
+        pts = list(trirect_from_tripod(tripod_through_generator(q, g), cut).legs)
+        xy = [(np.dot(p, e1), np.dot(p, e2)) for p in pts]
+        area2 = sum(xy[i][0] * xy[i - 2][1] - xy[i - 2][0] * xy[i][1] for i in range(3))
+        if area2 < 0:
+            pts = [pts[0], pts[2], pts[1]]
+        angles = []
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            u = (pts[b] - pts[a]) / np.linalg.norm(pts[b] - pts[a])
+            w = (pts[c] - pts[a]) / np.linalg.norm(pts[c] - pts[a])
+            angles.append(math.acos(max(-1.0, min(1.0, np.dot(u, w)))))
+        out.append((np.array(pts), np.array(angles)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "q, rho, count",
+    [
+        (D(2, 1, -3), 1.0, 7),
+        (D(2, 1, -3), -0.7, 12),
+        (D(-1, -2, 3), 2.5, 5),
+        (QuadForm3(0.3, 1.1, -1.4, 0.8, -0.5, 0.2), 3.0, 31),
+    ],
+)
+def test_porism_family_matches_reference_loop(q, rho, count):
+    fam = porism_family(q, rho, count)
+    ref = _reference_family(q, rho, count)
+    assert len(fam) == len(ref) == count
+    for tri, (pts, angles) in zip(fam, ref):
+        np.testing.assert_allclose(
+            np.array(tri.vertices), pts, rtol=0, atol=1e-12 * np.max(np.abs(pts))
+        )
+        np.testing.assert_allclose(tri.angles, angles, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rho", [1e300, -1e300, 1e-300, -1e-300])
+def test_porism_at_extreme_heights_stays_finite(rho):
+    q = D(2, 1, -3)
+    e = ellipse_section(q, rho)
+    assert np.all(np.isfinite(e.center)) and np.all(np.isfinite(e.semi_axes))
+    assert e.scale() == pytest.approx(math.sqrt(3) * abs(rho))
+    fam = porism_family(q, rho, 8)
+    ref = porism_family(q, 1.0, 8)
+    for tri, unit in zip(fam, ref):
+        pts = np.array(tri.vertices)
+        assert np.all(np.isfinite(pts))
+        expected = np.array(unit.vertices) * math.copysign(1, rho)
+        np.testing.assert_allclose(pts / abs(rho), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(tri.angles, unit.angles, rtol=1e-14)
