@@ -38,7 +38,6 @@ from .forms import (
     evaluate,
     outer_sym,
     rank,
-    trace,
 )
 from .tetra import (
     Tetrahedron,
@@ -46,7 +45,6 @@ from .tetra import (
     altitude,
     classify,
     edge_vector,
-    lambdas,
     monge_point,
 )
 
@@ -65,27 +63,18 @@ def q_ijkl(t: Tetrahedron, perm: tuple[int, int, int, int]) -> QuadForm3:
 
 def q_star(t: Tetrahedron) -> QuadForm3:
     """The traceless lambda-weighted combination of the three basic forms."""
-    lam = lambdas(t)
-    return (
-        lam.l01 * q_ijkl(t, (0, 1, 2, 3))
-        + lam.l02 * q_ijkl(t, (0, 2, 3, 1))
-        + lam.l03 * q_ijkl(t, (0, 3, 1, 2))
-    )
+    return t.q_star
 
 
 def q_star_two_term(t: Tetrahedron) -> QuadForm3:
     """Equivalent two-term expression for the same form; used as a cross-check."""
-    lam = lambdas(t)
-    return (
-        -(lam.l03 - lam.l01) * q_ijkl(t, (0, 1, 2, 3))
-        + (lam.l02 - lam.l03) * q_ijkl(t, (0, 2, 3, 1))
-    )
+    l01, l02, l03 = t.lambdas.tolist()
+    return -(l03 - l01) * q_ijkl(t, (0, 1, 2, 3)) + (l02 - l03) * q_ijkl(t, (0, 2, 3, 1))
 
 
 def rhs(t: Tetrahedron) -> float:
     """Right-hand side (l01-l02)(l02-l03)(l03-l01) of the altitude-quadric equation."""
-    lam = lambdas(t)
-    return (lam.l01 - lam.l02) * (lam.l02 - lam.l03) * (lam.l03 - lam.l01)
+    return t.rhs
 
 
 class QuadricKind(Enum):

@@ -7,6 +7,7 @@ that the exact conditions of the underlying geometry survive floating point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -39,7 +40,8 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
 
 
 def norm(v: Vec3) -> float:
-    return float(np.linalg.norm(v))
+    """Euclidean length; free of overflow and underflow in the squares."""
+    return math.hypot(*v)
 
 
 def triple(u: Vec3, v: Vec3, w: Vec3) -> float:
@@ -151,15 +153,22 @@ def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
 
 
 def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
-    """Orthocenter of a triangle given by three coplanar 3D points."""
-    v0, v1, v2 = (as_vec(p) for p in tri)
+    """Orthocenter of a triangle given by three coplanar 3D points.
+
+    Solved in units of the power of two just above the longest edge.  The
+    change of unit is exact, so no product overflows or underflows at any
+    scale and results at ordinary scales keep every bit.
+    """
+    v = np.array([as_vec(p) for p in tri])
+    longest = max(norm(v[i] - v[j]) for i, j in ((1, 0), (2, 0), (2, 1)))
+    unit = math.ldexp(1.0, math.frexp(longest)[1])
+    v0, v1, v2 = v / unit
     n = cross(v1 - v0, v2 - v0)
-    scale = max(norm(v1 - v0), norm(v2 - v0))
-    if norm(n) <= tol.gate(scale, scale):
+    if norm(n) <= tol.gate(longest / unit, longest / unit):
         raise CollinearPoints("triangle vertices are collinear")
     a = np.array([v1 - v2, v2 - v0, n / norm(n)])
     b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n / norm(n))])
-    return np.linalg.solve(a, b)
+    return unit * np.linalg.solve(a, b)
 
 
 def solve3(p1: Plane3, p2: Plane3, p3: Plane3, tol: Tolerance = DEFAULT_TOL) -> Vec3:

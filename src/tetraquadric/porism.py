@@ -55,10 +55,10 @@ def _cut(legs: np.ndarray, cut: Plane3, tol: Tolerance) -> np.ndarray:
     denom = legs @ cut.normal
     if np.any(np.abs(denom) <= tol.gate(1.0)):
         raise PlaneMissesLeg("cutting plane is parallel to a tripod leg")
-    s = cut.offset / denom
-    if np.any(np.abs(s) <= tol.gate(1.0)):
+    # the cone is scale-free, so only a plane exactly through the apex misses
+    if cut.offset == 0.0:
         raise PlaneMissesLeg("cutting plane passes through the apex")
-    return s[..., None] * legs
+    return (cut.offset / denom)[..., None] * legs
 
 
 def _cone_frame(q: QuadForm3, tol: Tolerance) -> tuple[QuadForm3, EigenFrame]:

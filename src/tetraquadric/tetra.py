@@ -2,13 +2,16 @@
 
 Edge vectors, altitudes and orthocentric perpendiculars, midplanes, the Monge
 point, centroid, circumcenter, Euler line, and the generic /
-semi-orthocentric / orthocentric classification.
+semi-orthocentric / orthocentric classification.  A `Tetrahedron` computes
+each tolerance-free quantity once, on first use, and keeps it read-only; the
+public functions below read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,13 +22,13 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
-    cross,
     dot,
     norm,
     orthocenter2d,
     triple,
 )
 from .errors import BadIndex, DegenerateTetrahedron
+from .forms import QuadForm3, outer_sym
 
 #: The three ways of splitting {0,1,2,3} into two opposite edges.
 OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
@@ -35,6 +38,11 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Tetrahedron:
     """Four position vectors; rejects coplanar vertex sets at construction."""
@@ -42,26 +50,82 @@ class Tetrahedron:
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.shape != (4, 3) or not np.all(np.isfinite(v)):
             raise DegenerateTetrahedron("need four finite 3-vectors")
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _frozen(v))
         s = self.edge_scale()
-        if abs(triple(*(v[0] - v[i] for i in (1, 2, 3)))) <= DEFAULT_TOL.gate(s, s, s):
+        if abs(triple(*self.edges[0, 1:])) <= DEFAULT_TOL.gate(s, s, s):
             raise DegenerateTetrahedron("vertices are coplanar")
 
     def vertex(self, i: int) -> Vec3:
         return self.vertices[i]
 
     def edge_scale(self) -> float:
-        return max(
-            norm(self.vertices[i] - self.vertices[j])
-            for i in range(4)
-            for j in range(i + 1, 4)
-        )
+        return float(self.edge_lengths.max())
 
     def others(self, l: int) -> tuple[int, int, int]:
         return tuple(i for i in range(4) if i != l)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """(4, 4, 3): edges[i, j] = a_i - a_j."""
+        v = self.vertices
+        return _frozen(v[:, None] - v[None])
+
+    @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """(4, 4): |a_i - a_j|, free of overflow in the squares."""
+        e = self.edges
+        return _frozen(np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2]))
+
+    @cached_property
+    def face_normals(self) -> np.ndarray:
+        """(4, 3): (a_j - a_i) x (a_k - a_i) for the face i < j < k opposite l."""
+        i, j, k = np.array([self.others(l) for l in range(4)]).T
+        return _frozen(np.cross(self.edges[j, i], self.edges[k, i]))
+
+    @cached_property
+    def opposite_dots(self) -> np.ndarray:
+        """(3,): b_ij . b_kl in OPPOSITE_EDGE_PAIRS order."""
+        e = self.edges
+        return _frozen(np.array([dot(e[e1], e[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]))
+
+    def _solve_edges(self, mids: np.ndarray) -> Vec3:
+        """Point x with b_0j . x = b_0j . mids[j-1]; b_01, b_02, b_03 are independent."""
+        b = self.edges[0, 1:]
+        return _frozen(np.linalg.solve(b, np.sum(b * mids, axis=1)))
+
+    @cached_property
+    def monge(self) -> Vec3:
+        """Common point of the six midplanes: b_0j . m = b_0j . mid(opposite edge)."""
+        v = self.vertices
+        return self._solve_edges(0.5 * np.array([v[2] + v[3], v[3] + v[1], v[1] + v[2]]))
+
+    @cached_property
+    def circumcenter(self) -> Vec3:
+        """Point equidistant from all four vertices: b_0j . c = b_0j . mid(edge 0j)."""
+        v = self.vertices
+        return self._solve_edges(0.5 * (v[0] + v[1:]))
+
+    @cached_property
+    def lambdas(self) -> np.ndarray:
+        """(3,): (a_0 - m) . (a_j - m) for j = 1, 2, 3, m the Monge point."""
+        d = self.vertices - self.monge
+        return _frozen(np.array([dot(d[0], d[j]) for j in (1, 2, 3)]))
+
+    @cached_property
+    def q_star(self) -> QuadForm3:
+        """The traceless form sum_j lambda_0j (x.b_0j)(x.b_kl)."""
+        l01, l02, l03 = self.lambdas.tolist()
+        q = [outer_sym(self.edges[e1], self.edges[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]
+        return l01 * q[0] + l02 * q[1] + l03 * q[2]
+
+    @cached_property
+    def rhs(self) -> float:
+        """(l01 - l02)(l02 - l03)(l03 - l01)."""
+        l01, l02, l03 = self.lambdas.tolist()
+        return (l01 - l02) * (l02 - l03) * (l03 - l01)
 
 
 def _check_edge(i: int, j: int) -> None:
@@ -72,22 +136,19 @@ def _check_edge(i: int, j: int) -> None:
 def edge_vector(t: Tetrahedron, i: int, j: int) -> Vec3:
     """Edge vector from vertex j to vertex i; antisymmetric in (i, j)."""
     _check_edge(i, j)
-    return t.vertex(i) - t.vertex(j)
+    return t.edges[i, j]
 
 
 def pluecker_residual(t: Tetrahedron) -> float:
     """b01.b23 + b02.b31 + b03.b12; vanishes identically for every tetrahedron."""
-    return sum(
-        dot(edge_vector(t, *e1), edge_vector(t, *e2)) for e1, e2 in OPPOSITE_EDGE_PAIRS
-    )
+    return float(t.opposite_dots.sum())
 
 
 def _face_normal(t: Tetrahedron, l: int) -> Vec3:
     """Normal (a_j - a_i) x (a_k - a_i) of the face opposite vertex l."""
     if not 0 <= l <= 3:
         raise BadIndex(f"vertex index {l} out of range")
-    i, j, k = t.others(l)
-    return cross(t.vertex(j) - t.vertex(i), t.vertex(k) - t.vertex(i))
+    return t.face_normals[l]
 
 
 def altitude(t: Tetrahedron, l: int) -> Line3:
@@ -109,38 +170,27 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     _check_edge(i, j)
     k, l = (x for x in range(4) if x not in (i, j))
     mid = 0.5 * (t.vertex(k) + t.vertex(l))
-    return Plane3.from_point_normal(mid, edge_vector(t, i, j))
+    return Plane3.from_point_normal(mid, t.edges[i, j])
 
 
 def perp_bisector(t: Tetrahedron, i: int, j: int) -> Plane3:
     """Perpendicular bisector plane of the edge ij."""
     _check_edge(i, j)
     mid = 0.5 * (t.vertex(i) + t.vertex(j))
-    return Plane3.from_point_normal(mid, edge_vector(t, i, j))
-
-
-def _edge_matrix(t: Tetrahedron) -> np.ndarray:
-    """Rows b_01, b_02, b_03; invertible for every accepted tetrahedron."""
-    return t.vertex(0) - t.vertices[1:]
+    return Plane3.from_point_normal(mid, t.edges[i, j])
 
 
 def monge_point(t: Tetrahedron) -> Vec3:
-    """Common point of the six midplanes: b_0j . m = b_0j . mid(opposite edge)."""
-    b = _edge_matrix(t)
-    v = t.vertices
-    mids = 0.5 * np.array([v[2] + v[3], v[3] + v[1], v[1] + v[2]])
-    return np.linalg.solve(b, (b * mids).sum(axis=1))
+    """Common point of the six midplanes."""
+    return t.monge
 
 
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
-    m = monge_point(t)
-    res = 0.0
-    for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS:
-        lhs = dot(t.vertex(i) - m, t.vertex(j) - m)
-        rhs = dot(t.vertex(k) - m, t.vertex(l) - m)
-        res = max(res, abs(lhs - rhs))
-    return res
+    d = t.vertices - t.monge
+    return max(
+        abs(dot(d[i], d[j]) - dot(d[k], d[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS
+    )
 
 
 def centroid(t: Tetrahedron) -> Vec3:
@@ -148,10 +198,8 @@ def centroid(t: Tetrahedron) -> Vec3:
 
 
 def circumcenter(t: Tetrahedron) -> Vec3:
-    """Point equidistant from all four vertices: b_0j . c = b_0j . mid(edge 0j)."""
-    b = _edge_matrix(t)
-    mids = 0.5 * (t.vertex(0) + t.vertices[1:])
-    return np.linalg.solve(b, (b * mids).sum(axis=1))
+    """Point equidistant from all four vertices."""
+    return t.circumcenter
 
 
 @dataclass(frozen=True)
@@ -171,28 +219,26 @@ def lambdas(t: Tetrahedron) -> LambdaTriple:
 
     By the Monge identity these cover all six pairwise products.
     """
-    m = monge_point(t)
-    a0 = t.vertex(0) - m
-    return LambdaTriple(*(dot(a0, t.vertex(j) - m) for j in (1, 2, 3)))
+    return LambdaTriple(*t.lambdas.tolist())
 
 
 def opposite_edge_dots(t: Tetrahedron) -> np.ndarray:
     """Dot products of the three opposite-edge pairs, in OPPOSITE_EDGE_PAIRS order."""
-    return np.array(
-        [
-            dot(edge_vector(t, *e1), edge_vector(t, *e2))
-            for e1, e2 in OPPOSITE_EDGE_PAIRS
-        ]
-    )
+    return t.opposite_dots
+
+
+def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
+    """Zero gate of each opposite-edge dot product, tol.gate(|b_ij|, |b_kl|)."""
+    lengths = t.edge_lengths
+    return np.array([tol.gate(lengths[e1], lengths[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS])
 
 
 def altitudes_meet(t: Tetrahedron, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff altitudes h_i and h_j intersect, i.e. edge kl is orthogonal to edge ij."""
     _check_edge(i, j)
     k, l = (x for x in range(4) if x not in (i, j))
-    bkl = edge_vector(t, k, l)
-    bij = edge_vector(t, i, j)
-    return tol.is_zero(dot(bkl, bij), norm(bkl), norm(bij))
+    lengths = t.edge_lengths
+    return tol.is_zero(dot(t.edges[k, l], t.edges[i, j]), lengths[k, l], lengths[i, j])
 
 
 class TetraKind(Enum):
@@ -217,13 +263,8 @@ def classify(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> TetraClass:
     with them); such inputs resolve to orthocentric when the remaining dot is
     within ten times the gate, otherwise to generic with a warning.
     """
-    dots = opposite_edge_dots(t)
-    gates = np.array(
-        [
-            tol.gate(norm(edge_vector(t, *e1)), norm(edge_vector(t, *e2)))
-            for e1, e2 in OPPOSITE_EDGE_PAIRS
-        ]
-    )
+    dots = t.opposite_dots
+    gates = _opposite_gates(t, tol)
     zero = np.abs(dots) <= gates
     n_zero = int(zero.sum())
     if n_zero == 0:
@@ -259,11 +300,7 @@ def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints
     Euler line is their join when they differ.  The orthocenter exists exactly
     in the orthocentric case and then coincides with the Monge point.
     """
-    m = monge_point(t)
-    g = centroid(t)
-    c = circumcenter(t)
+    m, g, c = t.monge, centroid(t), t.circumcenter
     h = m if classify(t, tol).kind is TetraKind.ORTHOCENTRIC else None
-    euler = None
-    if norm(c - m) > tol.gate(t.edge_scale()):
-        euler = Line3(g, c - m)
+    euler = Line3(g, c - m) if norm(c - m) > tol.gate(t.edge_scale()) else None
     return NoteworthyPoints(m, g, c, h, euler)

@@ -15,6 +15,7 @@ from tetraquadric import (
     triple,
     vec,
 )
+from tetraquadric.core import norm, normalize
 from tetraquadric.errors import ParallelPlanes, SingularSystem
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
@@ -142,3 +143,11 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rel_eps=0.0)
     assert Tolerance().gate(2.0, 3.0) == pytest.approx(6e-9, rel=1e-3)
+
+
+@pytest.mark.parametrize("mag", [1e200, 1e-200])
+def test_norm_free_of_overflow_and_underflow(mag):
+    v = vec(mag, mag, 0)
+    assert norm(v) == pytest.approx(mag * np.sqrt(2), rel=1e-15)
+    np.testing.assert_allclose(normalize(v), [np.sqrt(0.5), np.sqrt(0.5), 0], rtol=1e-15)
+    np.testing.assert_array_equal(Line3(vec(0, 0, 0), vec(-mag, 0, 0)).dir, [1, 0, 0])

@@ -20,6 +20,7 @@ from tetraquadric import (
     porism_family,
     quadric_mesh,
     random_tetra,
+    reporting,
     serialize_tetrahedron,
 )
 from tetraquadric.cli import _build_parser, main
@@ -95,6 +96,20 @@ def test_analyze_residuals_below_gates(t_gen, t_orth, t_semi, t_tri):
         assert not rep.warnings
         # serializable
         json.dumps(rep.to_dict())
+
+
+def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
+    calls = {"solve": 0, "eigh": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert analyze(t_gen).tetra_class == "generic"
+    # one solve each for the Monge point and the circumcenter, one eigh for rank(Q*)
+    assert calls["solve"] == 2 and calls["eigh"] <= 1
 
 
 def test_quadric_mesh(t_gen, t_semi):
@@ -189,6 +204,30 @@ def test_random_tetra_classes_and_determinism():
         a = random_tetra(kind, 123)
         b = random_tetra(kind, 123)
         np.testing.assert_array_equal(a.vertices, b.vertices)
+
+
+def test_rejection_loops_are_bounded(monkeypatch):
+    draws = []
+
+    def count_draw():
+        draws.append(None)
+        if len(draws) > 10_000:
+            raise RuntimeError("the rejection loop did not stop")
+
+    def never(kind, rng):
+        count_draw()
+
+    class Collinear:
+        def uniform(self, low, high, size):
+            count_draw()
+            return np.zeros(size)
+
+    monkeypatch.setattr(reporting, "_draw_tetra", never)
+    with pytest.raises(InternalInvariantError):
+        random_tetra(TetraKind.GENERIC, 0)
+    with pytest.raises(InternalInvariantError):
+        reporting._random_base_triangle(Collinear())
+    assert len(draws) == 2 * reporting._MAX_DRAWS
 
 
 def test_svg_emission():

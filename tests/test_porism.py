@@ -60,6 +60,15 @@ def test_trirect_plane_misses_leg():
         trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), 0.0))
 
 
+@pytest.mark.parametrize("offset", [1e-10, 1e-300])
+def test_trirect_cut_close_to_the_apex(offset):
+    # the cone is scale-free; a plane exactly through the apex still raises above
+    tp = tripod_through_generator(D(1, 1, -2), vec(1, 1, 1) / math.sqrt(3))
+    tet = trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), offset))
+    unit = trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), 1.0))
+    np.testing.assert_allclose(np.array(tet.legs) / offset, unit.legs, rtol=1e-14)
+
+
 def test_orthocenter2d_examples():
     h = orthocenter2d((vec(0, 0, 0), vec(4, 0, 0), vec(1, 3, 0)))
     np.testing.assert_allclose(h, [1, 1, 0], atol=1e-12)
@@ -71,6 +80,12 @@ def test_orthocenter2d_examples():
     )
     with pytest.raises(CollinearPoints):
         orthocenter2d((vec(0, 0, 0), vec(1, 0, 0), vec(2, 0, 0)))
+
+
+@pytest.mark.parametrize("s", [1e160, 1e-160, 1e300, 1e-300])
+def test_orthocenter2d_at_extreme_scale(s):
+    h = orthocenter2d((vec(0, 0, 0), vec(4, 0, 0) * s, vec(1, 3, 0) * s))
+    np.testing.assert_allclose(h, vec(1, 1, 0) * s, rtol=1e-12, atol=0)
 
 
 def test_orthocenter2d_perpendicularity():
@@ -249,3 +264,5 @@ def test_porism_at_extreme_heights_stays_finite(rho):
         expected = np.array(unit.vertices) * math.copysign(1, rho)
         np.testing.assert_allclose(pts / abs(rho), expected, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(tri.angles, unit.angles, rtol=1e-14)
+        h = orthocenter2d(tri.vertices)
+        np.testing.assert_allclose(h, e.center, rtol=0, atol=1e-12 * abs(rho))

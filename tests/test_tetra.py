@@ -21,6 +21,7 @@ from tetraquadric import (
     monge_identity_residual,
     monge_point,
     noteworthy,
+    opposite_edge_dots,
     ortho_perpendicular,
     perp_bisector,
     pluecker_residual,
@@ -70,6 +71,30 @@ def test_edge_vector_identities():
                         0,
                         atol=1e-12,
                     )
+
+
+def test_vertices_are_copied_and_every_derived_array_is_frozen():
+    v = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
+    t = Tetrahedron(v)
+    assert v.flags.writeable and not np.shares_memory(v, t.vertices)
+    v[0] = 9.0
+    np.testing.assert_array_equal(t.vertex(0), [0, 0, 0])
+    derived = (
+        t.vertices,
+        monge_point(t),
+        circumcenter(t),
+        opposite_edge_dots(t),
+        edge_vector(t, 0, 1),
+        t.edge_lengths,
+        t.face_normals,
+        t.lambdas,
+    )
+    for a in derived:
+        with pytest.raises(ValueError):
+            a[0] += 1.0
+    # computed once: the same array on every read
+    assert monge_point(t) is monge_point(t) and t.q_star is t.q_star
+    np.testing.assert_allclose(monge_point(t), [1.5, 1.0, 1.25], atol=1e-12)
 
 
 def test_pluecker_examples(t_tri, t_gen, t_semi):
