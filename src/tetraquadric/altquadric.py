@@ -25,10 +25,10 @@ from .core import (
     dot,
     line_line_meet,
     norm,
-    plane_basis,
 )
 from .errors import (
     BadPermutation,
+    DegenerateForm,
     InternalInvariantError,
     NotHyperboloid,
     TrivialQuadric,
@@ -37,7 +37,9 @@ from .forms import (
     QuadForm3,
     evaluate,
     outer_sym,
+    polar,
     rank,
+    restrict_to_plane,
 )
 from .tetra import (
     Tetrahedron,
@@ -106,6 +108,8 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
     m = monge_point(t)
     form = q_star(t)
     r = rhs(t)
+    if not (np.all(np.isfinite(form.matrix)) and math.isfinite(r)):
+        raise DegenerateForm("Q* or rhs overflows at this scale")
     if cls.kind is TetraKind.ORTHOCENTRIC:
         return AltitudeQuadric(m, form, r, QuadricKind.TRIVIAL)
     if cls.kind is TetraKind.SEMI_ORTHOCENTRIC:
@@ -234,14 +238,12 @@ def section(
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("sections are computed for the hyperboloid case")
-    u, v = plane_basis(p.normal)
+    quad, (u, v) = restrict_to_plane(qd.form, p)
     # in-plane origin: plane point closest to the quadric center
     origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
-    sigma = qd.form.matrix
     o = origin - qd.center
-    quad = np.array([[u @ sigma @ u, u @ sigma @ v], [u @ sigma @ v, v @ sigma @ v]])
-    linear = 2.0 * np.array([u @ sigma @ o, v @ sigma @ o])
-    constant = float(o @ sigma @ o) - qd.rhs
+    linear = 2.0 * np.array([polar(qd.form, u, o), polar(qd.form, v, o)])
+    constant = evaluate(qd.form, o) - qd.rhs
     kind = _classify_conic(quad, linear, constant, tol)
     return ConicSection(p, quad, linear, constant, origin, (u, v), kind)
 

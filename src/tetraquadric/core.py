@@ -1,4 +1,4 @@
-"""Vector, line, and plane primitives plus the small linear solves built on them.
+"""Vector, line, and plane primitives.
 
 Vectors are plain numpy arrays of shape (3,); lines and planes are small
 immutable records.  All zero tests go through a scale-relative tolerance so
@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CollinearPoints, ParallelPlanes, SingularSystem
+from .errors import CollinearPoints
 
 Vec3 = np.ndarray
 
@@ -27,6 +27,12 @@ def as_vec(v) -> Vec3:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
+    return a
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Make a cached array read-only, so that no caller can change it."""
+    a.flags.writeable = False
     return a
 
 
@@ -169,27 +175,6 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     a = np.array([v1 - v2, v2 - v0, n / norm(n)])
     b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n / norm(n))])
     return unit * np.linalg.solve(a, b)
-
-
-def solve3(p1: Plane3, p2: Plane3, p3: Plane3, tol: Tolerance = DEFAULT_TOL) -> Vec3:
-    """Unique common point of three planes with independent normals."""
-    a = np.array([p1.normal, p2.normal, p3.normal])
-    det = float(np.linalg.det(a))
-    # normals are unit vectors, so the natural scale of the determinant is 1
-    if abs(det) <= tol.gate(1.0):
-        raise SingularSystem("plane normals are linearly dependent")
-    return np.linalg.solve(a, np.array([p1.offset, p2.offset, p3.offset]))
-
-
-def line_from_two_planes(p1: Plane3, p2: Plane3, tol: Tolerance = DEFAULT_TOL) -> Line3:
-    """Intersection line of two nonparallel planes."""
-    d = cross(p1.normal, p2.normal)
-    if norm(d) <= tol.gate(1.0):
-        raise ParallelPlanes("plane normals are parallel")
-    d = normalize(d)
-    a = np.array([p1.normal, p2.normal, d])
-    base = np.linalg.solve(a, np.array([p1.offset, p2.offset, 0.0]))
-    return Line3(base, d)
 
 
 class LineRelation(Enum):

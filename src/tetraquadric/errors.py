@@ -5,14 +5,6 @@ class GeometryError(Exception):
     """Base class for every error raised by this package."""
 
 
-class SingularSystem(GeometryError):
-    """Three plane normals are linearly dependent within tolerance."""
-
-
-class ParallelPlanes(GeometryError):
-    """Two plane normals are parallel within tolerance."""
-
-
 class NotTraceless(GeometryError):
     """A traceless form was required but the trace is not zero."""
 
@@ -22,7 +14,7 @@ class NotOnCone(GeometryError):
 
 
 class DegenerateForm(GeometryError):
-    """The quadratic form does not have the rank required here."""
+    """The quadratic form is not finite or lacks the rank required here."""
 
 
 class BadIndex(GeometryError):

@@ -3,7 +3,9 @@
 Covers the polar form, the basis-independent trace, principal axes from
 numpy's symmetric eigensolver, the three-way classification of traceless
 forms (zero form / orthogonal plane pair / equilateral cone), and the
-orthogonal tripods carried by every equilateral cone.
+orthogonal tripods carried by every equilateral cone.  A `QuadForm3` computes
+its matrix and its principal frame once, on first use, and keeps them
+read-only; the functions below read them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,6 +23,7 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
+    _frozen,
     as_vec,
     plane_basis,
 )
@@ -53,15 +57,27 @@ class QuadForm3:
     def zero(cls) -> "QuadForm3":
         return cls(0.0, 0.0, 0.0)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.s11, self.s12, self.s13],
-                [self.s12, self.s22, self.s23],
-                [self.s13, self.s23, self.s33],
-            ]
-        )
+        s11, s22, s33, s12, s13, s23 = self.coefficients
+        return _frozen(np.array([[s11, s12, s13], [s12, s22, s23], [s13, s23, s33]]))
+
+    @cached_property
+    def frame(self) -> "EigenFrame":
+        """Principal frame from numpy's symmetric eigensolver.
+
+        Output is deterministic: eigenvalues descending, eigenvector signs
+        canonicalized on the largest-magnitude component.
+        """
+        if not np.all(np.isfinite(self.matrix)):
+            raise DegenerateForm("form coefficients must be finite")
+        values, vectors = np.linalg.eigh(self.matrix)
+        axes = vectors.T[::-1]
+        for r in range(3):
+            lead = int(np.argmax(np.abs(axes[r])))
+            if axes[r][lead] < 0:
+                axes[r] = -axes[r]
+        return EigenFrame(_frozen(values[::-1]), _frozen(axes))
 
     @property
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
@@ -120,23 +136,13 @@ class EigenFrame:
 
 
 def eigendecompose(q: QuadForm3) -> EigenFrame:
-    """Diagonalize with numpy's symmetric eigensolver.
-
-    Output is deterministic: eigenvalues descending, eigenvector signs
-    canonicalized on the largest-magnitude component.
-    """
-    values, vectors = np.linalg.eigh(q.matrix)
-    axes = vectors.T[::-1]
-    for r in range(3):
-        lead = int(np.argmax(np.abs(axes[r])))
-        if axes[r][lead] < 0:
-            axes[r] = -axes[r]
-    return EigenFrame(values[::-1], axes)
+    """Principal frame of q, computed once per form (see `QuadForm3.frame`)."""
+    return q.frame
 
 
 def rank(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of eigenvalues significantly different from zero."""
-    values = eigendecompose(q).values
+    values = q.frame.values
     thresh = tol.gate(max(1.0, float(np.max(np.abs(values)))))
     return int(np.sum(np.abs(values) > thresh))
 
@@ -165,9 +171,8 @@ def classify_traceless(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> TracelessC
     if r <= 1:
         return TracelessClass(TracelessKind.ZERO_FORM)
     if r == 2:
-        frame = eigendecompose(q)
         # eigenvalues are (s, 0, -s); zero set is the plane pair xi1 = +-xi3
-        e1, e3 = frame.axes[0], frame.axes[2]
+        e1, e3 = q.frame.axes[0], q.frame.axes[2]
         p1 = Plane3((e1 + e3) / _SQRT2, 0.0)
         p2 = Plane3((e1 - e3) / _SQRT2, 0.0)
         return TracelessClass(TracelessKind.ORTHOGONAL_PLANE_PAIR, (p1, p2))

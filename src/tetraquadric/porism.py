@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3
 from .errors import DegenerateForm, PlaneMissesLeg, ZeroOffset
-from .forms import EigenFrame, QuadForm3, Tripod, _tripods, eigendecompose, trace
+from .forms import QuadForm3, Tripod, _tripods, rank, trace
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,37 +61,24 @@ def _cut(legs: np.ndarray, cut: Plane3, tol: Tolerance) -> np.ndarray:
     return (cut.offset / denom)[..., None] * legs
 
 
-def _cone_frame(q: QuadForm3, tol: Tolerance) -> tuple[QuadForm3, EigenFrame]:
-    """Principal frame with two positive eigenvalues and one negative.
-
-    The zero set is unchanged under negation, so a form with one positive and
-    two negative eigenvalues is flipped first.
-    """
-    if abs(trace(q)) > tol.gate(max(1.0, q.max_abs())):
-        raise DegenerateForm("cone sections need a traceless form")
-    frame = eigendecompose(q)
-    thresh = tol.gate(max(1.0, float(np.max(np.abs(frame.values)))))
-    if int(np.sum(np.abs(frame.values) > thresh)) < 3:
-        raise DegenerateForm("cone sections need a rank-3 form")
-    if int(np.sum(frame.values > 0.0)) == 1:
-        q = -q
-        frame = eigendecompose(q)
-    return q, frame
-
-
 def ellipse_section(
     q: QuadForm3, rho: float, tol: Tolerance = DEFAULT_TOL
 ) -> Ellipse3:
     """Ellipse cut from the cone by the plane at height rho along the cone axis.
 
     The cone axis is the principal axis of the odd-signed eigenvalue; the
-    section plane is orthogonal to it at distance rho from the vertex.
+    section plane is orthogonal to it at distance rho from the vertex.  The
+    zero set is unchanged under negation, so a form with one positive
+    eigenvalue is read in the frame of -q, which is its own frame with the
+    eigenvalues negated and both eigenvalues and axes in reverse order.
     """
     if rho == 0.0:
         raise ZeroOffset("section plane must not pass through the cone vertex")
-    _, frame = _cone_frame(q, tol)
-    v1, v2, v3 = frame.values
-    e1, e2, e3 = frame.axes
+    if abs(trace(q)) > tol.gate(max(1.0, q.max_abs())) or rank(q, tol) < 3:
+        raise DegenerateForm("cone sections need a traceless rank-3 form")
+    (v1, v2, v3), (e1, e2, e3) = q.frame.values, q.frame.axes
+    if v2 <= 0.0 < v1:
+        (v1, v2, v3), (e1, e2, e3) = (-v3, -v2, -v1), (e3, e2, e1)
     center = rho * e3
     a = abs(rho) * math.sqrt(-v3 / v1)
     b = abs(rho) * math.sqrt(-v3 / v2)
@@ -108,29 +95,24 @@ def porism_family(
     """Acute triangles inscribed in the ellipse section, sharing its center as
     orthocenter.
 
-    Seeds one generator per sample by rotating around the cone axis in the
-    principal frame, lifts it to an orthogonal tripod, and cuts the tripod
-    with the section plane.
+    Each point sampled on the ellipse section at unit height is a cone
+    generator; it is lifted to an orthogonal tripod, and the tripod is cut with
+    the section plane.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if rho == 0.0:
         raise ZeroOffset("section plane must not pass through the cone vertex")
-    qn, frame = _cone_frame(q, tol)
-    v1, v2, v3 = frame.values
-    e1, e2, e3 = frame.axes
     # the family at height rho is |rho| times the family at height +-1; cutting
     # at unit height keeps every product below free of overflow and underflow
+    unit = ellipse_section(q, 1.0, tol)
+    (s1, s2), e3 = unit.semi_axes, unit.center
     cut = Plane3.from_point_normal(math.copysign(1.0, rho) * e3, e3)
     phi = 2.0 * math.pi * np.arange(count) / count
-    g = (
-        (np.cos(phi) / math.sqrt(v1))[:, None] * e1
-        + (np.sin(phi) / math.sqrt(v2))[:, None] * e2
-        + 1.0 / math.sqrt(-v3) * e3
-    )
-    pts = _cut(_tripods(qn, g, tol), cut, tol)
-    # counter-clockwise in the (e1, e2) frame
-    x, y, nxt = pts @ e1, pts @ e2, [1, 2, 0]
+    g = e3 + np.cos(phi)[:, None] * s1 + np.sin(phi)[:, None] * s2
+    pts = _cut(_tripods(q, g, tol), cut, tol)
+    # counter-clockwise in the frame of the semi-axes
+    x, y, nxt = pts @ s1, pts @ s2, [1, 2, 0]
     area2 = np.sum(x * y[:, nxt] - x[:, nxt] * y, axis=1)
     pts[area2 < 0] = pts[area2 < 0][:, [0, 2, 1]]
     # unit edges i -> i+1: the angle at vertex i is between edge i and edge i-1 reversed

@@ -20,7 +20,7 @@ from .errors import (
     NotHyperboloid,
     ParseError,
 )
-from .forms import eigendecompose, evaluate, trace
+from .forms import evaluate, trace
 from .porism import Ellipse3, InscribedTriangle
 from .tetra import TetraKind, Tetrahedron
 
@@ -84,7 +84,9 @@ def altitude_level_residual(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> flo
     scale of the equation.
     """
     m, form, r = t.monge, t.q_star, t.rhs
-    denom = max(abs(r), float(np.max(np.abs(t.lambdas))) ** 3, tol.abs_eps)
+    # numpy's power overflows to inf where Python's float power would raise
+    with np.errstate(over="ignore"):
+        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3), tol.abs_eps)
     s = t.edge_scale()
     worst = 0.0
     for l in range(4):
@@ -182,7 +184,7 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
         raise ValueError("extent must be positive")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    frame = eigendecompose(qd.form)
+    frame = qd.form.frame
     ratios = frame.values / qd.rhs
     pos = [r for r in range(3) if ratios[r] > 0]
     neg = [r for r in range(3) if ratios[r] <= 0]

@@ -22,6 +22,7 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
+    _frozen,
     dot,
     norm,
     orthocenter2d,
@@ -36,11 +37,6 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((0, 2), (3, 1)),
     ((0, 3), (1, 2)),
 )
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +166,6 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     _check_edge(i, j)
     k, l = (x for x in range(4) if x not in (i, j))
     mid = 0.5 * (t.vertex(k) + t.vertex(l))
-    return Plane3.from_point_normal(mid, t.edges[i, j])
-
-
-def perp_bisector(t: Tetrahedron, i: int, j: int) -> Plane3:
-    """Perpendicular bisector plane of the edge ij."""
-    _check_edge(i, j)
-    mid = 0.5 * (t.vertex(i) + t.vertex(j))
     return Plane3.from_point_normal(mid, t.edges[i, j])
 
 

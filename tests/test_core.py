@@ -9,14 +9,13 @@ from tetraquadric import (
     Plane3,
     Tolerance,
     dot,
-    line_from_two_planes,
     line_line_meet,
-    solve3,
     triple,
     vec,
 )
 from tetraquadric.core import norm, normalize
-from tetraquadric.errors import ParallelPlanes, SingularSystem
+
+from plane_oracle import ParallelPlanes, SingularSystem, line_from_two_planes, solve3
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 vectors = st.builds(vec, coord, coord, coord)

@@ -92,6 +92,23 @@ def test_eigendecompose_zero_form():
     np.testing.assert_allclose(frame.axes @ frame.axes.T, np.eye(3), atol=1e-12)
 
 
+def test_matrix_and_frame_are_computed_once_and_frozen():
+    q = QuadForm3(2.0, 1.0, -3.0, 0.5, -0.25, 0.75)
+    for a in (q.matrix, q.frame.values, q.frame.axes):
+        with pytest.raises(ValueError):
+            a[0] += 1.0
+    assert q.matrix is q.matrix and eigendecompose(q) is q.frame is q.frame
+    np.testing.assert_allclose(q.frame.reconstruct(), q.matrix, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_form_is_degenerate(bad):
+    q = QuadForm3(1.0, bad, -1.0)
+    for f in (eigendecompose, rank, classify_traceless):
+        with pytest.raises(DegenerateForm):
+            f(q)
+
+
 def test_eigendecompose_reconstruction():
     rng = np.random.default_rng(9)
     for _ in range(100):

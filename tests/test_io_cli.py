@@ -8,7 +8,9 @@ from tetraquadric import (
     Mesh,
     QuadricKind,
     TetraKind,
+    Tetrahedron,
     analyze,
+    asymptotic_cone,
     build,
     classify,
     eigendecompose,
@@ -110,6 +112,29 @@ def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
     assert analyze(t_gen).tetra_class == "generic"
     # one solve each for the Monge point and the circumcenter, one eigh for rank(Q*)
     assert calls["solve"] == 2 and calls["eigh"] <= 1
+
+
+@pytest.mark.parametrize("positive", [2, 1])
+def test_figure_path_decomposes_the_form_once(positive, monkeypatch):
+    v = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
+    if positive == 1:
+        v = v[[0, 2, 1, 3]]  # swapping two vertices flips the signs of Q* and rhs
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+    qd = build(Tetrahedron(v))
+    quadric_mesh(qd, 3.0, 16)
+    cone = asymptotic_cone(qd)
+    porism_family(cone, 1.0, 12)
+    ellipse_section(cone, 1.0)
+    assert len(calls) == 1
+    assert int(np.sum(cone.frame.values > 0.0)) == positive
+    # q and -q cut the same ellipse: one of them reads the other's frame off
+    # its own, the other decomposes afresh
+    mine, fresh = ellipse_section(cone, 1.0), ellipse_section(-cone, 1.0)
+    assert len(calls) == 2
+    np.testing.assert_allclose(mine.center, fresh.center, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(mine.semi_axes, fresh.semi_axes, rtol=0, atol=1e-14)
 
 
 def test_quadric_mesh(t_gen, t_semi):
@@ -400,3 +425,21 @@ def test_cli_porism_at_extreme_heights(tmp_path, capsys, rho):
     svg = out.read_text()
     assert "nan" not in svg and "inf" not in svg
     assert svg == unit.read_text()
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "quadric"])
+@pytest.mark.parametrize("scale, code", [(1e50, 0), (1e52, 2), (1e60, 2), (1e100, 2)])
+def test_cli_at_overflowing_scales(tmp_path, capsys, cmd, scale, code):
+    # rhs grows like scale**6 and overflows above about 1e51; Q* (scale**4) above 1e77
+    verts = (scale * np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])).tolist()
+    f = _write_tetra(tmp_path, verts)
+    extra = ["--obj", str(tmp_path / "q.obj")] if cmd == "quadric" else []
+    assert main([cmd, str(f), *extra]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_porism_non_finite_form_exits_2(tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    assert main(["porism", "--form", "nan,nan,nan,nan,nan,nan", "--rho", "1", "--svg", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,7 +15,6 @@ from tetraquadric import (
     classify,
     edge_vector,
     lambdas,
-    line_from_two_planes,
     line_line_meet,
     midplane,
     monge_identity_residual,
@@ -23,13 +22,13 @@ from tetraquadric import (
     noteworthy,
     opposite_edge_dots,
     ortho_perpendicular,
-    perp_bisector,
     pluecker_residual,
     random_tetra,
-    solve3,
 )
 from tetraquadric.errors import BadIndex, DegenerateTetrahedron
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
+
+from plane_oracle import line_from_two_planes, perp_bisector, solve3
 
 ALL_KINDS = [TetraKind.GENERIC, TetraKind.SEMI_ORTHOCENTRIC, TetraKind.ORTHOCENTRIC]
 
