@@ -14,6 +14,7 @@ from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
 from .core import DEFAULT_TOL, Tolerance, norm, orthocenter2d
 from .errors import (
+    DegenerateForm,
     DegenerateTetrahedron,
     EmptyFamily,
     InternalInvariantError,
@@ -84,17 +85,15 @@ def altitude_level_residual(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> flo
     scale of the equation.
     """
     m, form, r = t.monge, t.q_star, t.rhs
-    # numpy's power overflows to inf where Python's float power would raise
-    with np.errstate(over="ignore"):
-        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3), tol.abs_eps)
     s = t.edge_scale()
-    worst = 0.0
-    for l in range(4):
-        h = tetra.altitude(t, l)
-        for k in range(-3, 4):
-            p = h.point_at(k * s)
-            worst = max(worst, abs(evaluate(form, p - m) - r) / denom)
-    return worst
+    alts = [tetra.altitude(t, l) for l in range(4)]
+    # an overflow shows up below as a non-finite value and is raised there
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3), tol.abs_eps)
+        devs = [abs(evaluate(form, h.point_at(k * s) - m) - r) for h in alts for k in range(-3, 4)]
+    if not math.isfinite(denom) or not all(map(math.isfinite, devs)):
+        raise DegenerateForm("the altitude residual overflows at this scale")
+    return max(devs) / denom
 
 
 def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:

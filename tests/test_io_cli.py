@@ -427,12 +427,21 @@ def test_cli_porism_at_extreme_heights(tmp_path, capsys, rho):
     assert svg == unit.read_text()
 
 
-@pytest.mark.parametrize("cmd", ["analyze", "quadric"])
-@pytest.mark.parametrize("scale, code", [(1e50, 0), (1e52, 2), (1e60, 2), (1e100, 2)])
-def test_cli_at_overflowing_scales(tmp_path, capsys, cmd, scale, code):
-    # rhs grows like scale**6 and overflows above about 1e51; Q* (scale**4) above 1e77
-    verts = (scale * np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])).tolist()
-    f = _write_tetra(tmp_path, verts)
+@pytest.mark.parametrize(
+    "cmd, base, scale, code",
+    [(cmd, "readme", scale, code) for cmd in ("analyze", "quadric")
+     for scale, code in [(1e50, 0), (1e52, 2), (1e60, 2), (1e100, 2)]]
+    + [("analyze", "orthocentric", scale, 2) for scale in (1e52, 1e60, 1e70)],
+)
+def test_cli_at_overflowing_scales(tmp_path, capsys, cmd, base, scale, code):
+    # rhs grows like scale**6 and overflows above about 1e51; Q* (scale**4) above 1e77.
+    # An orthocentric tetrahedron has rhs ≈ 0, so Q* and rhs stay finite there and
+    # only the altitude residual's lambda**3 scale overflows.
+    if base == "readme":
+        verts = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
+    else:
+        verts = random_tetra("orthocentric", 3).vertices
+    f = _write_tetra(tmp_path, (scale * verts).tolist())
     extra = ["--obj", str(tmp_path / "q.obj")] if cmd == "quadric" else []
     assert main([cmd, str(f), *extra]) == code
     assert "Traceback" not in capsys.readouterr().err
