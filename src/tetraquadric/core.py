@@ -42,7 +42,10 @@ def dot(u: Vec3, v: Vec3) -> float:
 
 
 def cross(u: Vec3, v: Vec3) -> Vec3:
-    return np.cross(u, v)
+    """Cross product of two 3-vectors; the closed form, equal to `np.cross` to
+    the bit and far cheaper per call."""
+    (a, b, c), (d, e, f) = u.tolist(), v.tolist()
+    return np.array([b * f - c * e, c * d - a * f, a * e - b * d])
 
 
 def norm(v: Vec3) -> float:

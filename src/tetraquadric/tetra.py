@@ -112,10 +112,15 @@ class Tetrahedron:
 
     @cached_property
     def q_star(self) -> QuadForm3:
-        """The traceless form sum_j lambda_0j (x.b_0j)(x.b_kl)."""
+        """The traceless form sum_j lambda_0j (x.b_0j)(x.b_kl).
+
+        An overflow leaves non-finite coefficients, which `altquadric.build`
+        rejects, instead of a numpy warning.
+        """
         l01, l02, l03 = self.lambdas.tolist()
         q = [outer_sym(self.edges[e1], self.edges[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]
-        return l01 * q[0] + l02 * q[1] + l03 * q[2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return l01 * q[0] + l02 * q[1] + l03 * q[2]
 
     @cached_property
     def rhs(self) -> float:
@@ -167,6 +172,22 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     k, l = (x for x in range(4) if x not in (i, j))
     mid = 0.5 * (t.vertex(k) + t.vertex(l))
     return Plane3.from_point_normal(mid, t.edges[i, j])
+
+
+#: The six distinct edges ij, i < j; the opposite edge of the p-th is the (5-p)-th.
+_EDGES_I, _EDGES_J = np.triu_indices(4, 1)
+
+
+def midplane_residual(t: Tetrahedron) -> float:
+    """Max distance of the Monge point from the six midplanes.
+
+    One (6, 3) expression |b_ij . (m - mid_kl)| / |b_ij| over the distinct
+    midplanes, since `midplane(t, i, j)` and `midplane(t, j, i)` are one plane.
+    """
+    v, i, j = t.vertices, _EDGES_I, _EDGES_J
+    mids = 0.5 * (v[i] + v[j])[::-1]
+    dist = np.abs(np.sum(t.edges[i, j] * (t.monge - mids), axis=1)) / t.edge_lengths[i, j]
+    return float(dist.max())
 
 
 def monge_point(t: Tetrahedron) -> Vec3:

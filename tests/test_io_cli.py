@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from tetraquadric import (
+    DEFAULT_TOL,
+    Line3,
     Mesh,
+    Plane3,
     QuadricKind,
     TetraKind,
     Tetrahedron,
+    altitude,
     analyze,
     asymptotic_cone,
     build,
@@ -18,6 +22,8 @@ from tetraquadric import (
     ellipse_section,
     evaluate,
     mesh_to_obj,
+    midplane,
+    midplane_residual,
     parse_tetrahedron,
     porism_family,
     quadric_mesh,
@@ -26,6 +32,7 @@ from tetraquadric import (
     serialize_tetrahedron,
 )
 from tetraquadric.cli import _build_parser, main
+from tetraquadric.core import norm
 from tetraquadric.errors import (
     DegenerateTetrahedron,
     EmptyFamily,
@@ -101,17 +108,25 @@ def test_analyze_residuals_below_gates(t_gen, t_orth, t_semi, t_tri):
 
 
 def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
-    calls = {"solve": 0, "eigh": 0}
-    for name in calls:
+    targets = {
+        "solve": (np.linalg, "solve"),
+        "eigh": (np.linalg, "eigh"),
+        "Plane3": (Plane3, "__post_init__"),
+        "Line3": (Line3, "__post_init__"),
+    }
+    calls = dict.fromkeys(targets, 0)
+    for key, (owner, name) in targets.items():
 
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
+        def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
+            calls[_key] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     assert analyze(t_gen).tetra_class == "generic"
-    # one solve each for the Monge point and the circumcenter, one eigh for rank(Q*)
+    # one solve each for the Monge point and the circumcenter, one eigh for rank(Q*);
+    # the residuals build no plane or line, so the only line is the Euler line
     assert calls["solve"] == 2 and calls["eigh"] <= 1
+    assert calls["Plane3"] == 0 and calls["Line3"] <= 1
 
 
 @pytest.mark.parametrize("positive", [2, 1])
@@ -192,6 +207,27 @@ def test_quadric_mesh_matches_reference_loop(t_gen):
         assert mesh.triangles.shape == (2 * n * n, 3)
         np.testing.assert_array_equal(mesh.vertices, verts)
         np.testing.assert_array_equal(mesh.triangles, tris)
+
+
+@pytest.mark.parametrize("kind", list(TetraKind))
+@pytest.mark.parametrize("scale", [0.1, 1.0, 1e3, 1e6])
+def test_analyze_residuals_match_reference_loop(kind, scale):
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        t = Tetrahedron(scale * random_tetra(kind, seed).vertices)
+        m, q, r = t.monge, t.q_star, t.rhs
+        # the twelve ordered midplanes, each its own Plane3
+        planes = [midplane(t, i, j) for i in range(4) for j in range(4) if i != j]
+        ref = max(p.residual(m) for p in planes)
+        reach = max(norm(m), *map(norm, t.vertices))
+        assert abs(midplane_residual(t) - ref) <= 8 * eps * reach
+        # the 28 altitude samples, each its own evaluate
+        s = t.edge_scale()
+        pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
+        ref = max(abs(evaluate(q, p - m) - r) for p in pts)
+        level = np.linalg.norm(q.matrix) * max(norm(p - m) for p in pts) ** 2 + abs(r)
+        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3), DEFAULT_TOL.abs_eps)
+        assert abs(reporting.altitude_level_residual(t) * denom - ref) <= 16 * eps * level
 
 
 def test_mesh_to_obj_matches_line_by_line_text(t_gen):
@@ -427,6 +463,7 @@ def test_cli_porism_at_extreme_heights(tmp_path, capsys, rho):
     assert svg == unit.read_text()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "cmd, base, scale, code",
     [(cmd, "readme", scale, code) for cmd in ("analyze", "quadric")
