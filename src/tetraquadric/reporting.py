@@ -104,20 +104,27 @@ def altitude_level_residual(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> flo
 def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     """Aggregate every construction and its residuals into one report.
 
-    The midplane and altitude residuals are array expressions on the cached
-    record: the Monge point against the six distinct midplanes, and Q*(p - M)
-    at seven samples on each altitude (see `altitude_level_residual`).
+    The midplane residual checks the Monge point against each of the six
+    distinct midplanes once; the altitude residual is one array expression
+    for Q*(p - M) at seven samples on each altitude (see
+    `altitude_level_residual`).
     """
     cls = tetra.classify(t, tol)
     points = tetra.noteworthy(t, tol)
     qd = altquadric.build(t, tol)
     s = t.edge_scale()
 
+    # midplane(t, i, j) and midplane(t, j, i) are one plane: take each of the six once
+    midplane_res = max(
+        tetra.midplane(t, i, j).residual(points.monge)
+        for pair in tetra.OPPOSITE_EDGE_PAIRS
+        for i, j in pair
+    )
     circum_d = [norm(t.vertex(i) - points.circumcenter) for i in range(4)]
     two_term = altquadric.q_star_two_term(t)
     residuals = {
         "pluecker": abs(tetra.pluecker_residual(t)),
-        "monge_midplanes": tetra.midplane_residual(t),
+        "monge_midplanes": midplane_res,
         "monge_identity": tetra.monge_identity_residual(t),
         "euler_midpoint": norm(
             points.centroid - 0.5 * (points.circumcenter + points.monge)

@@ -174,22 +174,6 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     return Plane3.from_point_normal(mid, t.edges[i, j])
 
 
-#: The six distinct edges ij, i < j; the opposite edge of the p-th is the (5-p)-th.
-_EDGES_I, _EDGES_J = np.triu_indices(4, 1)
-
-
-def midplane_residual(t: Tetrahedron) -> float:
-    """Max distance of the Monge point from the six midplanes.
-
-    One (6, 3) expression |b_ij . (m - mid_kl)| / |b_ij| over the distinct
-    midplanes, since `midplane(t, i, j)` and `midplane(t, j, i)` are one plane.
-    """
-    v, i, j = t.vertices, _EDGES_I, _EDGES_J
-    mids = 0.5 * (v[i] + v[j])[::-1]
-    dist = np.abs(np.sum(t.edges[i, j] * (t.monge - mids), axis=1)) / t.edge_lengths[i, j]
-    return float(dist.max())
-
-
 def monge_point(t: Tetrahedron) -> Vec3:
     """Common point of the six midplanes."""
     return t.monge

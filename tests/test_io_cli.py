@@ -23,7 +23,6 @@ from tetraquadric import (
     evaluate,
     mesh_to_obj,
     midplane,
-    midplane_residual,
     parse_tetrahedron,
     porism_family,
     quadric_mesh,
@@ -124,9 +123,10 @@ def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     assert analyze(t_gen).tetra_class == "generic"
     # one solve each for the Monge point and the circumcenter, one eigh for rank(Q*);
-    # the residuals build no plane or line, so the only line is the Euler line
+    # one plane per distinct midplane, and the altitude residual builds no line,
+    # so the only line is the Euler line
     assert calls["solve"] == 2 and calls["eigh"] <= 1
-    assert calls["Plane3"] == 0 and calls["Line3"] <= 1
+    assert calls["Plane3"] == 6 and calls["Line3"] <= 1
 
 
 @pytest.mark.parametrize("positive", [2, 1])
@@ -216,11 +216,10 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
     for seed in range(5):
         t = Tetrahedron(scale * random_tetra(kind, seed).vertices)
         m, q, r = t.monge, t.q_star, t.rhs
-        # the twelve ordered midplanes, each its own Plane3
+        # the twelve ordered midplanes: each plane appears twice, so six give the same max
         planes = [midplane(t, i, j) for i in range(4) for j in range(4) if i != j]
         ref = max(p.residual(m) for p in planes)
-        reach = max(norm(m), *map(norm, t.vertices))
-        assert abs(midplane_residual(t) - ref) <= 8 * eps * reach
+        assert analyze(t).residuals["monge_midplanes"] == ref
         # the 28 altitude samples, each its own evaluate
         s = t.edge_scale()
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
