@@ -110,23 +110,18 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
     r = rhs(t)
     if not (np.all(np.isfinite(form.matrix)) and math.isfinite(r)):
         raise DegenerateForm("Q* or rhs overflows at this scale")
+    if cls.kind is TetraKind.GENERIC and abs(r) < np.finfo(float).tiny:
+        raise DegenerateForm("rhs underflows at this scale")
     if cls.kind is TetraKind.ORTHOCENTRIC:
         return AltitudeQuadric(m, form, r, QuadricKind.TRIVIAL)
     if cls.kind is TetraKind.SEMI_ORTHOCENTRIC:
-        (i, j), (k, l) = cls.orthogonal_pair
-        p1 = Plane3(edge_vector(t, i, j), 0.0)
-        p2 = Plane3(edge_vector(t, k, l), 0.0)
+        planes = tuple(Plane3(edge_vector(t, *e), 0.0) for e in cls.orthogonal_pair)
         if rank(form, tol) != 2:
             raise InternalInvariantError("semi-orthocentric form must have rank 2")
-        return AltitudeQuadric(m, form, r, QuadricKind.PLANE_PAIR, (p1, p2))
+        return AltitudeQuadric(m, form, r, QuadricKind.PLANE_PAIR, planes)
     if rank(form, tol) != 3:
         raise InternalInvariantError("generic altitude form must have rank 3")
     return AltitudeQuadric(m, form, r, QuadricKind.HYPERBOLOID)
-
-
-def _level_scale(qd: AltitudeQuadric, pts: list[Vec3]) -> float:
-    d2 = max(max(1.0, float(np.dot(p - qd.center, p - qd.center))) for p in pts)
-    return max(abs(qd.rhs), qd.form.max_abs() * d2)
 
 
 def contains_line(
@@ -138,9 +133,11 @@ def contains_line(
     """
     if qd.kind is QuadricKind.TRIVIAL:
         raise TrivialQuadric("the zero form carries no incidence information")
-    span = max(1.0, norm(line.base - qd.center))
+    # at least the figure's own length |Q*|^(1/4), so that rhs roundoff cannot decide
+    span = max(norm(line.base - qd.center), qd.form.max_abs() ** 0.25)
     pts = [line.point_at(s * span) for s in (-1.0, 0.0, 1.0)]
-    scale = _level_scale(qd, pts)
+    d2 = max(float(np.dot(p - qd.center, p - qd.center)) for p in pts)
+    scale = max(abs(qd.rhs), qd.form.max_abs() * d2)
     return all(qd.level_residual(p) <= tol.gate(scale) for p in pts)
 
 
@@ -220,7 +217,7 @@ class ConicSection:
 
     def value_scale(self, p_world: Vec3) -> float:
         st = self.coords(p_world)
-        s2 = max(1.0, float(st @ st))
+        s2 = float(st @ st)
         return max(
             float(np.max(np.abs(self.quad))) * s2,
             float(np.max(np.abs(self.linear))) * math.sqrt(s2),
@@ -244,15 +241,17 @@ def section(
     o = origin - qd.center
     linear = 2.0 * np.array([polar(qd.form, u, o), polar(qd.form, v, o)])
     constant = evaluate(qd.form, o) - qd.rhs
-    kind = _classify_conic(quad, linear, constant, tol)
+    kind = _classify_conic(quad, linear, constant, qd.form.max_abs(), tol)
     return ConicSection(p, quad, linear, constant, origin, (u, v), kind)
 
 
 def _classify_conic(
-    quad: np.ndarray, linear: np.ndarray, constant: float, tol: Tolerance
+    quad: np.ndarray, linear: np.ndarray, constant: float, form_scale: float,
+    tol: Tolerance,
 ) -> ConicKind:
+    """`form_scale` is the largest coefficient of the form cut by the plane."""
     a_norm = float(np.max(np.abs(quad)))
-    if a_norm <= tol.gate(1.0):
+    if a_norm <= tol.gate(form_scale):
         return ConicKind.OTHER
     det2 = float(np.linalg.det(quad))
     tr2 = float(np.trace(quad))
@@ -261,12 +260,13 @@ def _classify_conic(
     m3[:2, 2] = m3[2, :2] = 0.5 * linear
     m3[2, 2] = constant
     det3 = float(np.linalg.det(m3))
-    lin_scale = max(a_norm, float(np.max(np.abs(linear))), abs(constant))
-    degenerate = abs(det3) <= tol.gate(lin_scale, lin_scale, lin_scale)
+    # det3 = constant det2 - linear^T adj(quad) linear / 4
+    terms = abs(constant) * a_norm + float(linear @ linear)
+    degenerate = abs(det3) <= tol.gate(a_norm, terms)
     if det2 < -tol.gate(a_norm, a_norm):
         if degenerate:
             return ConicKind.LINE_PAIR
-        if abs(tr2) <= tol.rel_eps * a_norm * 10.0 + tol.abs_eps:
+        if abs(tr2) <= tol.gate(10.0, a_norm):
             return ConicKind.EQUILATERAL_HYPERBOLA
         return ConicKind.HYPERBOLA
     if det2 > tol.gate(a_norm, a_norm):

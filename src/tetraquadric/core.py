@@ -1,8 +1,8 @@
 """Vector, line, and plane primitives.
 
 Vectors are plain numpy arrays of shape (3,); lines and planes are small
-immutable records.  All zero tests go through a scale-relative tolerance so
-that the exact conditions of the underlying geometry survive floating point.
+immutable records.  Every zero test is one purely relative rule, `Tolerance`,
+so each decision is the same for a figure and for any similar copy of it.
 """
 
 from __future__ import annotations
@@ -80,20 +80,20 @@ def canonical_dir(v: Vec3) -> Vec3:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Scale-relative comparison gate: |value| <= rel_eps * scale + abs_eps."""
+    """Zero test |value| <= rel_eps * |scale_1 * ... * scale_n|, where the scales
+    are the magnitudes of the value's own operands (1.0 for a dimensionless one)."""
 
     rel_eps: float = 1e-9
-    abs_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_eps <= 0 or self.abs_eps <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.rel_eps <= 0:
+            raise ValueError("tolerance must be positive")
 
     def gate(self, *scales: float) -> float:
         s = 1.0
         for x in scales:
             s *= abs(x)
-        return self.rel_eps * s + self.abs_eps
+        return self.rel_eps * s
 
     def is_zero(self, value: float, *scales: float) -> bool:
         return abs(value) <= self.gate(*scales)
@@ -197,12 +197,12 @@ class LineMeet:
 def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMeet:
     """Classify the mutual position of two lines; Meeting carries the common point.
 
-    The decision is scale-relative in the magnitudes of the base points, so
-    lines far from the origin are not spuriously declared intersecting.
+    The gap is gated relative to the larger base point, so lines far from the
+    origin are not spuriously declared intersecting.
     """
     d1, d2 = l1.dir, l2.dir
     c = cross(d1, d2)
-    scale = max(1.0, norm(l1.base), norm(l2.base))
+    scale = max(norm(l1.base), norm(l2.base))
     w = l2.base - l1.base
     if norm(c) <= tol.gate(1.0):
         gap = l1.distance_to_point(l2.base)

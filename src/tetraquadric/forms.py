@@ -135,15 +135,10 @@ class EigenFrame:
         )
 
 
-def eigendecompose(q: QuadForm3) -> EigenFrame:
-    """Principal frame of q, computed once per form (see `QuadForm3.frame`)."""
-    return q.frame
-
-
 def rank(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of eigenvalues significantly different from zero."""
+    """Number of eigenvalues significantly different from the largest one."""
     values = q.frame.values
-    thresh = tol.gate(max(1.0, float(np.max(np.abs(values)))))
+    thresh = tol.gate(float(np.max(np.abs(values))))
     return int(np.sum(np.abs(values) > thresh))
 
 
@@ -165,7 +160,7 @@ def classify_traceless(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> TracelessC
     A traceless form cannot have rank 1 exactly; a measured rank of 1 is
     noise and is mapped to the zero form.
     """
-    if abs(trace(q)) > tol.gate(max(1.0, q.max_abs())):
+    if abs(trace(q)) > tol.gate(q.max_abs()):
         raise NotTraceless(f"trace is {trace(q)}, not zero")
     r = rank(q, tol)
     if r <= 1:
@@ -217,7 +212,7 @@ def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nd
     m = q.matrix
     ghat = g / lengths[:, None]
     on_cone = np.sum(ghat @ m * ghat, axis=1)
-    bad = np.abs(on_cone) > tol.gate(max(1.0, q.max_abs()))
+    bad = np.abs(on_cone) > tol.gate(q.max_abs())
     if np.any(bad):
         raise NotOnCone(f"Q(g) = {on_cone[np.argmax(bad)]} is not zero")
     # restriction to the plane orthogonal to g, in the orthonormal basis (u, n x u)

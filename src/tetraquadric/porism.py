@@ -74,7 +74,7 @@ def ellipse_section(
     """
     if rho == 0.0:
         raise ZeroOffset("section plane must not pass through the cone vertex")
-    if abs(trace(q)) > tol.gate(max(1.0, q.max_abs())) or rank(q, tol) < 3:
+    if abs(trace(q)) > tol.gate(q.max_abs()) or rank(q, tol) < 3:
         raise DegenerateForm("cone sections need a traceless rank-3 form")
     (v1, v2, v3), (e1, e2, e3) = q.frame.values, q.frame.axes
     if v2 <= 0.0 < v1:

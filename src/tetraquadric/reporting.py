@@ -77,15 +77,16 @@ class AnalysisReport:
         return dict(vars(self))
 
 
-def altitude_level_residual(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> float:
+def altitude_level_residual(t: Tetrahedron) -> float:
     """Max relative deviation of altitude points from Q*(p - M) = rhs.
 
     Each altitude l is sampled at the seven points a_l + k s n_l, k = -3..3,
     with s the longest edge and n_l the unit normal of the opposite face; the
     28 samples are one (4, 7, 3) array, evaluated with one `einsum`.  Because
     k runs symmetrically these are the points `altitude(t, l).point_at(k s)`.
-    The residual is normalized by the natural sixth-power length scale of the
-    equation.
+    The residual is normalized by max(|rhs|, max |lambda_0j|^3), the natural
+    sixth-power length scale of the equation.  It is 0 when every lambda_0j is 0
+    (a right-angled corner at a_0); a scale that underflows is raised.
     """
     m, r = t.monge, t.rhs
     normals = t.face_normals
@@ -94,11 +95,13 @@ def altitude_level_residual(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> flo
     d = t.vertices[:, None] + steps[:, None] * units[:, None] - m
     # an overflow shows up below as a non-finite value and is raised there
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3), tol.abs_eps)
+        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
         devs = np.abs(np.einsum("lki,ij,lkj->lk", d, t.q_star.matrix, d) - r)
     if not math.isfinite(denom) or not np.all(np.isfinite(devs)):
         raise DegenerateForm("the altitude residual overflows at this scale")
-    return float(devs.max()) / denom
+    if denom < np.finfo(float).tiny and t.lambdas.any():
+        raise DegenerateForm("the altitude residual underflows at this scale")
+    return float(devs.max()) / denom if denom else 0.0
 
 
 def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
@@ -135,7 +138,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
             abs(a - b)
             for a, b in zip(qd.form.coefficients, two_term.coefficients)
         ),
-        "altitude_incidence": altitude_level_residual(t, tol),
+        "altitude_incidence": altitude_level_residual(t),
     }
     warnings = []
     if cls.warning:

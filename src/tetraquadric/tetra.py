@@ -29,7 +29,7 @@ from .core import (
     triple,
 )
 from .errors import BadIndex, DegenerateTetrahedron
-from .forms import QuadForm3, outer_sym
+from .forms import QuadForm3
 
 #: The three ways of splitting {0,1,2,3} into two opposite edges.
 OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
@@ -37,6 +37,8 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((0, 2), (3, 1)),
     ((0, 3), (1, 2)),
 )
+#: The same pairs as index arrays ((i, j), (k, l)), one entry per pair.
+_PAIR_INDEX = np.array(OPPOSITE_EDGE_PAIRS).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +119,11 @@ class Tetrahedron:
         An overflow leaves non-finite coefficients, which `altquadric.build`
         rejects, instead of a numpy warning.
         """
-        l01, l02, l03 = self.lambdas.tolist()
-        q = [outer_sym(self.edges[e1], self.edges[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]
+        (i, j), (k, l) = _PAIR_INDEX
         with np.errstate(over="ignore", invalid="ignore"):
-            return l01 * q[0] + l02 * q[1] + l03 * q[2]
+            o = self.edges[i, j, :, None] * self.edges[k, l, None, :]
+            w = self.lambdas[:, None, None] * (0.5 * (o + o.transpose(0, 2, 1)))
+            return QuadForm3.from_matrix(w[0] + w[1] + w[2])
 
     @cached_property
     def rhs(self) -> float:

@@ -26,7 +26,6 @@ from tetraquadric import (
     classify,
     classify_traceless,
     ellipse_section,
-    eigendecompose,
     evaluate,
     line_line_meet,
     monge_identity_residual,
@@ -212,7 +211,7 @@ def test_10_tripods_and_porism():
         if rank(q) < 3:
             continue
         made += 1
-        frame = eigendecompose(q)
+        frame = q.frame
         v1, v2, v3 = frame.values
         phi = rng.uniform(0, 2 * math.pi)
         if (frame.values > 0).sum() == 2:

@@ -8,7 +8,6 @@ from tetraquadric import (
     QuadForm3,
     TracelessKind,
     classify_traceless,
-    eigendecompose,
     evaluate,
     outer_sym,
     polar,
@@ -81,13 +80,13 @@ def test_trace_invariant_under_rotation():
 
 
 def test_eigendecompose_diagonal():
-    frame = eigendecompose(D(3, 2, 1))
+    frame = D(3, 2, 1).frame
     np.testing.assert_allclose(frame.values, [3, 2, 1])
     np.testing.assert_allclose(np.abs(frame.axes), np.eye(3), atol=1e-12)
 
 
 def test_eigendecompose_zero_form():
-    frame = eigendecompose(QuadForm3.zero())
+    frame = QuadForm3.zero().frame
     np.testing.assert_allclose(frame.values, [0, 0, 0])
     np.testing.assert_allclose(frame.axes @ frame.axes.T, np.eye(3), atol=1e-12)
 
@@ -97,14 +96,14 @@ def test_matrix_and_frame_are_computed_once_and_frozen():
     for a in (q.matrix, q.frame.values, q.frame.axes):
         with pytest.raises(ValueError):
             a[0] += 1.0
-    assert q.matrix is q.matrix and eigendecompose(q) is q.frame is q.frame
+    assert q.matrix is q.matrix and q.frame is q.frame
     np.testing.assert_allclose(q.frame.reconstruct(), q.matrix, atol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_form_is_degenerate(bad):
     q = QuadForm3(1.0, bad, -1.0)
-    for f in (eigendecompose, rank, classify_traceless):
+    for f in (lambda q: q.frame, rank, classify_traceless):
         with pytest.raises(DegenerateForm):
             f(q)
 
@@ -113,7 +112,7 @@ def test_eigendecompose_reconstruction():
     rng = np.random.default_rng(9)
     for _ in range(100):
         q = random_form(rng)
-        frame = eigendecompose(q)
+        frame = q.frame
         scale = max(1e-30, float(np.max(np.abs(frame.values))))
         assert np.max(np.abs(frame.reconstruct() - q.matrix)) <= 1e-9 * scale
         np.testing.assert_allclose(frame.axes @ frame.axes.T, np.eye(3), atol=1e-12)
@@ -169,7 +168,7 @@ def test_tripod_property_random():
         q = q - trace(q) / 3.0 * D(1, 1, 1)
         if rank(q) < 3:
             continue
-        frame = eigendecompose(q)
+        frame = q.frame
         v1, v2, v3 = frame.values
         phi = rng.uniform(0, 2 * math.pi)
         # explicit generator in the principal frame
@@ -203,9 +202,9 @@ def _cone_generators(rng, count):
         q = q - trace(q) / 3.0 * D(1, 1, 1)
         if rank(q) == 3:
             break
-    if (eigendecompose(q).values > 0).sum() == 1:
+    if (q.frame.values > 0).sum() == 1:
         q = -q
-    frame = eigendecompose(q)
+    frame = q.frame
     (v1, v2, v3), (e1, e2, e3) = frame.values, frame.axes
     phi = rng.uniform(0, 2 * math.pi, size=count)
     g = (

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tetraquadric import (
-    DEFAULT_TOL,
     Line3,
     Mesh,
     Plane3,
@@ -17,7 +16,6 @@ from tetraquadric import (
     asymptotic_cone,
     build,
     classify,
-    eigendecompose,
     emit_svg_porism,
     ellipse_section,
     evaluate,
@@ -171,7 +169,7 @@ def test_quadric_mesh(t_gen, t_semi):
 
 def _reference_mesh(qd, extent, n):
     """Point by point, ring by ring, in the principal frame."""
-    frame = eigendecompose(qd.form)
+    frame = qd.form.frame
     ratios = frame.values / qd.rhs
     pos = [r for r in range(3) if ratios[r] > 0]
     (neg,) = [r for r in range(3) if ratios[r] <= 0]
@@ -225,7 +223,7 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
         ref = max(abs(evaluate(q, p - m) - r) for p in pts)
         level = np.linalg.norm(q.matrix) * max(norm(p - m) for p in pts) ** 2 + abs(r)
-        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3), DEFAULT_TOL.abs_eps)
+        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
         assert abs(reporting.altitude_level_residual(t) * denom - ref) <= 16 * eps * level
 
 
@@ -369,6 +367,8 @@ def test_cli_porism(tmp_path, capsys):
     assert doc["triangles"] == 9
     assert out.read_text().count("<polygon") == 9
 
+    # every gate is relative, so a form of tiny coefficients is a cone like any other
+    assert main(["porism", "--form=2e-12,1e-12,-3e-12,0,0,0", "--rho", "1", "--svg", str(out)]) == 0
     assert main(["porism", "--form", "1,1,1,0,0,0", "--rho", "1", "--svg", str(out)]) == 2
     assert main(["porism", "--form", "1,1", "--rho", "1", "--svg", str(out)]) == 2
     capsys.readouterr()
@@ -466,17 +466,22 @@ def test_cli_porism_at_extreme_heights(tmp_path, capsys, rho):
 @pytest.mark.parametrize(
     "cmd, base, scale, code",
     [(cmd, "readme", scale, code) for cmd in ("analyze", "quadric")
-     for scale, code in [(1e50, 0), (1e52, 2), (1e60, 2), (1e100, 2)]]
-    + [("analyze", "orthocentric", scale, 2) for scale in (1e52, 1e60, 1e70)],
+     for scale, code in [(1e-60, 2), (1e-52, 2), (1e-6, 0), (1e-4, 0),
+                         (1e50, 0), (1e52, 2), (1e60, 2), (1e100, 2)]]
+    + [("analyze", "orthocentric", scale, 2) for scale in (1e-60, 1e52, 1e60, 1e70)]
+    + [("analyze", "semi_orthocentric", 1e-60, 2)],
 )
 def test_cli_at_overflowing_scales(tmp_path, capsys, cmd, base, scale, code):
+    # Small scales succeed, because no gate has an absolute term.
     # rhs grows like scale**6 and overflows above about 1e51; Q* (scale**4) above 1e77.
     # An orthocentric tetrahedron has rhs ≈ 0, so Q* and rhs stay finite there and
     # only the altitude residual's lambda**3 scale overflows.
+    # Below about 1e-51 rhs and lambda**3 are subnormal or 0, which is raised the same
+    # way, instead of reading a cone with rhs = 0 and a residual never measured.
     if base == "readme":
         verts = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
     else:
-        verts = random_tetra("orthocentric", 3).vertices
+        verts = random_tetra(base, 3).vertices
     f = _write_tetra(tmp_path, (scale * verts).tolist())
     extra = ["--obj", str(tmp_path / "q.obj")] if cmd == "quadric" else []
     assert main([cmd, str(f), *extra]) == code

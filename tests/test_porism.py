@@ -20,7 +20,6 @@ from tetraquadric.errors import (
     PlaneMissesLeg,
     ZeroOffset,
 )
-from tetraquadric.forms import eigendecompose
 from tetraquadric.tetra import TetraKind, Tetrahedron
 
 D = QuadForm3.diagonal
@@ -202,10 +201,10 @@ def test_triangles_ccw_in_section_plane():
 
 def _reference_family(q, rho, count):
     """Triangle by triangle: tripod, cut, counter-clockwise order, angles."""
-    frame = eigendecompose(q)
+    frame = q.frame
     if (frame.values > 0).sum() == 1:
         q = -q
-        frame = eigendecompose(q)
+        frame = q.frame
     (v1, v2, v3), (e1, e2, e3) = frame.values, frame.axes
     cut = Plane3.from_point_normal(rho * e3, e3)
     out = []

@@ -1,0 +1,113 @@
+"""Similarity invariance: every decision reads the same on a scaled and
+translated copy of a tetrahedron.
+
+The paper's statements hold for a figure and for every similar copy of it,
+and each tolerance gate scales as the value it tests, so class, quadric kind,
+face-section kinds and regulus tags must not depend on where the figure sits
+or how large it is.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tetraquadric import (
+    Line3,
+    Plane3,
+    TetraKind,
+    Tetrahedron,
+    altitude,
+    analyze,
+    build,
+    contains_line,
+    evaluate,
+    ortho_perpendicular,
+    random_tetra,
+    regulus_of,
+    section,
+)
+
+
+def decisions(t: Tetrahedron) -> list:
+    """Class and quadric kind, and for the hyperboloid the kinds of the four
+    face sections and the regulus tags of the four altitudes and the four
+    face perpendiculars."""
+    rep = analyze(t)
+    out = [rep.tetra_class, rep.quadric_kind]
+    if rep.quadric_kind == "hyperboloid":
+        qd = build(t)
+        for l in range(4):
+            face = Plane3.from_point_normal(t.vertex(t.others(l)[0]), t.face_normals[l])
+            out.append(section(qd, face).kind)
+        for line in (altitude, ortho_perpendicular):
+            out += [regulus_of(qd, line(t, l), t) for l in range(4)]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2999),
+    kind=st.sampled_from(list(TetraKind)),
+    log_scale=st.floats(-6.0, 6.0),
+    shift=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+)
+@example(seed=1252, kind=TetraKind.GENERIC, log_scale=6.0, shift=(1e3, 1e3, 1e3))
+@example(seed=1533, kind=TetraKind.SEMI_ORTHOCENTRIC, log_scale=-6.0, shift=(1e3, 1e3, 1e3))
+@example(seed=1353, kind=TetraKind.ORTHOCENTRIC, log_scale=-6.0, shift=(-1e3, 1e3, -1e3))
+def test_decisions_invariant_under_scale_and_translation(seed, kind, log_scale, shift):
+    t = random_tetra(kind, seed)
+    # the shift is in edge lengths of the unscaled tetrahedron, along each axis
+    moved = Tetrahedron(10.0**log_scale * (t.vertices + t.edge_scale() * np.array(shift)))
+    assert decisions(moved) == decisions(t)
+    if kind is not TetraKind.ORTHOCENTRIC:
+        # dimensionless, so scale-free; a shift of T edge lengths costs the
+        # Monge point up to T times the absolute roundoff of an unmoved one.
+        # The orthocentric Q* and rhs vanish exactly and the residual reads
+        # only the noise of a zero form, so it is not checked there.
+        assert analyze(t).residuals["altitude_incidence"] <= 1e-9
+        margin = 1.0 + float(np.linalg.norm(shift))
+        assert analyze(moved).residuals["altitude_incidence"] <= 1e-9 * margin
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="altitude_incidence reads above 1e-9 on a correct result: a shift of T edge "
+    "lengths costs the Monge point about log10 T digits, and the orthocentric residual "
+    "measures only the noise of a zero form (both recorded as FOUND in CHANGES.md)",
+)
+@pytest.mark.parametrize(
+    "kind, seed, scale, shift",
+    [
+        (TetraKind.GENERIC, 1252, 1.0, (1e3, 1e3, 1e3)),
+        (TetraKind.SEMI_ORTHOCENTRIC, 1533, 1.0, (1e3, 1e3, 1e3)),
+        (TetraKind.ORTHOCENTRIC, 548, 1.0, (0.0, 0.0, 0.0)),
+        (TetraKind.ORTHOCENTRIC, 1353, 10.0, (0.0, 0.0, 0.0)),
+    ],
+)
+def test_altitude_incidence_reads_below_1e_9_on_any_similar_copy(kind, seed, scale, shift):
+    t = random_tetra(kind, seed)
+    moved = Tetrahedron(scale * (t.vertices + t.edge_scale() * np.array(shift)))
+    for u in (t, moved):
+        assert analyze(u).residuals["altitude_incidence"] <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_lines_through_the_center(scale):
+    # an asymptote through the center lies on the cone Q* = 0, not on Q* = rhs
+    qd = build(Tetrahedron(scale * random_tetra(TetraKind.GENERIC, 1000).vertices))
+    v, e = qd.form.frame.values, qd.form.frame.axes
+    i, j = int(np.argmax(v)), int(np.argmin(v))
+    d = np.sqrt(-v[j]) * e[i] + np.sqrt(v[i]) * e[j]
+    assert abs(evaluate(qd.form, d / np.linalg.norm(d))) <= 1e-12 * qd.form.max_abs()
+    assert not contains_line(qd, Line3(qd.center, d))
+    # a line in a midplane lies on the plane pair, also where it passes the
+    # center closer than the roundoff in rhs would allow for a shorter spacing
+    for seed in range(1000, 1010):
+        t = Tetrahedron(scale * random_tetra(TetraKind.SEMI_ORTHOCENTRIC, seed).vertices)
+        qd = build(t)
+        n = qd.planes[0].normal
+        d = np.cross(n, [1.0, 0.3, 0.1])
+        for off in (0.0, 1e-4 * t.edge_scale()):
+            base = qd.center + off * np.cross(n, d) / np.linalg.norm(d)
+            assert contains_line(qd, Line3(base, d))
