@@ -18,12 +18,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     Line3,
-    LineRelation,
     Plane3,
     Tolerance,
     Vec3,
+    cross_rows,
     dot,
-    line_line_meet,
     norm,
 )
 from .errors import (
@@ -44,7 +43,6 @@ from .forms import (
 from .tetra import (
     Tetrahedron,
     TetraKind,
-    altitude,
     classify,
     edge_vector,
     monge_point,
@@ -164,17 +162,22 @@ def regulus_of(
 
     Decided by meet/skew votes against the four altitudes: lines of the same
     regulus are mutually skew, lines of the other regulus meet all but at most
-    one altitude.
+    one altitude.  The four votes are one array expression with the rule of
+    `line_line_meet`: the line meets altitude l when the two are not parallel
+    and the gap |w . c| / |c|, c the cross product of the directions and w the
+    offset of the base points, is within the gate of the larger base point.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("reguli exist only for the hyperboloid case")
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
-    meets = 0
-    for l in range(4):
-        rel = line_line_meet(line, altitude(t, l), tol).relation
-        if rel is LineRelation.MEETING:
-            meets += 1
+    c = cross_rows(line.dir, t.unit_normals)
+    c_norm = np.array([norm(r) for r in c.tolist()])
+    scale = np.maximum(norm(line.base), [norm(v) for v in t.vertices.tolist()])
+    # a line parallel to an altitude has c = 0; the mask below votes it skew
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(np.sum((t.vertices - line.base) * c, axis=1)) / c_norm
+    meets = int(np.sum((c_norm > tol.gate(1.0)) & (gap <= tol.gate(scale))))
     if meets >= 3:
         return RegulusTag.PERPENDICULAR_REGULUS
     if 4 - meets >= 3:

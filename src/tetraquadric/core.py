@@ -48,6 +48,12 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     return np.array([b * f - c * e, c * d - a * f, a * e - b * d])
 
 
+def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis of broadcastable (..., 3) arrays; the
+    same closed form as `cross`, so equal to `np.cross` to the bit."""
+    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+
+
 def norm(v: Vec3) -> float:
     """Euclidean length; free of overflow and underflow in the squares."""
     return math.hypot(*v)

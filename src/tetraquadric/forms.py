@@ -25,6 +25,7 @@ from .core import (
     Vec3,
     _frozen,
     as_vec,
+    cross_rows,
     plane_basis,
 )
 from .errors import DegenerateForm, NotOnCone, NotTraceless
@@ -122,6 +123,12 @@ def trace(q: QuadForm3) -> float:
     return q.s11 + q.s22 + q.s33
 
 
+def not_traceless(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True when |trace(q)| is above the gate of the largest coefficient.  A
+    non-finite form is left to `frame`, which raises `DegenerateForm`."""
+    return abs(trace(q)) > tol.gate(q.max_abs())
+
+
 @dataclass(frozen=True, eq=False)
 class EigenFrame:
     """Principal axes (rows of `axes`) and eigenvalues sorted descending."""
@@ -160,7 +167,7 @@ def classify_traceless(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> TracelessC
     A traceless form cannot have rank 1 exactly; a measured rank of 1 is
     noise and is mapped to the zero form.
     """
-    if abs(trace(q)) > tol.gate(q.max_abs()):
+    if not_traceless(q, tol):
         raise NotTraceless(f"trace is {trace(q)}, not zero")
     r = rank(q, tol)
     if r <= 1:
@@ -221,7 +228,7 @@ def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nd
     k = np.argmin(np.abs(n), axis=1)
     u = np.eye(3)[k] - n[np.arange(len(n)), k, None] * n
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = n[:, [1, 2, 0]] * u[:, [2, 0, 1]] - n[:, [2, 0, 1]] * u[:, [1, 2, 0]]
+    v = cross_rows(n, u)
     basis = np.stack([u, v], axis=1)
     m2 = basis @ m @ basis.transpose(0, 2, 1)
     # its zero lines lie 45 degrees off its principal axes

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3
 from .errors import DegenerateForm, PlaneMissesLeg, ZeroOffset
-from .forms import QuadForm3, Tripod, _tripods, rank, trace
+from .forms import QuadForm3, Tripod, _tripods, not_traceless, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +74,7 @@ def ellipse_section(
     """
     if rho == 0.0:
         raise ZeroOffset("section plane must not pass through the cone vertex")
-    if abs(trace(q)) > tol.gate(q.max_abs()) or rank(q, tol) < 3:
+    if not_traceless(q, tol) or rank(q, tol) < 3:
         raise DegenerateForm("cone sections need a traceless rank-3 form")
     (v1, v2, v3), (e1, e2, e3) = q.frame.values, q.frame.axes
     if v2 <= 0.0 < v1:

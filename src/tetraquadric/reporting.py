@@ -3,6 +3,7 @@ random tetrahedron generators."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
-from .core import DEFAULT_TOL, Tolerance, norm, orthocenter2d
+from .core import DEFAULT_TOL, Tolerance, _frozen, norm, orthocenter2d
 from .errors import (
     DegenerateForm,
     DegenerateTetrahedron,
@@ -89,10 +90,8 @@ def altitude_level_residual(t: Tetrahedron) -> float:
     (a right-angled corner at a_0); a scale that underflows is raised.
     """
     m, r = t.monge, t.rhs
-    normals = t.face_normals
-    units = normals / np.array([[math.hypot(*n)] for n in normals.tolist()])
     steps = np.arange(-3, 4) * t.edge_scale()
-    d = t.vertices[:, None] + steps[:, None] * units[:, None] - m
+    d = t.vertices[:, None] + steps[:, None] * t.unit_normals[:, None] - m
     # an overflow shows up below as a non-finite value and is raised there
     with np.errstate(over="ignore", invalid="ignore"):
         denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
@@ -222,20 +221,48 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
         + (b * sin_t)[:, None] * cosh_u[:, None, None] * e_b
         + (c * sinh_u)[:, None, None] * e_c
     )
-    i0 = np.arange(n * n).reshape(n, n)
+    tris = _grid(n) if n <= _GRID_CACHE_RES else _grid.__wrapped__(n)
+    return Mesh(verts.reshape(-1, 3), tris)
+
+
+#: Largest resolution whose triangles and OBJ face text are kept between calls.
+#: One grid is kept at a time, so at most about 3 MB of indices and 3 MB of text.
+_GRID_CACHE_RES = 256
+
+
+@functools.lru_cache(maxsize=1)
+def _grid(n: int) -> np.ndarray:
+    """Read-only triangles (2 n^2, 3) of the `quadric_mesh` grid at resolution n;
+    the cached array is shared by every mesh of that resolution."""
+    i0 = np.arange(n * n, dtype=np.int64).reshape(n, n)
     i1 = i0 - np.arange(n) + (np.arange(n) + 1) % n
-    tris = np.stack([i0, i1, i1 + n, i0, i1 + n, i0 + n], axis=-1)
-    return Mesh(verts.reshape(-1, 3), tris.reshape(-1, 3))
+    return _frozen(np.stack([i0, i1, i1 + n, i0, i1 + n, i0 + n], axis=-1).reshape(-1, 3))
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_faces(n: int) -> str:
+    """OBJ face lines of `_grid(n)`; they depend on the resolution only."""
+    return _obj_rows("f %d %d %d\n", _grid(n) + 1)
+
+
+def _obj_rows(fmt: str, rows: np.ndarray) -> str:
+    # a block of rows at a time, so that no Python number outlives its block
+    return "".join(
+        (fmt * len(b)) % tuple(b.ravel().tolist())
+        for b in np.split(rows, range(4096, len(rows), 4096))
+    )
 
 
 def mesh_to_obj(mesh: Mesh) -> str:
-    # a block of rows at a time, so that no Python number outlives its block
-    v, f = mesh.vertices, mesh.triangles + 1
-    return "".join(
-        (fmt * len(b)) % tuple(b.ravel().tolist())
-        for fmt, rows in (("v %.12g %.12g %.12g\n", v), ("f %d %d %d\n", f))
-        for b in np.split(rows, range(4096, len(rows), 4096))
-    )
+    """OBJ text: one `v` line per vertex, then one `f` line per triangle."""
+    f = mesh.triangles
+    n = math.isqrt(len(f) // 2)
+    # the cheap writeable test keeps a hand-built mesh from building a grid
+    if n <= _GRID_CACHE_RES and not f.flags.writeable and f is _grid(n):
+        faces = _grid_faces(n)
+    else:
+        faces = _obj_rows("f %d %d %d\n", f + 1)
+    return _obj_rows("v %.12g %.12g %.12g\n", mesh.vertices) + faces
 
 
 #: Draws a rejection loop may make before it gives up; seeds 0..2999 need at most 5.
@@ -329,23 +356,19 @@ def emit_svg_porism(family: list[InscribedTriangle], ellipse: Ellipse3) -> str:
     k = size / (2.0 * pad)
     d = (np.array([tri.vertices for tri in family]) - ellipse.center) / s
     # y flipped for SVG screen coordinates
-    xs = (size / 2 + k * (d @ axes[0]) / rx).tolist()
-    ys = (size / 2 - k * (d @ axes[1]) / ry).tolist()
-
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
-        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
-        f'<ellipse cx="{size / 2:.2f}" cy="{size / 2:.2f}" rx="{k * rx:.2f}" '
-        f'ry="{k * ry:.2f}" fill="none" stroke="black" stroke-width="1.5"/>',
-    ]
-    for tx, ty in zip(xs, ys):
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(tx, ty))
-        lines.append(
-            f'<polygon points="{pts}" fill="none" stroke="steelblue" '
-            f'stroke-width="0.8"/>'
-        )
-    lines.append(
-        f'<circle cx="{size / 2:.2f}" cy="{size / 2:.2f}" r="3" fill="crimson"/>'
+    xy = np.stack(
+        [size / 2 + k * (d @ axes[0]) / rx, size / 2 - k * (d @ axes[1]) / ry], axis=-1
     )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    polygon = (
+        '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="none" '
+        'stroke="steelblue" stroke-width="0.8"/>\n'
+    )
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
+        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">\n'
+        f'<ellipse cx="{size / 2:.2f}" cy="{size / 2:.2f}" rx="{k * rx:.2f}" '
+        f'ry="{k * ry:.2f}" fill="none" stroke="black" stroke-width="1.5"/>\n'
+        + (polygon * len(family)) % tuple(xy.ravel().tolist())
+        + f'<circle cx="{size / 2:.2f}" cy="{size / 2:.2f}" r="3" fill="crimson"/>\n'
+        "</svg>\n"
+    )

@@ -23,6 +23,7 @@ from .core import (
     Tolerance,
     Vec3,
     _frozen,
+    cross_rows,
     dot,
     norm,
     orthocenter2d,
@@ -39,6 +40,8 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 #: The same pairs as index arrays ((i, j), (k, l)), one entry per pair.
 _PAIR_INDEX = np.array(OPPOSITE_EDGE_PAIRS).transpose(1, 2, 0)
+#: Vertices (i, j, k), i < j < k, of the face opposite each vertex l, as index arrays.
+_FACE_INDEX = np.array([[i for i in range(4) if i != l] for l in range(4)]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +83,15 @@ class Tetrahedron:
     @cached_property
     def face_normals(self) -> np.ndarray:
         """(4, 3): (a_j - a_i) x (a_k - a_i) for the face i < j < k opposite l."""
-        i, j, k = np.array([self.others(l) for l in range(4)]).T
-        return _frozen(np.cross(self.edges[j, i], self.edges[k, i]))
+        i, j, k = _FACE_INDEX
+        return _frozen(cross_rows(self.edges[j, i], self.edges[k, i]))
+
+    @cached_property
+    def unit_normals(self) -> np.ndarray:
+        """(4, 3): `face_normals` scaled to unit length, free of overflow and
+        underflow in the squares; up to sign, the directions of the altitudes."""
+        n = self.face_normals
+        return _frozen(n / np.array([[norm(r)] for r in n.tolist()]))
 
     @cached_property
     def opposite_dots(self) -> np.ndarray:

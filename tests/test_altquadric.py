@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tetraquadric import (
     ConicKind,
+    Line3,
+    LineRelation,
     Plane3,
     QuadricKind,
     RegulusTag,
     TetraKind,
+    Tetrahedron,
     TracelessKind,
     altitude,
     altitudes_meet,
@@ -24,6 +29,7 @@ from tetraquadric import (
     q_star,
     random_tetra,
     rank,
+    regulus_of,
     rhs,
     section,
     trace,
@@ -141,18 +147,49 @@ def test_asymptotic_cone(t_gen, t_semi):
 
 def test_regulus_examples(t_gen):
     qd = build(t_gen)
-    assert regulus(qd, t_gen, altitude(t_gen, 2)) is RegulusTag.ALTITUDE_REGULUS
+    assert regulus_of(qd, altitude(t_gen, 2), t_gen) is RegulusTag.ALTITUDE_REGULUS
     assert (
-        regulus(qd, t_gen, ortho_perpendicular(t_gen, 3))
+        regulus_of(qd, ortho_perpendicular(t_gen, 3), t_gen)
         is RegulusTag.PERPENDICULAR_REGULUS
     )
-    assert regulus(qd, t_gen, noteworthy(t_gen).euler) is RegulusTag.NOT_ON_QUADRIC
+    assert regulus_of(qd, noteworthy(t_gen).euler, t_gen) is RegulusTag.NOT_ON_QUADRIC
 
 
-def regulus(qd, t, line):
-    from tetraquadric import regulus_of
+def reference_regulus(qd, t, line):
+    """The regulus vote as one scalar `line_line_meet` per altitude."""
+    if not contains_line(qd, line):
+        return RegulusTag.NOT_ON_QUADRIC
+    meets = sum(
+        line_line_meet(line, altitude(t, l)).relation is LineRelation.MEETING
+        for l in range(4)
+    )
+    if meets >= 3:
+        return RegulusTag.PERPENDICULAR_REGULUS
+    assert meets <= 1
+    return RegulusTag.ALTITUDE_REGULUS
 
-    return regulus_of(qd, line, t)
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_regulus_vote_matches_line_by_line_meets(scale):
+    # an altitude against itself has parallel directions, where the array vote
+    # divides 0 by 0; that must not surface as a numpy warning
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(40):
+            t = Tetrahedron(random_tetra(TetraKind.GENERIC, seed).vertices * scale)
+            qd = build(t)
+            h0 = altitude(t, 0)
+            lines = [altitude(t, l) for l in range(4)]
+            lines += [ortho_perpendicular(t, l) for l in range(4)]
+            lines.append(Line3(t.vertex(0), t.vertex(1) - t.vertex(2)))  # off the quadric
+            lines.append(Line3(h0.point_at(1.7 * t.edge_scale()), -h0.dir))  # h0 again
+            for line in lines:
+                tag = regulus_of(qd, line, t)
+                assert tag is reference_regulus(qd, t, line)
+                seen.add(tag)
+            assert regulus_of(qd, lines[-1], t) is RegulusTag.ALTITUDE_REGULUS
+    assert seen == set(RegulusTag)
 
 
 def test_trace_link_to_meeting():

@@ -227,11 +227,59 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
         assert abs(reporting.altitude_level_residual(t) * denom - ref) <= 16 * eps * level
 
 
+def obj_lines(mesh):
+    """OBJ text as a list of lines, one f-string per vertex and per triangle;
+    lists keep a failing comparison's report short."""
+    lines = [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}" for v in mesh.vertices]
+    return lines + [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
+
+
+def obj_of(mesh):
+    text = mesh_to_obj(mesh)
+    assert text.endswith("\n")
+    return text[:-1].split("\n")
+
+
 def test_mesh_to_obj_matches_line_by_line_text(t_gen):
     mesh = quadric_mesh(build(t_gen), 3.0, 16)
-    lines = [f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}" for v in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
-    assert mesh_to_obj(mesh) == "\n".join(lines) + "\n"
+    assert obj_of(mesh) == obj_lines(mesh)
+
+
+@pytest.mark.parametrize("res", [8, 9, 64])
+def test_mesh_to_obj_with_the_shared_face_text(t_gen, res):
+    qd = build(t_gen)
+    mesh = quadric_mesh(qd, 3.0, res)
+    ref = obj_lines(mesh)
+    for _ in range(2):  # the second call reads the face text kept by the first
+        assert obj_of(mesh) == ref
+    # equal triangles in a distinct array, and other read-only triangles of the same length
+    assert obj_of(Mesh(mesh.vertices, mesh.triangles.copy())) == ref
+    flipped = mesh.triangles[:, ::-1].copy()
+    flipped.flags.writeable = False
+    flipped_mesh = Mesh(mesh.vertices, flipped)
+    assert obj_of(flipped_mesh) == obj_lines(flipped_mesh)
+    # the mesh keeps its grid when a later mesh of another resolution evicts it
+    other = quadric_mesh(qd, 2.0, res + 1)
+    assert obj_of(other) == obj_lines(other)
+    assert obj_of(mesh) == ref
+
+
+def test_mesh_triangles_are_shared_read_only_and_the_cache_is_bounded(t_gen):
+    qd = build(t_gen)
+    a, b = quadric_mesh(qd, 3.0, 12), quadric_mesh(qd, 1.0, 12)
+    assert a.triangles is b.triangles
+    with pytest.raises(ValueError):
+        a.triangles[0, 0] = 1
+    for res in (8, 9, 10):
+        mesh_to_obj(quadric_mesh(qd, 3.0, res))
+    for cache in (reporting._grid, reporting._grid_faces):
+        assert cache.cache_info().currsize <= 1
+    # above the limit a grid is built for its mesh alone and is not kept
+    before = reporting._grid.cache_info()
+    big = quadric_mesh(qd, 3.0, reporting._GRID_CACHE_RES + 1)
+    assert not big.triangles.flags.writeable
+    assert reporting._grid.cache_info() == before
+    assert mesh_to_obj(big).endswith("f %d %d %d\n" % tuple(big.triangles[-1] + 1))
 
 
 def test_mesh_rejects_out_of_range_index():
@@ -286,6 +334,39 @@ def test_rejection_loops_are_bounded(monkeypatch):
     with pytest.raises(InternalInvariantError):
         reporting._random_base_triangle(Collinear())
     assert len(draws) == 2 * reporting._MAX_DRAWS
+
+
+def svg_reference(family, ellipse):
+    """`emit_svg_porism` written one f-string per point and per line."""
+    s = float(np.max(np.abs(ellipse.semi_axes)))
+    axes = np.array(ellipse.semi_axes) / s
+    rx, ry = np.linalg.norm(axes, axis=1)
+    size = 480.0
+    k = size / (2.0 * 1.15 * max(rx, ry))
+    d = (np.array([tri.vertices for tri in family]) - ellipse.center) / s
+    xs = (size / 2 + k * (d @ axes[0]) / rx).tolist()
+    ys = (size / 2 - k * (d @ axes[1]) / ry).tolist()
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '
+        f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
+        f'<ellipse cx="{size / 2:.2f}" cy="{size / 2:.2f}" rx="{k * rx:.2f}" '
+        f'ry="{k * ry:.2f}" fill="none" stroke="black" stroke-width="1.5"/>',
+    ]
+    for tx, ty in zip(xs, ys):
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(tx, ty))
+        lines.append(
+            f'<polygon points="{pts}" fill="none" stroke="steelblue" stroke-width="0.8"/>'
+        )
+    lines.append(f'<circle cx="{size / 2:.2f}" cy="{size / 2:.2f}" r="3" fill="crimson"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rho", [1.0, -2.5e-7, 3e5])
+def test_svg_matches_the_line_by_line_text(rho):
+    q = QuadForm3(2.0, 1.0, -3.0, 0.4, -0.2, 0.1)
+    family, e = porism_family(q, rho, 12), ellipse_section(q, rho)
+    assert emit_svg_porism(family, e) == svg_reference(family, e)
 
 
 def test_svg_emission():

@@ -86,6 +86,7 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
         edge_vector(t, 0, 1),
         t.edge_lengths,
         t.face_normals,
+        t.unit_normals,
         t.lambdas,
     )
     for a in derived:
@@ -94,6 +95,19 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
     # computed once: the same array on every read
     assert monge_point(t) is monge_point(t) and t.q_star is t.q_star
     np.testing.assert_allclose(monge_point(t), [1.5, 1.0, 1.25], atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_face_normals_equal_np_cross_to_the_bit(scale):
+    for t in random_mixed(60):
+        t = Tetrahedron(t.vertices * scale)
+        i, j, k = np.array([t.others(l) for l in range(4)]).T
+        ref = np.cross(t.edges[j, i], t.edges[k, i])
+        np.testing.assert_array_equal(t.face_normals, ref)
+        for l in range(4):
+            np.testing.assert_array_equal(
+                np.abs(t.unit_normals[l]), np.abs(altitude(t, l).dir)
+            )
 
 
 def test_pluecker_examples(t_tri, t_gen, t_semi):
