@@ -37,7 +37,6 @@ from .forms import (
     evaluate,
     outer_sym,
     polar,
-    rank,
     restrict_to_plane,
 )
 from .tetra import (
@@ -92,12 +91,9 @@ class AltitudeQuadric:
     #: Monge-centered orthogonal midplanes, present only for the plane-pair case
     planes: Optional[tuple[Plane3, Plane3]] = None
 
-    def level_residual(self, x_world: Vec3) -> float:
-        return abs(evaluate(self.form, x_world - self.center) - self.rhs)
-
 
 def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
-    """Assemble the altitude quadric; its kind mirrors the tetrahedron class.
+    """Assemble the altitude quadric; the tetrahedron class alone decides its kind.
 
     Generic -> one-sheet hyperboloid of rank 3; semi-orthocentric -> pair of
     orthogonal midplanes; orthocentric -> trivial (zero form).
@@ -114,11 +110,7 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
         return AltitudeQuadric(m, form, r, QuadricKind.TRIVIAL)
     if cls.kind is TetraKind.SEMI_ORTHOCENTRIC:
         planes = tuple(Plane3(edge_vector(t, *e), 0.0) for e in cls.orthogonal_pair)
-        if rank(form, tol) != 2:
-            raise InternalInvariantError("semi-orthocentric form must have rank 2")
         return AltitudeQuadric(m, form, r, QuadricKind.PLANE_PAIR, planes)
-    if rank(form, tol) != 3:
-        raise InternalInvariantError("generic altitude form must have rank 3")
     return AltitudeQuadric(m, form, r, QuadricKind.HYPERBOLOID)
 
 
@@ -133,10 +125,10 @@ def contains_line(
         raise TrivialQuadric("the zero form carries no incidence information")
     # at least the figure's own length |Q*|^(1/4), so that rhs roundoff cannot decide
     span = max(norm(line.base - qd.center), qd.form.max_abs() ** 0.25)
-    pts = [line.point_at(s * span) for s in (-1.0, 0.0, 1.0)]
-    d2 = max(float(np.dot(p - qd.center, p - qd.center)) for p in pts)
-    scale = max(abs(qd.rhs), qd.form.max_abs() * d2)
-    return all(qd.level_residual(p) <= tol.gate(scale) for p in pts)
+    d = line.base + np.array([[-span], [0.0], [span]]) * line.dir - qd.center
+    scale = max(abs(qd.rhs), qd.form.max_abs() * float(np.max(np.sum(d * d, axis=1))))
+    res = np.abs(np.einsum("ki,ij,kj->k", d, qd.form.matrix, d) - qd.rhs)
+    return bool(np.all(res <= tol.gate(scale)))
 
 
 def asymptotic_cone(qd: AltitudeQuadric) -> QuadForm3:

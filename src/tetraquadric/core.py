@@ -101,9 +101,6 @@ class Tolerance:
             s *= abs(x)
         return self.rel_eps * s
 
-    def is_zero(self, value: float, *scales: float) -> bool:
-        return abs(value) <= self.gate(*scales)
-
 
 DEFAULT_TOL = Tolerance()
 
@@ -151,10 +148,6 @@ class Plane3:
 
     def residual(self, x: Vec3) -> float:
         return abs(dot(self.normal, x) - self.offset)
-
-    def foot(self) -> Vec3:
-        """Point of the plane closest to the origin."""
-        return self.offset * self.normal
 
 
 def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:

@@ -83,15 +83,15 @@ def altitude_level_residual(t: Tetrahedron) -> float:
 
     Each altitude l is sampled at the seven points a_l + k s n_l, k = -3..3,
     with s the longest edge and n_l the unit normal of the opposite face; the
-    28 samples are one (4, 7, 3) array, evaluated with one `einsum`.  Because
-    k runs symmetrically these are the points `altitude(t, l).point_at(k s)`.
+    28 samples less M are one (4, 7, 3) array, evaluated with one `einsum`.
+    Because k runs symmetrically these are the points `altitude(t, l).point_at(k s)`.
     The residual is normalized by max(|rhs|, max |lambda_0j|^3), the natural
     sixth-power length scale of the equation.  It is 0 when every lambda_0j is 0
     (a right-angled corner at a_0); a scale that underflows is raised.
     """
-    m, r = t.monge, t.rhs
+    r = t.rhs
     steps = np.arange(-3, 4) * t.edge_scale()
-    d = t.vertices[:, None] + steps[:, None] * t.unit_normals[:, None] - m
+    d = t.monge_centered[:, None] + steps[:, None] * t.unit_normals[:, None]
     # an overflow shows up below as a non-finite value and is raised there
     with np.errstate(over="ignore", invalid="ignore"):
         denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))

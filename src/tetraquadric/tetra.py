@@ -99,27 +99,33 @@ class Tetrahedron:
         e = self.edges
         return _frozen(np.array([dot(e[e1], e[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]))
 
-    def _solve_edges(self, mids: np.ndarray) -> Vec3:
-        """Point x with b_0j . x = b_0j . mids[j-1]; b_01, b_02, b_03 are independent."""
+    def _solve_edges(self, mids: np.ndarray) -> np.ndarray:
+        """x - a_0 for the x with b_0j . x = b_0j . mid_j, given mid_j - a_0; relative
+        to a vertex, so that a translation far from the origin costs no digits."""
         b = self.edges[0, 1:]
-        return _frozen(np.linalg.solve(b, np.sum(b * mids, axis=1)))
+        return np.linalg.solve(b, np.sum(b * mids, axis=1))
+
+    @cached_property
+    def monge_centered(self) -> np.ndarray:
+        """(4, 3): a_i - m, m on the midplanes b_0j . m = b_0j . mid(opposite edge)."""
+        e = self.edges[:, 0]
+        m = self._solve_edges(0.5 * np.array([e[2] + e[3], e[3] + e[1], e[1] + e[2]]))
+        return _frozen(e - m)
 
     @cached_property
     def monge(self) -> Vec3:
-        """Common point of the six midplanes: b_0j . m = b_0j . mid(opposite edge)."""
-        v = self.vertices
-        return self._solve_edges(0.5 * np.array([v[2] + v[3], v[3] + v[1], v[1] + v[2]]))
+        """Common point of the six midplanes, a_0 - (a_0 - m) from `monge_centered`."""
+        return _frozen(self.vertices[0] - self.monge_centered[0])
 
     @cached_property
     def circumcenter(self) -> Vec3:
         """Point equidistant from all four vertices: b_0j . c = b_0j . mid(edge 0j)."""
-        v = self.vertices
-        return self._solve_edges(0.5 * (v[0] + v[1:]))
+        return _frozen(self.vertices[0] + self._solve_edges(0.5 * self.edges[1:, 0]))
 
     @cached_property
     def lambdas(self) -> np.ndarray:
         """(3,): (a_0 - m) . (a_j - m) for j = 1, 2, 3, m the Monge point."""
-        d = self.vertices - self.monge
+        d = self.monge_centered
         return _frozen(np.array([dot(d[0], d[j]) for j in (1, 2, 3)]))
 
     @cached_property
@@ -194,7 +200,7 @@ def monge_point(t: Tetrahedron) -> Vec3:
 
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
-    d = t.vertices - t.monge
+    d = t.monge_centered
     return max(
         abs(dot(d[i], d[j]) - dot(d[k], d[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS
     )
@@ -240,12 +246,17 @@ def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
     return np.array([tol.gate(lengths[e1], lengths[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS])
 
 
+def _orthogonal(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
+    """(3,) bool: which opposite-edge pairs are orthogonal, in OPPOSITE_EDGE_PAIRS
+    order; the one test behind both `classify` and `altitudes_meet`."""
+    return np.abs(t.opposite_dots) <= _opposite_gates(t, tol)
+
+
 def altitudes_meet(t: Tetrahedron, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff altitudes h_i and h_j intersect, i.e. edge kl is orthogonal to edge ij."""
     _check_edge(i, j)
-    k, l = (x for x in range(4) if x not in (i, j))
-    lengths = t.edge_lengths
-    return tol.is_zero(dot(t.edges[k, l], t.edges[i, j]), lengths[k, l], lengths[i, j])
+    pair = next(p for p, es in enumerate(OPPOSITE_EDGE_PAIRS) if {i, j} in map(set, es))
+    return bool(_orthogonal(t, tol)[pair])
 
 
 class TetraKind(Enum):
@@ -270,9 +281,7 @@ def classify(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> TetraClass:
     with them); such inputs resolve to orthocentric when the remaining dot is
     within ten times the gate, otherwise to generic with a warning.
     """
-    dots = t.opposite_dots
-    gates = _opposite_gates(t, tol)
-    zero = np.abs(dots) <= gates
+    zero = _orthogonal(t, tol)
     n_zero = int(zero.sum())
     if n_zero == 0:
         return TetraClass(TetraKind.GENERIC)
@@ -283,7 +292,7 @@ def classify(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> TetraClass:
         return TetraClass(TetraKind.ORTHOCENTRIC)
     # exactly two zeros: numerically inconsistent
     idx = int(np.argmin(zero))
-    if abs(dots[idx]) <= 10.0 * gates[idx]:
+    if abs(t.opposite_dots[idx]) <= 10.0 * _opposite_gates(t, tol)[idx]:
         return TetraClass(TetraKind.ORTHOCENTRIC)
     return TetraClass(
         TetraKind.GENERIC,

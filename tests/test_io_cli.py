@@ -120,10 +120,10 @@ def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     assert analyze(t_gen).tetra_class == "generic"
-    # one solve each for the Monge point and the circumcenter, one eigh for rank(Q*);
-    # one plane per distinct midplane, and the altitude residual builds no line,
-    # so the only line is the Euler line
-    assert calls["solve"] == 2 and calls["eigh"] <= 1
+    # one solve each for the Monge point and the circumcenter, and no eigh: the
+    # quadric kind is the class's kind; one plane per distinct midplane, and the
+    # altitude residual builds no line, so the only line is the Euler line
+    assert calls["solve"] == 2 and calls["eigh"] == 0
     assert calls["Plane3"] == 6 and calls["Line3"] <= 1
 
 
@@ -402,6 +402,17 @@ def test_cli_analyze(tmp_path, capsys):
 
     assert main(["--pretty", "analyze", str(f)]) == 0
     assert "\n  " in capsys.readouterr().out
+
+
+def test_cli_near_the_gate_reads_the_class_once(tmp_path, capsys):
+    # the README semi-orthocentric tetrahedron with its apex moved by 1e-9: the
+    # class decides the quadric kind, and no second decision can contradict it
+    f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [1.000000001, 2, 2]])
+    assert main(["analyze", str(f)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["tetra_class"], doc["quadric_kind"]) == ("semi_orthocentric", "plane_pair")
+    assert main(["quadric", str(f), "--obj", str(tmp_path / "q.obj")]) == 2
+    assert "hyperboloid" in capsys.readouterr().err
 
 
 def test_cli_classify(tmp_path, capsys):

@@ -61,28 +61,34 @@ def test_decisions_invariant_under_scale_and_translation(seed, kind, log_scale, 
     moved = Tetrahedron(10.0**log_scale * (t.vertices + t.edge_scale() * np.array(shift)))
     assert decisions(moved) == decisions(t)
     if kind is not TetraKind.ORTHOCENTRIC:
-        # dimensionless, so scale-free; a shift of T edge lengths costs the
-        # Monge point up to T times the absolute roundoff of an unmoved one.
-        # The orthocentric Q* and rhs vanish exactly and the residual reads
-        # only the noise of a zero form, so it is not checked there.
-        assert analyze(t).residuals["altitude_incidence"] <= 1e-9
-        margin = 1.0 + float(np.linalg.norm(shift))
-        assert analyze(moved).residuals["altitude_incidence"] <= 1e-9 * margin
+        # dimensionless, so scale-free, and taken relative to a vertex, so
+        # translation-free.  The orthocentric Q* and rhs vanish exactly and
+        # the residual reads only the noise of a zero form, so it is not
+        # checked there.
+        for u in (t, moved):
+            assert analyze(u).residuals["altitude_incidence"] <= 1e-9
 
 
-@pytest.mark.xfail(
+_ORTHOCENTRIC_NOISE = pytest.mark.xfail(
     strict=True,
-    reason="altitude_incidence reads above 1e-9 on a correct result: a shift of T edge "
-    "lengths costs the Monge point about log10 T digits, and the orthocentric residual "
-    "measures only the noise of a zero form (both recorded as FOUND in CHANGES.md)",
+    reason="altitude_incidence reads above 1e-9 on a correct result: the orthocentric "
+    "residual measures only the noise of a zero form (recorded as FOUND in CHANGES.md)",
 )
+
+
 @pytest.mark.parametrize(
     "kind, seed, scale, shift",
     [
         (TetraKind.GENERIC, 1252, 1.0, (1e3, 1e3, 1e3)),
         (TetraKind.SEMI_ORTHOCENTRIC, 1533, 1.0, (1e3, 1e3, 1e3)),
-        (TetraKind.ORTHOCENTRIC, 548, 1.0, (0.0, 0.0, 0.0)),
-        (TetraKind.ORTHOCENTRIC, 1353, 10.0, (0.0, 0.0, 0.0)),
+        (TetraKind.GENERIC, 1252, 1.0, (1e6, 1e6, 1e6)),
+        (TetraKind.SEMI_ORTHOCENTRIC, 1533, 1.0, (-1e6, 1e6, 1e6)),
+        pytest.param(
+            TetraKind.ORTHOCENTRIC, 548, 1.0, (0.0, 0.0, 0.0), marks=_ORTHOCENTRIC_NOISE
+        ),
+        pytest.param(
+            TetraKind.ORTHOCENTRIC, 1353, 10.0, (0.0, 0.0, 0.0), marks=_ORTHOCENTRIC_NOISE
+        ),
     ],
 )
 def test_altitude_incidence_reads_below_1e_9_on_any_similar_copy(kind, seed, scale, shift):
@@ -90,6 +96,21 @@ def test_altitude_incidence_reads_below_1e_9_on_any_similar_copy(kind, seed, sca
     moved = Tetrahedron(scale * (t.vertices + t.edge_scale() * np.array(shift)))
     for u in (t, moved):
         assert analyze(u).residuals["altitude_incidence"] <= 1e-9
+
+
+def test_far_from_the_origin():
+    # 1e6 edge lengths away the input itself is rounded by about 2e-10 edge
+    # lengths, near the 1e-9 gate, so the class may truly change there; what must
+    # hold is that analyze succeeds and the residual stays small (13 of these 120
+    # once raised an internal error, and the residual reached 6e-7)
+    d = np.random.default_rng(0).normal(size=3)
+    d /= np.linalg.norm(d)
+    for seed in range(1000, 1040):
+        for kind in TetraKind:
+            t = random_tetra(kind, seed)
+            rep = analyze(Tetrahedron(t.vertices + 1e6 * t.edge_scale() * d))
+            if rep.tetra_class != "orthocentric":
+                assert rep.residuals["altitude_incidence"] <= 1e-9
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])

@@ -88,6 +88,7 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
         t.face_normals,
         t.unit_normals,
         t.lambdas,
+        t.monge_centered,
     )
     for a in derived:
         with pytest.raises(ValueError):
