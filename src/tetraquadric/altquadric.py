@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    TINY,
     Line3,
     Plane3,
     Tolerance,
@@ -26,9 +27,9 @@ from .core import (
     norm,
 )
 from .errors import (
+    AmbiguousRegulus,
     BadPermutation,
     DegenerateForm,
-    InternalInvariantError,
     NotHyperboloid,
     TrivialQuadric,
 )
@@ -66,9 +67,13 @@ def q_star(t: Tetrahedron) -> QuadForm3:
 
 
 def q_star_two_term(t: Tetrahedron) -> QuadForm3:
-    """Equivalent two-term expression for the same form; used as a cross-check."""
+    """Equivalent two-term expression -(l03 - l01) Q_0123 + (l02 - l03) Q_0231
+    for the same form, on the basic forms of `q_star`; used as a cross-check."""
     l01, l02, l03 = t.lambdas.tolist()
-    return -(l03 - l01) * q_ijkl(t, (0, 1, 2, 3)) + (l02 - l03) * q_ijkl(t, (0, 2, 3, 1))
+    w = t.basic_forms
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = -(l03 - l01) * w[0] + (l02 - l03) * w[1]
+    return QuadForm3(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
 
 
 def rhs(t: Tetrahedron) -> float:
@@ -102,9 +107,9 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
     m = monge_point(t)
     form = q_star(t)
     r = rhs(t)
-    if not (np.all(np.isfinite(form.matrix)) and math.isfinite(r)):
+    if not (np.isfinite(form.matrix).all() and math.isfinite(r)):
         raise DegenerateForm("Q* or rhs overflows at this scale")
-    if cls.kind is TetraKind.GENERIC and abs(r) < np.finfo(float).tiny:
+    if cls.kind is TetraKind.GENERIC and abs(r) < TINY:
         raise DegenerateForm("rhs underflows at this scale")
     if cls.kind is TetraKind.ORTHOCENTRIC:
         return AltitudeQuadric(m, form, r, QuadricKind.TRIVIAL)
@@ -158,14 +163,16 @@ def regulus_of(
     `line_line_meet`: the line meets altitude l when the two are not parallel
     and the gap |w . c| / |c|, c the cross product of the directions and w the
     offset of the base points, is within the gate of the larger base point.
+    A two-to-two vote, which only roundoff near a gate can give, raises
+    `AmbiguousRegulus`.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("reguli exist only for the hyperboloid case")
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
     c = cross_rows(line.dir, t.unit_normals)
-    c_norm = np.array([norm(r) for r in c.tolist()])
-    scale = np.maximum(norm(line.base), [norm(v) for v in t.vertices.tolist()])
+    c_norm = np.array([math.hypot(*r) for r in c.tolist()])
+    scale = np.maximum(norm(line.base), [math.hypot(*v) for v in t.vertices.tolist()])
     # a line parallel to an altitude has c = 0; the mask below votes it skew
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(np.sum((t.vertices - line.base) * c, axis=1)) / c_norm
@@ -174,7 +181,7 @@ def regulus_of(
         return RegulusTag.PERPENDICULAR_REGULUS
     if 4 - meets >= 3:
         return RegulusTag.ALTITUDE_REGULUS
-    raise InternalInvariantError("ambiguous regulus vote")
+    raise AmbiguousRegulus("the line meets two of the four altitudes")
 
 
 class ConicKind(Enum):

@@ -18,6 +18,9 @@ from .errors import CollinearPoints
 
 Vec3 = np.ndarray
 
+#: Smallest positive normal float; a scale below it has lost its digits.
+TINY = np.finfo(float).tiny
+
 
 def vec(x: float, y: float, z: float) -> Vec3:
     return np.array([x, y, z], dtype=float)
@@ -56,12 +59,12 @@ def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def norm(v: Vec3) -> float:
     """Euclidean length; free of overflow and underflow in the squares."""
-    return math.hypot(*v)
+    return math.hypot(*v.tolist())
 
 
 def triple(u: Vec3, v: Vec3, w: Vec3) -> float:
-    """Determinant of the 3x3 matrix with rows u, v, w."""
-    return float(np.linalg.det(np.array([u, v, w], dtype=float)))
+    """Determinant of the 3x3 matrix with rows u, v, w, as u . (v x w)."""
+    return dot(u, cross(v, w))
 
 
 def normalize(v: Vec3) -> Vec3:
@@ -71,6 +74,15 @@ def normalize(v: Vec3) -> Vec3:
     return v / n
 
 
+def _leads_negative(u: Vec3) -> bool:
+    """True when the first component of the unit vector u above 1e-12 in
+    magnitude is negative: the sign rule of `canonical_dir` and `Plane3`."""
+    for c in u.tolist():
+        if abs(c) > 1e-12:
+            return c < 0
+    return False
+
+
 def canonical_dir(v: Vec3) -> Vec3:
     """Unit vector with the first component of significant size made positive.
 
@@ -78,10 +90,7 @@ def canonical_dir(v: Vec3) -> Vec3:
     this picks one representative deterministically.
     """
     u = normalize(v)
-    for c in u:
-        if abs(c) > 1e-12:
-            return -u if c < 0 else u
-    return u
+    return -u if _leads_negative(u) else u
 
 
 @dataclass(frozen=True)
@@ -126,18 +135,22 @@ class Line3:
 
 @dataclass(frozen=True, eq=False)
 class Plane3:
-    """Plane { x : normal . x = offset } with a unit, sign-canonical normal."""
+    """Plane { x : normal . x = offset } with a unit, sign-canonical normal:
+    normal and offset are divided by |normal|, then both negated when the unit
+    normal fails the sign rule of `canonical_dir`."""
 
     normal: Vec3
     offset: float
 
     def __post_init__(self):
         n = as_vec(self.normal)
-        u = canonical_dir(n)
-        # keep offset consistent with the canonicalized normal
-        off = float(self.offset) / norm(n)
-        if dot(u, normalize(n)) < 0:
-            off = -off
+        s = norm(n)
+        if s == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        u = n / s
+        off = float(self.offset) / s
+        if _leads_negative(u):
+            u, off = -u, -off
         object.__setattr__(self, "normal", u)
         object.__setattr__(self, "offset", off)
 
@@ -174,8 +187,9 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     n = cross(v1 - v0, v2 - v0)
     if norm(n) <= tol.gate(longest / unit, longest / unit):
         raise CollinearPoints("triangle vertices are collinear")
-    a = np.array([v1 - v2, v2 - v0, n / norm(n)])
-    b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n / norm(n))])
+    n_hat = n / norm(n)
+    a = np.array([v1 - v2, v2 - v0, n_hat])
+    b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n_hat)])
     return unit * np.linalg.solve(a, b)
 
 

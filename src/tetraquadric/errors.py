@@ -57,5 +57,10 @@ class ParseError(GeometryError):
     """Malformed input document."""
 
 
+class AmbiguousRegulus(GeometryError):
+    """A line on the hyperboloid meets exactly two of the four altitudes, which
+    only roundoff near a tolerance gate can produce."""
+
+
 class InternalInvariantError(GeometryError):
     """A structurally impossible configuration was produced; indicates a bug."""

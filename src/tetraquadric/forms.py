@@ -48,7 +48,9 @@ class QuadForm3:
     def from_matrix(cls, m: np.ndarray) -> "QuadForm3":
         m = np.asarray(m, dtype=float)
         sym = 0.5 * (m + m.T)
-        return cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
+        q = cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
+        vars(q)["matrix"] = _frozen(sym)  # the same bits as `matrix` would build
+        return q
 
     @classmethod
     def diagonal(cls, d1: float, d2: float, d3: float) -> "QuadForm3":

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
-from .core import DEFAULT_TOL, Tolerance, _frozen, norm, orthocenter2d
+from .core import DEFAULT_TOL, TINY, Tolerance, _frozen, norm, orthocenter2d
 from .errors import (
     DegenerateForm,
     DegenerateTetrahedron,
@@ -22,7 +22,7 @@ from .errors import (
     NotHyperboloid,
     ParseError,
 )
-from .forms import trace
+from .forms import rank, trace
 from .porism import Ellipse3, InscribedTriangle
 from .tetra import TetraKind, Tetrahedron
 
@@ -78,6 +78,10 @@ class AnalysisReport:
         return dict(vars(self))
 
 
+#: Sample steps along each altitude, in longest edges.
+_ALTITUDE_STEPS = np.arange(-3.0, 4.0)
+
+
 def altitude_level_residual(t: Tetrahedron) -> float:
     """Max relative deviation of altitude points from Q*(p - M) = rhs.
 
@@ -90,15 +94,15 @@ def altitude_level_residual(t: Tetrahedron) -> float:
     (a right-angled corner at a_0); a scale that underflows is raised.
     """
     r = t.rhs
-    steps = np.arange(-3, 4) * t.edge_scale()
+    steps = _ALTITUDE_STEPS * t.edge_scale()
     d = t.monge_centered[:, None] + steps[:, None] * t.unit_normals[:, None]
     # an overflow shows up below as a non-finite value and is raised there
     with np.errstate(over="ignore", invalid="ignore"):
         denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
         devs = np.abs(np.einsum("lki,ij,lkj->lk", d, t.q_star.matrix, d) - r)
-    if not math.isfinite(denom) or not np.all(np.isfinite(devs)):
+    if not math.isfinite(denom) or not np.isfinite(devs).all():
         raise DegenerateForm("the altitude residual overflows at this scale")
-    if denom < np.finfo(float).tiny and t.lambdas.any():
+    if denom < TINY and t.lambdas.any():
         raise DegenerateForm("the altitude residual underflows at this scale")
     return float(devs.max()) / denom if denom else 0.0
 
@@ -122,7 +126,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
         for pair in tetra.OPPOSITE_EDGE_PAIRS
         for i, j in pair
     )
-    circum_d = [norm(t.vertex(i) - points.circumcenter) for i in range(4)]
+    circum_d = [math.hypot(*d) for d in (t.vertices - points.circumcenter).tolist()]
     two_term = altquadric.q_star_two_term(t)
     residuals = {
         "pluecker": abs(tetra.pluecker_residual(t)),
@@ -188,7 +192,9 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
 
     `extent` bounds the coordinate along the hyperboloid axis; every emitted
     vertex satisfies the quadric equation up to roundoff.  Vertex
-    `j * resolution + i` sits at angle 2 pi i / resolution on ring j.
+    `j * resolution + i` sits at angle 2 pi i / resolution on ring j.  A form
+    of rank below 3 at the default tolerance (the rule of
+    `porism.ellipse_section`) raises `DegenerateForm`.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("meshes are generated for the hyperboloid case")
@@ -196,6 +202,8 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
         raise ValueError("extent must be positive")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
+    if rank(qd.form) < 3:
+        raise DegenerateForm("a mesh needs a form of rank 3")
     frame = qd.form.frame
     ratios = frame.values / qd.rhs
     pos = [r for r in range(3) if ratios[r] > 0]

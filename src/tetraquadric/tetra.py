@@ -4,11 +4,12 @@ Edge vectors, altitudes and orthocentric perpendiculars, midplanes, the Monge
 point, centroid, circumcenter, Euler line, and the generic /
 semi-orthocentric / orthocentric classification.  A `Tetrahedron` computes
 each tolerance-free quantity once, on first use, and keeps it read-only; the
-public functions below read it.
+public functions below read it.  `classify` keeps its decision per tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -38,8 +39,8 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((0, 2), (3, 1)),
     ((0, 3), (1, 2)),
 )
-#: The same pairs as index arrays ((i, j), (k, l)), one entry per pair.
-_PAIR_INDEX = np.array(OPPOSITE_EDGE_PAIRS).transpose(1, 2, 0)
+#: The edges kl of the pairs as index arrays (k, l); the edges 0j are 01, 02, 03.
+_KL_INDEX = np.array([kl for _, kl in OPPOSITE_EDGE_PAIRS]).T
 #: Vertices (i, j, k), i < j < k, of the face opposite each vertex l, as index arrays.
 _FACE_INDEX = np.array([[i for i in range(4) if i != l] for l in range(4)]).T
 
@@ -52,10 +53,13 @@ class Tetrahedron:
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        if v.shape != (4, 3) or not np.all(np.isfinite(v)):
+        if v.shape != (4, 3) or not np.isfinite(v).all():
             raise DegenerateTetrahedron("need four finite 3-vectors")
         object.__setattr__(self, "vertices", _frozen(v))
-        s = self.edge_scale()
+        s = float(self.edge_lengths.max())
+        object.__setattr__(self, "_edge_scale", s)
+        # `classify`'s decision for each tolerance asked so far
+        object.__setattr__(self, "_classes", {})
         if abs(triple(*self.edges[0, 1:])) <= DEFAULT_TOL.gate(s, s, s):
             raise DegenerateTetrahedron("vertices are coplanar")
 
@@ -63,7 +67,8 @@ class Tetrahedron:
         return self.vertices[i]
 
     def edge_scale(self) -> float:
-        return float(self.edge_lengths.max())
+        """Length of the longest edge."""
+        return self._edge_scale
 
     def others(self, l: int) -> tuple[int, int, int]:
         return tuple(i for i in range(4) if i != l)
@@ -91,13 +96,20 @@ class Tetrahedron:
         """(4, 3): `face_normals` scaled to unit length, free of overflow and
         underflow in the squares; up to sign, the directions of the altitudes."""
         n = self.face_normals
-        return _frozen(n / np.array([[norm(r)] for r in n.tolist()]))
+        return _frozen(n / np.array([[math.hypot(*r)] for r in n.tolist()]))
 
     @cached_property
     def opposite_dots(self) -> np.ndarray:
         """(3,): b_ij . b_kl in OPPOSITE_EDGE_PAIRS order."""
         e = self.edges
         return _frozen(np.array([dot(e[e1], e[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]))
+
+    @cached_property
+    def opposite_scales(self) -> np.ndarray:
+        """(3,): |b_ij| |b_kl| in OPPOSITE_EDGE_PAIRS order, the scale of each dot."""
+        n = self.edge_lengths.tolist()
+        pairs = OPPOSITE_EDGE_PAIRS
+        return _frozen(np.array([n[i][j] * n[k][l] for (i, j), (k, l) in pairs]))
 
     def _solve_edges(self, mids: np.ndarray) -> np.ndarray:
         """x - a_0 for the x with b_0j . x = b_0j . mid_j, given mid_j - a_0; relative
@@ -129,16 +141,20 @@ class Tetrahedron:
         return _frozen(np.array([dot(d[0], d[j]) for j in (1, 2, 3)]))
 
     @cached_property
-    def q_star(self) -> QuadForm3:
-        """The traceless form sum_j lambda_0j (x.b_0j)(x.b_kl).
-
-        An overflow leaves non-finite coefficients, which `altquadric.build`
-        rejects, instead of a numpy warning.
-        """
-        (i, j), (k, l) = _PAIR_INDEX
+    def basic_forms(self) -> np.ndarray:
+        """(3, 3, 3): sym(b_0j (x) b_kl), the basic forms (x.b_0j)(x.b_kl), in
+        OPPOSITE_EDGE_PAIRS order.  An overflow leaves non-finite coefficients,
+        which `altquadric.build` rejects, instead of a numpy warning."""
+        k, l = _KL_INDEX
         with np.errstate(over="ignore", invalid="ignore"):
-            o = self.edges[i, j, :, None] * self.edges[k, l, None, :]
-            w = self.lambdas[:, None, None] * (0.5 * (o + o.transpose(0, 2, 1)))
+            o = self.edges[0, 1:, :, None] * self.edges[k, l, None, :]
+            return _frozen(0.5 * (o + o.transpose(0, 2, 1)))
+
+    @cached_property
+    def q_star(self) -> QuadForm3:
+        """The traceless form sum_j lambda_0j (x.b_0j)(x.b_kl)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.lambdas[:, None, None] * self.basic_forms
             return QuadForm3.from_matrix(w[0] + w[1] + w[2])
 
     @cached_property
@@ -201,13 +217,15 @@ def monge_point(t: Tetrahedron) -> Vec3:
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
     d = t.monge_centered
+    # the (0, j) product of each split is lambda_0j
     return max(
-        abs(dot(d[i], d[j]) - dot(d[k], d[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS
+        abs(lam - dot(d[k], d[l]))
+        for lam, (_, (k, l)) in zip(t.lambdas.tolist(), OPPOSITE_EDGE_PAIRS)
     )
 
 
 def centroid(t: Tetrahedron) -> Vec3:
-    return t.vertices.mean(axis=0)
+    return t.vertices.sum(axis=0) / 4.0
 
 
 def circumcenter(t: Tetrahedron) -> Vec3:
@@ -242,8 +260,7 @@ def opposite_edge_dots(t: Tetrahedron) -> np.ndarray:
 
 def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
     """Zero gate of each opposite-edge dot product, tol.gate(|b_ij|, |b_kl|)."""
-    lengths = t.edge_lengths
-    return np.array([tol.gate(lengths[e1], lengths[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS])
+    return tol.rel_eps * t.opposite_scales
 
 
 def _orthogonal(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
@@ -280,7 +297,20 @@ def classify(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> TetraClass:
     Two zero dot products are impossible exactly (the third is forced to zero
     with them); such inputs resolve to orthocentric when the remaining dot is
     within ten times the gate, otherwise to generic with a warning.
+
+    The decision is made once per tetrahedron and tolerance: it is kept on the
+    tetrahedron, keyed by the (frozen, hashable) `Tolerance`, and every later
+    call with an equal tolerance returns the same `TetraClass`.
     """
+    memo = t._classes
+    cls = memo.get(tol)
+    if cls is None:
+        cls = memo[tol] = _classify(t, tol)
+    return cls
+
+
+def _classify(t: Tetrahedron, tol: Tolerance) -> TetraClass:
+    """The decision behind `classify`, made afresh."""
     zero = _orthogonal(t, tol)
     n_zero = int(zero.sum())
     if n_zero == 0:

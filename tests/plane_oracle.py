@@ -3,8 +3,11 @@
 The library computes the Monge point, the circumcenter, the altitudes and the
 face perpendiculars by closed forms.  These general solvers build the same
 objects from intersecting planes, so the tests can check one construction
-against the other.
+against the other.  `reference_plane` is the `Plane3` constructor written the
+long way, to check the library's one-norm constructor against.
 """
+
+import math
 
 import numpy as np
 
@@ -46,3 +49,22 @@ def perp_bisector(t: Tetrahedron, i: int, j: int) -> Plane3:
     """Perpendicular bisector plane of the edge ij."""
     mid = 0.5 * (t.vertex(i) + t.vertex(j))
     return Plane3.from_point_normal(mid, edge_vector(t, i, j))
+
+
+def reference_plane(normal, offset: float) -> tuple[Vec3, float]:
+    """(normal, offset) of `Plane3(normal, offset)`, normalising the normal twice:
+    the unit normal with its first component above 1e-12 in magnitude made
+    positive, and the offset with the sign of the dot product of that normal
+    with the plainly normalised one."""
+    n = np.asarray(normal, dtype=float)
+    if not n.any():
+        raise ValueError("zero normal")
+    u = n / math.hypot(*n)
+    for c in u:
+        if abs(c) > 1e-12:
+            u = -u if c < 0 else u
+            break
+    off = float(offset) / math.hypot(*n)
+    if float(np.dot(u, n / math.hypot(*n))) < 0:
+        off = -off
+    return u, off

@@ -37,7 +37,13 @@ from tetraquadric import (
     trace,
 )
 from tetraquadric.altquadric import q_star_two_term
-from tetraquadric.errors import BadPermutation, NotHyperboloid, TrivialQuadric
+from tetraquadric.errors import (
+    AmbiguousRegulus,
+    BadPermutation,
+    InternalInvariantError,
+    NotHyperboloid,
+    TrivialQuadric,
+)
 from tetraquadric.reporting import altitude_level_residual
 
 ALL_KINDS = [TetraKind.GENERIC, TetraKind.SEMI_ORTHOCENTRIC, TetraKind.ORTHOCENTRIC]
@@ -95,6 +101,18 @@ def test_q_star_two_term_equivalent():
         b = q_star_two_term(t)
         scale = max(1.0, a.max_abs())
         assert (a - b).max_abs() <= 1e-10 * scale
+
+
+def test_q_star_two_term_is_the_quad_form_arithmetic_to_the_bit():
+    # the cross-check reads the basic forms that Q* weights; it must keep every
+    # bit of the expression written in QuadForm3 arithmetic
+    for t in random_mixed(60, seed0=200):
+        for s in (1e-6, 1.0, 1e6):
+            u = Tetrahedron(t.vertices * s)
+            l01, l02, l03 = u.lambdas.tolist()
+            ref = -(l03 - l01) * q_ijkl(u, (0, 1, 2, 3)) + (l02 - l03) * q_ijkl(u, (0, 2, 3, 1))
+            two = q_star_two_term(u)
+            assert np.array(two.coefficients).tobytes() == np.array(ref.coefficients).tobytes()
 
 
 def test_rhs_examples(t_gen, t_semi, t_orth):
@@ -307,3 +325,31 @@ def test_section_oblique_not_equilateral(t_gen):
     assert sec.kind in (ConicKind.ELLIPSE, ConicKind.HYPERBOLA)
     with pytest.raises(NotHyperboloid):
         section(build(random_tetra(TetraKind.ORTHOCENTRIC, 1)), Plane3(np.array([0, 0, 1.0]), 0.0))
+
+
+@pytest.mark.parametrize(
+    "verts, l",
+    [
+        # near-gate probe: orthocentric seeds 1017, 1073 and 1085 with vertex 3
+        # moved by 3e-9 edge lengths; altitude l meets two of the four altitudes
+        ([[-7.501316847810965, -8.511887778995172, -3.301929285184149],
+          [-7.9411457707280455, -6.773360431186838, -4.713905031028834],
+          [-0.9711268646347766, -2.248296520791362, -0.7135781203122624],
+          [-9.611847768332815, -5.9257664577495035, -2.5499716844841287]], 0),
+        ([[4.019232735949272, 3.6249479920939036, -7.781761155750114],
+          [3.185235236095459, 3.763142237218897, -3.5187900904356706],
+          [4.069892908082228, 5.66603362141181, -3.541258608933677],
+          [0.45019036187702427, 5.326040944630692, -4.238386939506587]], 1),
+        ([[0.4697736132286865, -0.3124871292398068, 5.986667439131496],
+          [1.3608484381618042, -1.4646543456763774, 5.692211399658131],
+          [0.854904797124187, -0.22649619556872613, 2.2043455419268843],
+          [-0.7927724409176317, -2.33109970060438, 5.453222477085299]], 0),
+    ],
+)
+def test_a_two_to_two_regulus_vote_is_bad_input_not_a_bug(verts, l):
+    t = Tetrahedron(verts)
+    qd = build(t)
+    assert qd.kind is QuadricKind.HYPERBOLOID
+    with pytest.raises(AmbiguousRegulus) as exc:
+        regulus_of(qd, altitude(t, l), t)
+    assert not isinstance(exc.value, InternalInvariantError)

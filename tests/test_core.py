@@ -15,7 +15,13 @@ from tetraquadric import (
 )
 from tetraquadric.core import norm, normalize
 
-from plane_oracle import ParallelPlanes, SingularSystem, line_from_two_planes, solve3
+from plane_oracle import (
+    ParallelPlanes,
+    SingularSystem,
+    line_from_two_planes,
+    reference_plane,
+    solve3,
+)
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 vectors = st.builds(vec, coord, coord, coord)
@@ -150,3 +156,25 @@ def test_norm_free_of_overflow_and_underflow(mag):
     assert norm(v) == pytest.approx(mag * np.sqrt(2), rel=1e-15)
     np.testing.assert_allclose(normalize(v), [np.sqrt(0.5), np.sqrt(0.5), 0], rtol=1e-15)
     np.testing.assert_array_equal(Line3(vec(0, 0, 0), vec(-mag, 0, 0)).dir, [1, 0, 0])
+
+
+def test_plane_matches_the_double_normalising_reference():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(3000):
+        n = rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6)
+        cases.append((n, rng.normal() * 10.0 ** rng.uniform(-6, 6)))
+    # leading components of about 1e-13 of the length, of either sign, so that
+    # the sign comes from a later component; and offsets of both signs
+    for lead in (1e-13, -1e-13, 3e-13, -7e-14, 2e-12, -2e-12):
+        for rest in ([1.0, 2.0], [-1.0, 2.0], [0.0, -3.0], [-1e-13, 1.0]):
+            for scale in (1e-6, 1.0, 1e6):
+                n = scale * np.array([lead, *rest])
+                cases += [(n, 2.5 * scale), (n, -2.5 * scale), (n, 0.0)]
+    for n, off in cases:
+        p = Plane3(n, off)
+        u, o = reference_plane(n, off)
+        assert p.normal.tobytes() == u.tobytes() and p.offset.hex() == o.hex()
+    for make in (Plane3, reference_plane):
+        with pytest.raises(ValueError):
+            make(vec(0, 0, 0), 1.0)

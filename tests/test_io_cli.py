@@ -31,6 +31,7 @@ from tetraquadric import (
 from tetraquadric.cli import _build_parser, main
 from tetraquadric.core import norm
 from tetraquadric.errors import (
+    DegenerateForm,
     DegenerateTetrahedron,
     EmptyFamily,
     InternalInvariantError,
@@ -413,6 +414,34 @@ def test_cli_near_the_gate_reads_the_class_once(tmp_path, capsys):
     assert (doc["tetra_class"], doc["quadric_kind"]) == ("semi_orthocentric", "plane_pair")
     assert main(["quadric", str(f), "--obj", str(tmp_path / "q.obj")]) == 2
     assert "hyperboloid" in capsys.readouterr().err
+
+
+#: Hyperboloids whose Q* has rank 2 at the default tolerance: an input whose
+#: eigenvalues are (167.6, 24.4, 0.0), and the semi-orthocentric seed 1030 of the
+#: near-gate probe with vertex 3 moved by 3e-9 edge lengths.
+RANK_2_HYPERBOLOIDS = [
+    [[0.5317310368456285, -3.4268705688593277, -0.30259516355327376],
+     [-6.750428061564884, -7.257682250264996, 2.8398659076985178],
+     [-0.20408459828290226, -0.6979155688333947, 0.5235460758081802],
+     [-2.140927250529929, -3.794155958560699, 1.0202723689537962]],
+    [[3.5260329630114673, 1.4545797060628294, 0.05134971039852119],
+     [0.5014006542235164, -5.504960918347727, -2.361355093411795],
+     [-0.20837186715757472, -7.273570299708585, -3.3447212814399605],
+     [-10.10700469686004, -15.60431241004949, 40.57223856634863]],
+]
+
+
+@pytest.mark.parametrize("verts", RANK_2_HYPERBOLOIDS)
+def test_mesh_of_a_rank_2_form_is_degenerate_input(tmp_path, capsys, verts):
+    # these raised ZeroDivisionError (exit 1) and InternalInvariantError (exit 3)
+    qd = build(Tetrahedron(verts))
+    assert qd.kind is QuadricKind.HYPERBOLOID
+    with pytest.raises(DegenerateForm):
+        quadric_mesh(qd, 3.0, 16)
+    f = _write_tetra(tmp_path, verts)
+    assert main(["quadric", str(f), "--obj", str(tmp_path / "q.obj")]) == 2
+    assert "rank 3" in capsys.readouterr().err
+    assert not (tmp_path / "q.obj").exists()
 
 
 def test_cli_classify(tmp_path, capsys):

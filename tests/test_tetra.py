@@ -8,8 +8,10 @@ from tetraquadric import (
     Plane3,
     TetraKind,
     Tetrahedron,
+    Tolerance,
     altitude,
     altitudes_meet,
+    analyze,
     centroid,
     circumcenter,
     classify,
@@ -25,6 +27,7 @@ from tetraquadric import (
     pluecker_residual,
     random_tetra,
 )
+from tetraquadric import tetra
 from tetraquadric.errors import BadIndex, DegenerateTetrahedron
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
 
@@ -403,3 +406,38 @@ def test_closed_forms_match_plane_intersections(shape, bound):
             for e in edges:
                 e = e / np.linalg.norm(e)
                 assert abs(h.dir @ e) <= 1e-8 and abs(n.dir @ e) <= 1e-8
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """The tolerance of every class decision made, in order."""
+    made = []
+    decide = tetra._classify
+    monkeypatch.setattr(tetra, "_classify", lambda t, tol: made.append(tol) or decide(t, tol))
+    return made
+
+
+def test_one_analyze_decides_the_class_once(decisions):
+    for kind in ALL_KINDS:
+        # a fresh copy: `random_tetra` has classified its own tetrahedron
+        t = Tetrahedron(random_tetra(kind, 7).vertices)
+        decisions.clear()
+        # analyze, noteworthy and build each ask for the class
+        assert analyze(t).tetra_class == kind.value
+        assert decisions == [Tolerance()]
+        assert classify(t) is classify(t, Tolerance(1e-9))
+        assert len(decisions) == 1
+
+
+def test_each_tolerance_gets_its_own_class(decisions):
+    # the README semi-orthocentric tetrahedron with its apex moved by 1e-9: its
+    # orthogonal pair is within the default gate and outside a tighter one
+    t = Tetrahedron([[0, 0, 0], [4, 0, 0], [1, 3, 0], [1.000000001, 2, 2]])
+    tight = Tolerance(1e-12)
+    assert analyze(t, tight).quadric_kind == "hyperboloid"
+    assert analyze(t).quadric_kind == "plane_pair"
+    assert classify(t, tight).kind is TetraKind.GENERIC
+    assert decisions == [tight, Tolerance()]
+    # the decisions are kept on the tetrahedron, so a copy decides afresh
+    assert classify(Tetrahedron(t.vertices)).kind is TetraKind.SEMI_ORTHOCENTRIC
+    assert decisions == [tight, Tolerance(), Tolerance()]
