@@ -47,8 +47,13 @@ def dot(u: Vec3, v: Vec3) -> float:
 def cross(u: Vec3, v: Vec3) -> Vec3:
     """Cross product of two 3-vectors; the closed form, equal to `np.cross` to
     the bit and far cheaper per call."""
-    (a, b, c), (d, e, f) = u.tolist(), v.tolist()
-    return np.array([b * f - c * e, c * d - a * f, a * e - b * d])
+    return np.array(_cross(u.tolist(), v.tolist()))
+
+
+def _cross(u: list, v: list) -> list:
+    """The closed form of `cross` on coordinate lists."""
+    (a, b, c), (d, e, f) = u, v
+    return [b * f - c * e, c * d - a * f, a * e - b * d]
 
 
 def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -120,12 +120,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     qd = altquadric.build(t, tol)
     s = t.edge_scale()
 
-    # midplane(t, i, j) and midplane(t, j, i) are one plane: take each of the six once
-    midplane_res = max(
-        tetra.midplane(t, i, j).residual(points.monge)
-        for pair in tetra.OPPOSITE_EDGE_PAIRS
-        for i, j in pair
-    )
+    midplane_res = max(p.residual(points.monge) for p in tetra._midplanes(t))
     circum_d = [math.hypot(*d) for d in (t.vertices - points.circumcenter).tolist()]
     two_term = altquadric.q_star_two_term(t)
     residuals = {

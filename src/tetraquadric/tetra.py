@@ -3,8 +3,10 @@
 Edge vectors, altitudes and orthocentric perpendiculars, midplanes, the Monge
 point, centroid, circumcenter, Euler line, and the generic /
 semi-orthocentric / orthocentric classification.  A `Tetrahedron` computes
-each tolerance-free quantity once, on first use, and keeps it read-only; the
-public functions below read it.  `classify` keeps its decision per tolerance.
+every tolerance-free quantity at construction, in one pass, and keeps it
+read-only; one factorization of the edge matrix serves the Monge point and the
+circumcenter.  The public functions below read the record.  `classify` keeps
+its decision per tolerance.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,8 +24,8 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
+    _cross,
     _frozen,
-    cross_rows,
     dot,
     norm,
     orthocenter2d,
@@ -41,13 +42,41 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 #: The edges kl of the pairs as index arrays (k, l); the edges 0j are 01, 02, 03.
 _KL_INDEX = np.array([kl for _, kl in OPPOSITE_EDGE_PAIRS]).T
-#: Vertices (i, j, k), i < j < k, of the face opposite each vertex l, as index arrays.
-_FACE_INDEX = np.array([[i for i in range(4) if i != l] for l in range(4)]).T
+#: Edge ij and its opposite edge kl, k < l, of each pair in both orders, as
+#: index arrays (i, j, k, l).
+_MIDPLANE_INDEX = np.array(
+    [(*e, *sorted(kl)) for pair in OPPOSITE_EDGE_PAIRS for e, kl in (pair, pair[::-1])]
+).T
+#: Vertices (i, j, k), i < j < k, of the face opposite each vertex l.
+_FACES = tuple(tuple(i for i in range(4) if i != l) for l in range(4))
 
 
 @dataclass(frozen=True, eq=False)
 class Tetrahedron:
-    """Four position vectors; rejects coplanar vertex sets at construction."""
+    """Four position vectors; rejects coplanar vertex sets at construction.
+
+    Construction computes the whole tolerance-free record in one pass, with
+    b_ij = a_i - a_j and m the Monge point, and keeps every array read-only:
+
+    - `edges` (4, 4, 3), edges[i, j] = b_ij, and `edge_lengths` (4, 4), |b_ij|
+      free of overflow in the squares;
+    - `face_normals` (4, 3), (a_j - a_i) x (a_k - a_i) for the face i < j < k
+      opposite l, and `unit_normals`, the same scaled to unit length: up to
+      sign, the directions of the altitudes;
+    - `opposite_dots` and `opposite_scales` (3,), b_ij . b_kl and |b_ij| |b_kl|
+      in OPPOSITE_EDGE_PAIRS order;
+    - `monge_centered` (4, 3), a_i - m; `monge`, m on the midplanes
+      b_0j . m = b_0j . mid(opposite edge); `circumcenter`, on the planes
+      b_0j . c = b_0j . mid(edge 0j).  Both are solved relative to a_0, so that
+      a translation far from the origin costs no digits, with one factorization
+      of B = (b_01, b_02, b_03);
+    - `lambdas` (3,), (a_0 - m) . (a_j - m) for j = 1, 2, 3;
+    - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
+      (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order;
+    - `q_star`, the traceless form sum_j lambda_0j (x.b_0j)(x.b_kl), and `rhs`,
+      (l01 - l02)(l02 - l03)(l03 - l01).  An overflow leaves non-finite values,
+      which `altquadric.build` rejects, instead of a numpy warning.
+    """
 
     vertices: np.ndarray
 
@@ -55,13 +84,53 @@ class Tetrahedron:
         v = np.array(self.vertices, dtype=float)
         if v.shape != (4, 3) or not np.isfinite(v).all():
             raise DegenerateTetrahedron("need four finite 3-vectors")
-        object.__setattr__(self, "vertices", _frozen(v))
-        s = float(self.edge_lengths.max())
-        object.__setattr__(self, "_edge_scale", s)
-        # `classify`'s decision for each tolerance asked so far
-        object.__setattr__(self, "_classes", {})
-        if abs(triple(*self.edges[0, 1:])) <= DEFAULT_TOL.gate(s, s, s):
+        e = v[:, None] - v[None]
+        lengths = np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2])
+        s = float(lengths.max())
+        b = e[0, 1:]
+        if abs(triple(*b)) <= DEFAULT_TOL.gate(s, s, s):
             raise DegenerateTetrahedron("vertices are coplanar")
+        el, nl = e.tolist(), lengths.tolist()
+        normals = [_cross(el[j][i], el[k][i]) for i, j, k in _FACES]
+        face_normals = np.array(normals)
+        # midpoints less a_0: of the edge opposite 0j (Monge), of the edge 0j (circumcenter)
+        r = e[:, 0]
+        mids = 0.5 * np.array([[r[2] + r[3], r[3] + r[1], r[1] + r[2]], r[1:]])
+        x = np.linalg.solve(b, np.sum(b * mids, axis=2).T)
+        centered = r - x[:, 0]
+        # the first row of the Gram matrix that `monge_identity_residual` reads
+        lam = _frozen(centered @ centered.T)[0, 1:]
+        b_kl = e[_KL_INDEX[0], _KL_INDEX[1]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            o = b[:, :, None] * b_kl[:, None, :]
+            forms = 0.5 * (o + o.transpose(0, 2, 1))
+            w = lam[:, None, None] * forms
+            q_star = QuadForm3.from_matrix(w[0] + w[1] + w[2])
+        l01, l02, l03 = lam.tolist()
+        pairs = OPPOSITE_EDGE_PAIRS
+        vars(self).update(
+            vertices=_frozen(v),
+            edges=_frozen(e),
+            edge_lengths=_frozen(lengths),
+            face_normals=_frozen(face_normals),
+            unit_normals=_frozen(
+                face_normals / np.array([[math.hypot(*n)] for n in normals])
+            ),
+            opposite_dots=_frozen(np.array([dot(e[e1], e[e2]) for e1, e2 in pairs])),
+            opposite_scales=_frozen(
+                np.array([nl[i][j] * nl[k][l] for (i, j), (k, l) in pairs])
+            ),
+            monge_centered=_frozen(centered),
+            monge=_frozen(v[0] - centered[0]),
+            circumcenter=_frozen(v[0] + x[:, 1]),
+            lambdas=lam,
+            basic_forms=_frozen(forms),
+            q_star=q_star,
+            rhs=(l01 - l02) * (l02 - l03) * (l03 - l01),
+            _edge_scale=s,
+            # `classify`'s decision for each tolerance asked so far
+            _classes={},
+        )
 
     def vertex(self, i: int) -> Vec3:
         return self.vertices[i]
@@ -72,96 +141,6 @@ class Tetrahedron:
 
     def others(self, l: int) -> tuple[int, int, int]:
         return tuple(i for i in range(4) if i != l)
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """(4, 4, 3): edges[i, j] = a_i - a_j."""
-        v = self.vertices
-        return _frozen(v[:, None] - v[None])
-
-    @cached_property
-    def edge_lengths(self) -> np.ndarray:
-        """(4, 4): |a_i - a_j|, free of overflow in the squares."""
-        e = self.edges
-        return _frozen(np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2]))
-
-    @cached_property
-    def face_normals(self) -> np.ndarray:
-        """(4, 3): (a_j - a_i) x (a_k - a_i) for the face i < j < k opposite l."""
-        i, j, k = _FACE_INDEX
-        return _frozen(cross_rows(self.edges[j, i], self.edges[k, i]))
-
-    @cached_property
-    def unit_normals(self) -> np.ndarray:
-        """(4, 3): `face_normals` scaled to unit length, free of overflow and
-        underflow in the squares; up to sign, the directions of the altitudes."""
-        n = self.face_normals
-        return _frozen(n / np.array([[math.hypot(*r)] for r in n.tolist()]))
-
-    @cached_property
-    def opposite_dots(self) -> np.ndarray:
-        """(3,): b_ij . b_kl in OPPOSITE_EDGE_PAIRS order."""
-        e = self.edges
-        return _frozen(np.array([dot(e[e1], e[e2]) for e1, e2 in OPPOSITE_EDGE_PAIRS]))
-
-    @cached_property
-    def opposite_scales(self) -> np.ndarray:
-        """(3,): |b_ij| |b_kl| in OPPOSITE_EDGE_PAIRS order, the scale of each dot."""
-        n = self.edge_lengths.tolist()
-        pairs = OPPOSITE_EDGE_PAIRS
-        return _frozen(np.array([n[i][j] * n[k][l] for (i, j), (k, l) in pairs]))
-
-    def _solve_edges(self, mids: np.ndarray) -> np.ndarray:
-        """x - a_0 for the x with b_0j . x = b_0j . mid_j, given mid_j - a_0; relative
-        to a vertex, so that a translation far from the origin costs no digits."""
-        b = self.edges[0, 1:]
-        return np.linalg.solve(b, np.sum(b * mids, axis=1))
-
-    @cached_property
-    def monge_centered(self) -> np.ndarray:
-        """(4, 3): a_i - m, m on the midplanes b_0j . m = b_0j . mid(opposite edge)."""
-        e = self.edges[:, 0]
-        m = self._solve_edges(0.5 * np.array([e[2] + e[3], e[3] + e[1], e[1] + e[2]]))
-        return _frozen(e - m)
-
-    @cached_property
-    def monge(self) -> Vec3:
-        """Common point of the six midplanes, a_0 - (a_0 - m) from `monge_centered`."""
-        return _frozen(self.vertices[0] - self.monge_centered[0])
-
-    @cached_property
-    def circumcenter(self) -> Vec3:
-        """Point equidistant from all four vertices: b_0j . c = b_0j . mid(edge 0j)."""
-        return _frozen(self.vertices[0] + self._solve_edges(0.5 * self.edges[1:, 0]))
-
-    @cached_property
-    def lambdas(self) -> np.ndarray:
-        """(3,): (a_0 - m) . (a_j - m) for j = 1, 2, 3, m the Monge point."""
-        d = self.monge_centered
-        return _frozen(np.array([dot(d[0], d[j]) for j in (1, 2, 3)]))
-
-    @cached_property
-    def basic_forms(self) -> np.ndarray:
-        """(3, 3, 3): sym(b_0j (x) b_kl), the basic forms (x.b_0j)(x.b_kl), in
-        OPPOSITE_EDGE_PAIRS order.  An overflow leaves non-finite coefficients,
-        which `altquadric.build` rejects, instead of a numpy warning."""
-        k, l = _KL_INDEX
-        with np.errstate(over="ignore", invalid="ignore"):
-            o = self.edges[0, 1:, :, None] * self.edges[k, l, None, :]
-            return _frozen(0.5 * (o + o.transpose(0, 2, 1)))
-
-    @cached_property
-    def q_star(self) -> QuadForm3:
-        """The traceless form sum_j lambda_0j (x.b_0j)(x.b_kl)."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = self.lambdas[:, None, None] * self.basic_forms
-            return QuadForm3.from_matrix(w[0] + w[1] + w[2])
-
-    @cached_property
-    def rhs(self) -> float:
-        """(l01 - l02)(l02 - l03)(l03 - l01)."""
-        l01, l02, l03 = self.lambdas.tolist()
-        return (l01 - l02) * (l02 - l03) * (l03 - l01)
 
 
 def _check_edge(i: int, j: int) -> None:
@@ -209,6 +188,15 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     return Plane3.from_point_normal(mid, t.edges[i, j])
 
 
+def _midplanes(t: Tetrahedron) -> list[Plane3]:
+    """The six distinct planes of `midplane` (midplane(t, i, j) and
+    midplane(t, j, i) are one plane), each built as `midplane` builds it, from
+    one gather of normals and midpoints."""
+    i, j, k, l = _MIDPLANE_INDEX
+    mids = 0.5 * (t.vertices[k] + t.vertices[l])
+    return [Plane3(n, dot(n, p)) for n, p in zip(t.edges[i, j], mids)]
+
+
 def monge_point(t: Tetrahedron) -> Vec3:
     """Common point of the six midplanes."""
     return t.monge
@@ -217,11 +205,9 @@ def monge_point(t: Tetrahedron) -> Vec3:
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
     d = t.monge_centered
-    # the (0, j) product of each split is lambda_0j
-    return max(
-        abs(lam - dot(d[k], d[l]))
-        for lam, (_, (k, l)) in zip(t.lambdas.tolist(), OPPOSITE_EDGE_PAIRS)
-    )
+    # the Gram matrix whose (0, j) entries are `lambdas`
+    g = (d @ d.T).tolist()
+    return max(abs(g[i][j] - g[k][l]) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS)
 
 
 def centroid(t: Tetrahedron) -> Vec3:

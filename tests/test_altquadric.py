@@ -330,20 +330,12 @@ def test_section_oblique_not_equilateral(t_gen):
 @pytest.mark.parametrize(
     "verts, l",
     [
-        # near-gate probe: orthocentric seeds 1017, 1073 and 1085 with vertex 3
-        # moved by 3e-9 edge lengths; altitude l meets two of the four altitudes
-        ([[-7.501316847810965, -8.511887778995172, -3.301929285184149],
-          [-7.9411457707280455, -6.773360431186838, -4.713905031028834],
-          [-0.9711268646347766, -2.248296520791362, -0.7135781203122624],
-          [-9.611847768332815, -5.9257664577495035, -2.5499716844841287]], 0),
+        # near-gate probe: orthocentric seed 1073 with vertex 3 moved by 3e-9 edge
+        # lengths; altitude 1 meets two of the four altitudes
         ([[4.019232735949272, 3.6249479920939036, -7.781761155750114],
           [3.185235236095459, 3.763142237218897, -3.5187900904356706],
           [4.069892908082228, 5.66603362141181, -3.541258608933677],
           [0.45019036187702427, 5.326040944630692, -4.238386939506587]], 1),
-        ([[0.4697736132286865, -0.3124871292398068, 5.986667439131496],
-          [1.3608484381618042, -1.4646543456763774, 5.692211399658131],
-          [0.854904797124187, -0.22649619556872613, 2.2043455419268843],
-          [-0.7927724409176317, -2.33109970060438, 5.453222477085299]], 0),
     ],
 )
 def test_a_two_to_two_regulus_vote_is_bad_input_not_a_bug(verts, l):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,11 +121,12 @@ def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
-    assert analyze(t_gen).tetra_class == "generic"
-    # one solve each for the Monge point and the circumcenter, and no eigh: the
-    # quadric kind is the class's kind; one plane per distinct midplane, and the
-    # altitude residual builds no line, so the only line is the Euler line
-    assert calls["solve"] == 2 and calls["eigh"] == 0
+    assert analyze(Tetrahedron(t_gen.vertices)).tetra_class == "generic"
+    # construction solves once for the Monge point and the circumcenter together,
+    # and no eigh: the quadric kind is the class's kind; one plane per distinct
+    # midplane, and the altitude residual builds no line, so the only line is the
+    # Euler line
+    assert calls["solve"] == 1 and calls["eigh"] == 0
     assert calls["Plane3"] == 6 and calls["Line3"] <= 1
 
 
@@ -607,6 +609,28 @@ def test_cli_at_overflowing_scales(tmp_path, capsys, cmd, base, scale, code):
     extra = ["--obj", str(tmp_path / "q.obj")] if cmd == "quadric" else []
     assert main([cmd, str(f), *extra]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "scale, raises",
+    [(1e-60, True), (1e-52, True), (1e-6, False), (1e-4, False),
+     (1e50, False), (1e52, True), (1e60, True), (1e100, True)],
+)
+def test_construction_warns_nothing_at_overflowing_scales(scale, raises):
+    # Construction computes Q* and rhs, which overflow above about 1e51 and underflow
+    # below about 1e-51 (see test_cli_at_overflowing_scales); it leaves those values
+    # to build and analyze, which raise, and emits no numpy warning on the way.
+    verts = scale * np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = Tetrahedron(verts)
+        assert classify(t).kind is TetraKind.GENERIC
+        for step in (build, analyze):
+            if raises:
+                with pytest.raises((DegenerateForm, DegenerateTetrahedron)):
+                    step(t)
+            else:
+                step(t)
 
 
 def test_cli_porism_non_finite_form_exits_2(tmp_path, capsys):

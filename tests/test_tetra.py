@@ -1,4 +1,5 @@
 import itertools
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -81,23 +82,20 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
     assert v.flags.writeable and not np.shares_memory(v, t.vertices)
     v[0] = 9.0
     np.testing.assert_array_equal(t.vertex(0), [0, 0, 0])
-    derived = (
-        t.vertices,
-        monge_point(t),
-        circumcenter(t),
-        opposite_edge_dots(t),
-        edge_vector(t, 0, 1),
-        t.edge_lengths,
-        t.face_normals,
-        t.unit_normals,
-        t.lambdas,
-        t.monge_centered,
-    )
-    for a in derived:
+    for a in (monge_point(t), circumcenter(t), opposite_edge_dots(t), edge_vector(t, 0, 1)):
         with pytest.raises(ValueError):
             a[0] += 1.0
-    # computed once: the same array on every read
-    assert monge_point(t) is monge_point(t) and t.q_star is t.q_star
+    # the whole record: read-only, and computed once, the same object on every read
+    for name in (
+        "vertices", "edges", "edge_lengths", "face_normals", "unit_normals",
+        "opposite_dots", "opposite_scales", "monge_centered", "monge",
+        "circumcenter", "lambdas", "basic_forms", "q_star.matrix",
+    ):
+        a = attrgetter(name)(t)
+        assert attrgetter(name)(t) is a, name
+        with pytest.raises(ValueError):
+            a[0] += 1.0
+    assert t.q_star is t.q_star
     np.testing.assert_allclose(monge_point(t), [1.5, 1.0, 1.25], atol=1e-12)
 
 
