@@ -25,7 +25,7 @@ from tetraquadric import (
     tripod_through_generator,
 )
 
-q = QuadForm3.diagonal(2, 1, -3)
+q = QuadForm3(2, 1, -3)
 rho = 1.0
 
 e = ellipse_section(q, rho)

@@ -209,23 +209,6 @@ class ConicSection:
     basis: tuple[Vec3, Vec3]
     kind: ConicKind
 
-    def coords(self, p_world: Vec3) -> np.ndarray:
-        d = p_world - self.origin
-        return np.array([dot(d, self.basis[0]), dot(d, self.basis[1])])
-
-    def value(self, p_world: Vec3) -> float:
-        st = self.coords(p_world)
-        return float(st @ self.quad @ st + self.linear @ st + self.constant)
-
-    def value_scale(self, p_world: Vec3) -> float:
-        st = self.coords(p_world)
-        s2 = float(st @ st)
-        return max(
-            float(np.max(np.abs(self.quad))) * s2,
-            float(np.max(np.abs(self.linear))) * math.sqrt(s2),
-            abs(self.constant),
-        )
-
 
 def section(
     qd: AltitudeQuadric, p: Plane3, tol: Tolerance = DEFAULT_TOL

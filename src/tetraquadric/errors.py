@@ -34,7 +34,8 @@ class NotHyperboloid(GeometryError):
 
 
 class DegenerateTetrahedron(GeometryError):
-    """The four vertices are coplanar within tolerance."""
+    """The four vertices are coplanar within tolerance, or the figure's
+    opposite-edge products leave the normal double range."""
 
 
 class PlaneMissesLeg(GeometryError):

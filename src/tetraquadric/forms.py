@@ -52,14 +52,6 @@ class QuadForm3:
         vars(q)["matrix"] = _frozen(sym)  # the same bits as `matrix` would build
         return q
 
-    @classmethod
-    def diagonal(cls, d1: float, d2: float, d3: float) -> "QuadForm3":
-        return cls(d1, d2, d3)
-
-    @classmethod
-    def zero(cls) -> "QuadForm3":
-        return cls(0.0, 0.0, 0.0)
-
     @cached_property
     def matrix(self) -> np.ndarray:
         s11, s22, s33, s12, s13, s23 = self.coefficients
@@ -88,20 +80,6 @@ class QuadForm3:
 
     def max_abs(self) -> float:
         return max(abs(c) for c in self.coefficients)
-
-    def __add__(self, other: "QuadForm3") -> "QuadForm3":
-        return QuadForm3(*(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other: "QuadForm3") -> "QuadForm3":
-        return QuadForm3(*(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __neg__(self) -> "QuadForm3":
-        return QuadForm3(*(-c for c in self.coefficients))
-
-    def __mul__(self, scalar: float) -> "QuadForm3":
-        return QuadForm3(*(scalar * c for c in self.coefficients))
-
-    __rmul__ = __mul__
 
 
 def evaluate(q: QuadForm3, x: Vec3) -> float:
@@ -137,11 +115,6 @@ class EigenFrame:
 
     values: np.ndarray
     axes: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return sum(
-            self.values[r] * np.outer(self.axes[r], self.axes[r]) for r in range(3)
-        )
 
 
 def rank(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> int:

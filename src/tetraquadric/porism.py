@@ -28,9 +28,6 @@ class Ellipse3:
     semi_axes: tuple[Vec3, Vec3]
     plane: Plane3
 
-    def scale(self) -> float:
-        return max(math.hypot(*self.semi_axes[0]), math.hypot(*self.semi_axes[1]))
-
 
 @dataclass(frozen=True, eq=False)
 class InscribedTriangle:

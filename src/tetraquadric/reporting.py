@@ -116,8 +116,9 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     `altitude_level_residual`).
     """
     cls = tetra.classify(t, tol)
-    points = tetra.noteworthy(t, tol)
+    # `build` first: it rejects the scales where the Euler line would overflow
     qd = altquadric.build(t, tol)
+    points = tetra.noteworthy(t, tol)
     s = t.edge_scale()
 
     midplane_res = max(p.residual(points.monge) for p in tetra._midplanes(t))

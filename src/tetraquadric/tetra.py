@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    TINY,
     Line3,
     Plane3,
     Tolerance,
@@ -53,7 +54,9 @@ _FACES = tuple(tuple(i for i in range(4) if i != l) for l in range(4))
 
 @dataclass(frozen=True, eq=False)
 class Tetrahedron:
-    """Four position vectors; rejects coplanar vertex sets at construction.
+    """Four position vectors; rejects at construction coplanar vertex sets and
+    figures whose opposite-edge products b_ij . b_kl or |b_ij| |b_kl| leave the
+    normal double range, where `classify` could no longer read them.
 
     Construction computes the whole tolerance-free record in one pass, with
     b_ij = a_i - a_j and m the Monge point, and keeps every array read-only:
@@ -74,8 +77,11 @@ class Tetrahedron:
     - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
       (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order;
     - `q_star`, the traceless form sum_j lambda_0j (x.b_0j)(x.b_kl), and `rhs`,
-      (l01 - l02)(l02 - l03)(l03 - l01).  An overflow leaves non-finite values,
-      which `altquadric.build` rejects, instead of a numpy warning.
+      (l01 - l02)(l02 - l03)(l03 - l01).
+
+    An overflow in `unit_normals`, `lambdas`, `q_star` or `rhs` leaves
+    non-finite values, which `altquadric.build` rejects, instead of a numpy
+    warning.
     """
 
     vertices: np.ndarray
@@ -88,38 +94,43 @@ class Tetrahedron:
         lengths = np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2])
         s = float(lengths.max())
         b = e[0, 1:]
-        if abs(triple(*b)) <= DEFAULT_TOL.gate(s, s, s):
+        # in units of the power of two just above the longest edge, as in
+        # `orthocenter2d`: exact, so the cube neither overflows nor underflows
+        frac, exp = math.frexp(s)
+        if abs(triple(*np.ldexp(b, -exp))) <= DEFAULT_TOL.gate(frac, frac, frac):
             raise DegenerateTetrahedron("vertices are coplanar")
         el, nl = e.tolist(), lengths.tolist()
-        normals = [_cross(el[j][i], el[k][i]) for i, j, k in _FACES]
-        face_normals = np.array(normals)
-        # midpoints less a_0: of the edge opposite 0j (Monge), of the edge 0j (circumcenter)
-        r = e[:, 0]
-        mids = 0.5 * np.array([[r[2] + r[3], r[3] + r[1], r[1] + r[2]], r[1:]])
-        x = np.linalg.solve(b, np.sum(b * mids, axis=2).T)
-        centered = r - x[:, 0]
-        # the first row of the Gram matrix that `monge_identity_residual` reads
-        lam = _frozen(centered @ centered.T)[0, 1:]
-        b_kl = e[_KL_INDEX[0], _KL_INDEX[1]]
+        pairs = OPPOSITE_EDGE_PAIRS
+        scales = [nl[i][j] * nl[k][l] for (i, j), (k, l) in pairs]
         with np.errstate(over="ignore", invalid="ignore"):
+            dots = [dot(e[e1], e[e2]) for e1, e2 in pairs]
+            finite = all(map(math.isfinite, dots))
+            if not (finite and TINY <= min(scales) and max(scales) < math.inf):
+                raise DegenerateTetrahedron("opposite-edge products leave the double range")
+            normals = [_cross(el[j][i], el[k][i]) for i, j, k in _FACES]
+            face_normals = np.array(normals)
+            # midpoints less a_0: of the edge opposite 0j (Monge), of the edge 0j (circumcenter)
+            r = e[:, 0]
+            mids = 0.5 * np.array([[r[2] + r[3], r[3] + r[1], r[1] + r[2]], r[1:]])
+            x = np.linalg.solve(b, np.sum(b * mids, axis=2).T)
+            centered = r - x[:, 0]
+            b_kl = e[_KL_INDEX[0], _KL_INDEX[1]]
+            unit_normals = face_normals / np.array([[math.hypot(*n)] for n in normals])
+            # the first row of the Gram matrix that `monge_identity_residual` reads
+            lam = _frozen(centered @ centered.T)[0, 1:]
             o = b[:, :, None] * b_kl[:, None, :]
             forms = 0.5 * (o + o.transpose(0, 2, 1))
             w = lam[:, None, None] * forms
             q_star = QuadForm3.from_matrix(w[0] + w[1] + w[2])
         l01, l02, l03 = lam.tolist()
-        pairs = OPPOSITE_EDGE_PAIRS
         vars(self).update(
             vertices=_frozen(v),
             edges=_frozen(e),
             edge_lengths=_frozen(lengths),
             face_normals=_frozen(face_normals),
-            unit_normals=_frozen(
-                face_normals / np.array([[math.hypot(*n)] for n in normals])
-            ),
-            opposite_dots=_frozen(np.array([dot(e[e1], e[e2]) for e1, e2 in pairs])),
-            opposite_scales=_frozen(
-                np.array([nl[i][j] * nl[k][l] for (i, j), (k, l) in pairs])
-            ),
+            unit_normals=_frozen(unit_normals),
+            opposite_dots=_frozen(np.array(dots)),
+            opposite_scales=_frozen(np.array(scales)),
             monge_centered=_frozen(centered),
             monge=_frozen(v[0] - centered[0]),
             circumcenter=_frozen(v[0] + x[:, 1]),
@@ -132,15 +143,9 @@ class Tetrahedron:
             _classes={},
         )
 
-    def vertex(self, i: int) -> Vec3:
-        return self.vertices[i]
-
     def edge_scale(self) -> float:
         """Length of the longest edge."""
         return self._edge_scale
-
-    def others(self, l: int) -> tuple[int, int, int]:
-        return tuple(i for i in range(4) if i != l)
 
 
 def _check_edge(i: int, j: int) -> None:
@@ -168,7 +173,7 @@ def _face_normal(t: Tetrahedron, l: int) -> Vec3:
 
 def altitude(t: Tetrahedron, l: int) -> Line3:
     """Altitude through vertex l, orthogonal to the opposite face."""
-    return Line3(t.vertex(l), _face_normal(t, l))
+    return Line3(t.vertices[l], _face_normal(t, l))
 
 
 def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) -> Line3:
@@ -177,14 +182,14 @@ def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) ->
     Parallel to the altitude through l, but in general a different line.
     """
     n = _face_normal(t, l)
-    return Line3(orthocenter2d(tuple(t.vertex(i) for i in t.others(l)), tol), n)
+    return Line3(orthocenter2d(tuple(t.vertices[i] for i in _FACES[l]), tol), n)
 
 
 def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     """Plane orthogonal to edge ij through the midpoint of the opposite edge."""
     _check_edge(i, j)
     k, l = (x for x in range(4) if x not in (i, j))
-    mid = 0.5 * (t.vertex(k) + t.vertex(l))
+    mid = 0.5 * (t.vertices[k] + t.vertices[l])
     return Plane3.from_point_normal(mid, t.edges[i, j])
 
 
@@ -217,26 +222,6 @@ def centroid(t: Tetrahedron) -> Vec3:
 def circumcenter(t: Tetrahedron) -> Vec3:
     """Point equidistant from all four vertices."""
     return t.circumcenter
-
-
-@dataclass(frozen=True)
-class LambdaTriple:
-    """Monge-centered pairwise vertex dot products lambda_0j."""
-
-    l01: float
-    l02: float
-    l03: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.l01, self.l02, self.l03])
-
-
-def lambdas(t: Tetrahedron) -> LambdaTriple:
-    """The three scalars (a_0-m).(a_j-m) with m the Monge point.
-
-    By the Monge identity these cover all six pairwise products.
-    """
-    return LambdaTriple(*t.lambdas.tolist())
 
 
 def opposite_edge_dots(t: Tetrahedron) -> np.ndarray:

@@ -47,7 +47,7 @@ def line_from_two_planes(p1: Plane3, p2: Plane3, tol: Tolerance = DEFAULT_TOL) -
 
 def perp_bisector(t: Tetrahedron, i: int, j: int) -> Plane3:
     """Perpendicular bisector plane of the edge ij."""
-    mid = 0.5 * (t.vertex(i) + t.vertex(j))
+    mid = 0.5 * (t.vertices[i] + t.vertices[j])
     return Plane3.from_point_normal(mid, edge_vector(t, i, j))
 
 

@@ -8,6 +8,7 @@ from tetraquadric import (
     Line3,
     LineRelation,
     Plane3,
+    QuadForm3,
     QuadricKind,
     RegulusTag,
     TetraKind,
@@ -46,6 +47,8 @@ from tetraquadric.errors import (
 )
 from tetraquadric.reporting import altitude_level_residual
 
+from conic_oracle import conic_value, conic_value_scale
+
 ALL_KINDS = [TetraKind.GENERIC, TetraKind.SEMI_ORTHOCENTRIC, TetraKind.ORTHOCENTRIC]
 QUADRIC_OF_CLASS = {
     TetraKind.GENERIC: QuadricKind.HYPERBOLOID,
@@ -60,10 +63,10 @@ def random_mixed(n, seed0=0):
 
 def test_q_ijkl_examples(t_gen, t_orth):
     assert trace(q_ijkl(t_gen, (0, 1, 2, 3))) == pytest.approx(4)
-    total = (
-        q_ijkl(t_gen, (0, 1, 2, 3))
-        + q_ijkl(t_gen, (0, 2, 3, 1))
-        + q_ijkl(t_gen, (0, 3, 1, 2))
+    total = QuadForm3.from_matrix(
+        q_ijkl(t_gen, (0, 1, 2, 3)).matrix
+        + q_ijkl(t_gen, (0, 2, 3, 1)).matrix
+        + q_ijkl(t_gen, (0, 3, 1, 2)).matrix
     )
     assert total.max_abs() < 1e-12
     for perm in ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)):
@@ -76,14 +79,14 @@ def test_q_ijkl_antisymmetry(t_gen):
     a = q_ijkl(t_gen, (0, 1, 2, 3))
     b = q_ijkl(t_gen, (2, 3, 0, 1))
     c = q_ijkl(t_gen, (1, 0, 2, 3))
-    assert (a - b).max_abs() < 1e-12
-    assert (a + c).max_abs() < 1e-12
+    assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+    assert np.max(np.abs(a.matrix + c.matrix)) < 1e-12
 
 
 def test_q_star_examples(t_gen, t_orth, t_semi):
     qs = q_star(t_gen)
     m = monge_point(t_gen)
-    assert evaluate(qs, t_gen.vertex(3) - m) == pytest.approx(1.5)
+    assert evaluate(qs, t_gen.vertices[3] - m) == pytest.approx(1.5)
     assert q_star(t_orth).max_abs() < 1e-9
     # semi-orthocentric: single surviving term, rank 2
     assert rank(q_star(t_semi)) == 2
@@ -100,17 +103,20 @@ def test_q_star_two_term_equivalent():
         a = q_star(t)
         b = q_star_two_term(t)
         scale = max(1.0, a.max_abs())
-        assert (a - b).max_abs() <= 1e-10 * scale
+        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10 * scale
 
 
 def test_q_star_two_term_is_the_quad_form_arithmetic_to_the_bit():
     # the cross-check reads the basic forms that Q* weights; it must keep every
-    # bit of the expression written in QuadForm3 arithmetic
+    # bit of the expression written elementwise on the forms' matrices
     for t in random_mixed(60, seed0=200):
         for s in (1e-6, 1.0, 1e6):
             u = Tetrahedron(t.vertices * s)
             l01, l02, l03 = u.lambdas.tolist()
-            ref = -(l03 - l01) * q_ijkl(u, (0, 1, 2, 3)) + (l02 - l03) * q_ijkl(u, (0, 2, 3, 1))
+            ref = QuadForm3.from_matrix(
+                -(l03 - l01) * q_ijkl(u, (0, 1, 2, 3)).matrix
+                + (l02 - l03) * q_ijkl(u, (0, 2, 3, 1)).matrix
+            )
             two = q_star_two_term(u)
             assert np.array(two.coefficients).tobytes() == np.array(ref.coefficients).tobytes()
 
@@ -131,8 +137,8 @@ def test_build_examples(t_gen, t_semi, t_orth):
     assert qd.kind is QuadricKind.PLANE_PAIR
     n1, n2 = qd.planes[0].normal, qd.planes[1].normal
     assert abs(np.dot(n1, n2)) < 1e-12
-    b01 = t_semi.vertex(0) - t_semi.vertex(1)
-    b23 = t_semi.vertex(2) - t_semi.vertex(3)
+    b01 = t_semi.vertices[0] - t_semi.vertices[1]
+    b23 = t_semi.vertices[2] - t_semi.vertices[3]
     assert min(
         np.linalg.norm(np.cross(n1, b01)), np.linalg.norm(np.cross(n2, b01))
     ) < 1e-12
@@ -233,7 +239,7 @@ def test_regulus_vote_matches_line_by_line_meets(scale):
             h0 = altitude(t, 0)
             lines = [altitude(t, l) for l in range(4)]
             lines += [ortho_perpendicular(t, l) for l in range(4)]
-            lines.append(Line3(t.vertex(0), t.vertex(1) - t.vertex(2)))  # off the quadric
+            lines.append(Line3(t.vertices[0], t.vertices[1] - t.vertices[2]))  # off the quadric
             lines.append(Line3(h0.point_at(1.7 * t.edge_scale()), -h0.dir))  # h0 again
             for line in lines:
                 tag = regulus_of(qd, line, t)
@@ -250,8 +256,8 @@ def test_trace_link_to_meeting():
         for perm in ((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)):
             i, j, k, l = perm
             tr = trace(q_ijkl(t, perm))
-            bij = t.vertex(i) - t.vertex(j)
-            bkl = t.vertex(k) - t.vertex(l)
+            bij = t.vertices[i] - t.vertices[j]
+            bkl = t.vertices[k] - t.vertices[l]
             gate = 1e-9 * np.linalg.norm(bij) * np.linalg.norm(bkl) + 1e-12
             assert (abs(tr) <= gate) == altitudes_meet(t, i, j)
             assert tr == pytest.approx(float(np.dot(bij, bkl)), abs=1e-10)
@@ -303,11 +309,11 @@ def test_section_face_plane(t_gen):
     sec = section(qd, Plane3(np.array([0, 0, 1.0]), 0.0))
     assert sec.kind is ConicKind.EQUILATERAL_HYPERBOLA
     base_oc = orthocenter2d(
-        (t_gen.vertex(0), t_gen.vertex(1), t_gen.vertex(2))
+        (t_gen.vertices[0], t_gen.vertices[1], t_gen.vertices[2])
     )
     np.testing.assert_allclose(base_oc, [1, 1, 0], atol=1e-12)
-    for p in (t_gen.vertex(0), t_gen.vertex(1), t_gen.vertex(2), base_oc):
-        assert abs(sec.value(p)) <= 1e-9 * sec.value_scale(p)
+    for p in (t_gen.vertices[0], t_gen.vertices[1], t_gen.vertices[2], base_oc):
+        assert abs(conic_value(sec, p)) <= 1e-9 * conic_value_scale(sec, p)
 
 
 def test_section_perpendicular_to_generator(t_gen):

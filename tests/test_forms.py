@@ -21,7 +21,7 @@ from tetraquadric.core import canonical_dir
 from tetraquadric.errors import DegenerateForm, NotOnCone, NotTraceless
 from tetraquadric.forms import _tripods
 
-D = QuadForm3.diagonal
+D = QuadForm3
 
 
 def random_form(rng):
@@ -79,14 +79,14 @@ def test_trace_invariant_under_rotation():
         assert trace(rotated) == pytest.approx(trace(q), rel=1e-10, abs=1e-12)
 
 
-def test_eigendecompose_diagonal():
+def test_frame_diagonal():
     frame = D(3, 2, 1).frame
     np.testing.assert_allclose(frame.values, [3, 2, 1])
     np.testing.assert_allclose(np.abs(frame.axes), np.eye(3), atol=1e-12)
 
 
-def test_eigendecompose_zero_form():
-    frame = QuadForm3.zero().frame
+def test_frame_zero_form():
+    frame = D(0.0, 0.0, 0.0).frame
     np.testing.assert_allclose(frame.values, [0, 0, 0])
     np.testing.assert_allclose(frame.axes @ frame.axes.T, np.eye(3), atol=1e-12)
 
@@ -97,7 +97,8 @@ def test_matrix_and_frame_are_computed_once_and_frozen():
         with pytest.raises(ValueError):
             a[0] += 1.0
     assert q.matrix is q.matrix and q.frame is q.frame
-    np.testing.assert_allclose(q.frame.reconstruct(), q.matrix, atol=1e-14)
+    f = q.frame
+    np.testing.assert_allclose((f.axes.T * f.values) @ f.axes, q.matrix, atol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -108,25 +109,26 @@ def test_non_finite_form_is_degenerate(bad):
             f(q)
 
 
-def test_eigendecompose_reconstruction():
+def test_frame_reconstruction():
     rng = np.random.default_rng(9)
     for _ in range(100):
         q = random_form(rng)
         frame = q.frame
         scale = max(1e-30, float(np.max(np.abs(frame.values))))
-        assert np.max(np.abs(frame.reconstruct() - q.matrix)) <= 1e-9 * scale
+        recon = (frame.axes.T * frame.values) @ frame.axes
+        assert np.max(np.abs(recon - q.matrix)) <= 1e-9 * scale
         np.testing.assert_allclose(frame.axes @ frame.axes.T, np.eye(3), atol=1e-12)
         assert frame.values[0] >= frame.values[1] >= frame.values[2]
 
 
 def test_rank_examples():
-    assert rank(QuadForm3.zero()) == 0
+    assert rank(D(0.0, 0.0, 0.0)) == 0
     assert rank(D(1, -1, 0)) == 2
     assert rank(D(1, 1, -2)) == 3
 
 
 def test_classify_traceless_examples():
-    assert classify_traceless(QuadForm3.zero()).kind is TracelessKind.ZERO_FORM
+    assert classify_traceless(D(0.0, 0.0, 0.0)).kind is TracelessKind.ZERO_FORM
     cls = classify_traceless(D(1, -1, 0))
     assert cls.kind is TracelessKind.ORTHOGONAL_PLANE_PAIR
     n1, n2 = cls.planes[0].normal, cls.planes[1].normal
@@ -165,7 +167,7 @@ def test_tripod_property_random():
     for _ in range(50):
         m = rng.normal(size=(3, 3))
         q = QuadForm3.from_matrix(m + m.T)
-        q = q - trace(q) / 3.0 * D(1, 1, 1)
+        q = QuadForm3.from_matrix(q.matrix - trace(q) / 3.0 * np.eye(3))
         if rank(q) < 3:
             continue
         frame = q.frame
@@ -199,11 +201,11 @@ def _cone_generators(rng, count):
     while True:
         m = rng.normal(size=(3, 3))
         q = QuadForm3.from_matrix(m + m.T)
-        q = q - trace(q) / 3.0 * D(1, 1, 1)
+        q = QuadForm3.from_matrix(q.matrix - trace(q) / 3.0 * np.eye(3))
         if rank(q) == 3:
             break
     if (q.frame.values > 0).sum() == 1:
-        q = -q
+        q = QuadForm3.from_matrix(-q.matrix)
     frame = q.frame
     (v1, v2, v3), (e1, e2, e3) = frame.values, frame.axes
     phi = rng.uniform(0, 2 * math.pi, size=count)
@@ -255,7 +257,7 @@ def test_restrict_to_plane_examples():
     m2, _ = restrict_to_plane(q, Plane3(n, 0.0))
     assert np.trace(m2) == pytest.approx(0, abs=1e-12)
 
-    m2, _ = restrict_to_plane(QuadForm3.zero(), Plane3(vec(0, 1, 0), 2.0))
+    m2, _ = restrict_to_plane(D(0.0, 0.0, 0.0), Plane3(vec(0, 1, 0), 2.0))
     np.testing.assert_allclose(m2, 0, atol=1e-15)
 
 

@@ -147,7 +147,8 @@ def test_figure_path_decomposes_the_form_once(positive, monkeypatch):
     assert int(np.sum(cone.frame.values > 0.0)) == positive
     # q and -q cut the same ellipse: one of them reads the other's frame off
     # its own, the other decomposes afresh
-    mine, fresh = ellipse_section(cone, 1.0), ellipse_section(-cone, 1.0)
+    mine = ellipse_section(cone, 1.0)
+    fresh = ellipse_section(QuadForm3.from_matrix(-cone.matrix), 1.0)
     assert len(calls) == 2
     np.testing.assert_allclose(mine.center, fresh.center, rtol=0, atol=1e-15)
     np.testing.assert_allclose(mine.semi_axes, fresh.semi_axes, rtol=0, atol=1e-14)
@@ -373,7 +374,7 @@ def test_svg_matches_the_line_by_line_text(rho):
 
 
 def test_svg_emission():
-    q = QuadForm3.diagonal(1, 1, -2)
+    q = QuadForm3(1, 1, -2)
     fam = porism_family(q, 1.0, 12)
     e = ellipse_section(q, 1.0)
     svg = emit_svg_porism(fam, e)

@@ -7,6 +7,8 @@ face-section kinds and regulus tags must not depend on where the figure sits
 or how large it is.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from tetraquadric import (
     altitude,
     analyze,
     build,
+    classify,
     contains_line,
     evaluate,
     ortho_perpendicular,
@@ -27,6 +30,10 @@ from tetraquadric import (
     regulus_of,
     section,
 )
+from tetraquadric.errors import DegenerateTetrahedron
+from tetraquadric.tetra import _FACES
+
+README_TETRA = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
 
 
 def decisions(t: Tetrahedron) -> list:
@@ -38,7 +45,7 @@ def decisions(t: Tetrahedron) -> list:
     if rep.quadric_kind == "hyperboloid":
         qd = build(t)
         for l in range(4):
-            face = Plane3.from_point_normal(t.vertex(t.others(l)[0]), t.face_normals[l])
+            face = Plane3.from_point_normal(t.vertices[_FACES[l][0]], t.face_normals[l])
             out.append(section(qd, face).kind)
         for line in (altitude, ortho_perpendicular):
             out += [regulus_of(qd, line(t, l), t) for l in range(4)]
@@ -132,3 +139,22 @@ def test_lines_through_the_center(scale):
         for off in (0.0, 1e-4 * t.edge_scale()):
             base = qd.center + off * np.cross(n, d) / np.linalg.norm(d)
             assert contains_line(qd, Line3(base, d))
+
+
+@pytest.mark.parametrize("name", ["readme", *(k.value for k in TetraKind)])
+def test_classify_is_right_or_raises_at_every_scale(name):
+    # at each scale the class is read right or the construction raises: never a
+    # wrong class, never a numpy warning, and an answer across 1e-150..1e150
+    kind = TetraKind.GENERIC if name == "readme" else TetraKind(name)
+    v = README_TETRA if name == "readme" else random_tetra(kind, 3).vertices
+    answered = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in range(-300, 301, 2):
+            try:
+                t = Tetrahedron(v * 10.0**e)
+            except DegenerateTetrahedron:
+                continue
+            assert classify(t).kind is kind, f"x1e{e}"
+            answered.add(e)
+    assert set(range(-150, 151, 2)) <= answered

@@ -17,7 +17,6 @@ from tetraquadric import (
     circumcenter,
     classify,
     edge_vector,
-    lambdas,
     line_line_meet,
     midplane,
     monge_identity_residual,
@@ -30,7 +29,7 @@ from tetraquadric import (
 )
 from tetraquadric import tetra
 from tetraquadric.errors import BadIndex, DegenerateTetrahedron
-from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
+from tetraquadric.tetra import _FACES, OPPOSITE_EDGE_PAIRS
 
 from plane_oracle import line_from_two_planes, perp_bisector, solve3
 
@@ -81,7 +80,7 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
     t = Tetrahedron(v)
     assert v.flags.writeable and not np.shares_memory(v, t.vertices)
     v[0] = 9.0
-    np.testing.assert_array_equal(t.vertex(0), [0, 0, 0])
+    np.testing.assert_array_equal(t.vertices[0], [0, 0, 0])
     for a in (monge_point(t), circumcenter(t), opposite_edge_dots(t), edge_vector(t, 0, 1)):
         with pytest.raises(ValueError):
             a[0] += 1.0
@@ -103,7 +102,7 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
 def test_face_normals_equal_np_cross_to_the_bit(scale):
     for t in random_mixed(60):
         t = Tetrahedron(t.vertices * scale)
-        i, j, k = np.array([t.others(l) for l in range(4)]).T
+        i, j, k = np.array(_FACES).T
         ref = np.cross(t.edges[j, i], t.edges[k, i])
         np.testing.assert_array_equal(t.face_normals, ref)
         for l in range(4):
@@ -177,14 +176,14 @@ def test_midplane_examples(t_tri, t_gen, t_semi):
     # this midplane through the origin (unlike the bisector, which is x = 1/2)
     p = midplane(t_tri, 0, 1)
     assert p.offset == pytest.approx(0.0, abs=1e-15)
-    assert p.residual(0.5 * (t_tri.vertex(2) + t_tri.vertex(3))) < 1e-15
+    assert p.residual(0.5 * (t_tri.vertices[2] + t_tri.vertices[3])) < 1e-15
 
     for i in range(4):
         for j in range(4):
             if i == j:
                 continue
             k, l = (x for x in range(4) if x not in (i, j))
-            mid = 0.5 * (t_semi.vertex(k) + t_semi.vertex(l))
+            mid = 0.5 * (t_semi.vertices[k] + t_semi.vertices[l])
             assert midplane(t_semi, i, j).residual(mid) < 1e-12
 
 
@@ -232,7 +231,7 @@ def test_circumcenter_examples(t_tri, t_gen):
     c = circumcenter(t_gen)
     np.testing.assert_allclose(c, [2.0, 1.0, -0.25], atol=1e-12)
     for i in range(4):
-        assert np.dot(t_gen.vertex(i) - c, t_gen.vertex(i) - c) == pytest.approx(
+        assert np.dot(t_gen.vertices[i] - c, t_gen.vertices[i] - c) == pytest.approx(
             81 / 16
         )
     np.testing.assert_allclose(
@@ -277,11 +276,10 @@ def test_noteworthy_regular_tetrahedron():
 
 
 def test_lambdas_examples(t_tri, t_gen, t_orth):
-    lam = lambdas(t_gen)
-    np.testing.assert_allclose(lam.as_array(), [-19 / 16, 5 / 16, -27 / 16], atol=1e-12)
-    lam = lambdas(t_orth)
-    assert lam.l01 == pytest.approx(lam.l02) == pytest.approx(lam.l03)
-    np.testing.assert_allclose(lambdas(t_tri).as_array(), 0, atol=1e-12)
+    np.testing.assert_allclose(t_gen.lambdas, [-19 / 16, 5 / 16, -27 / 16], atol=1e-12)
+    l01, l02, l03 = t_orth.lambdas
+    assert l01 == pytest.approx(l02) == pytest.approx(l03)
+    np.testing.assert_allclose(t_tri.lambdas, 0, atol=1e-12)
 
 
 def test_lambda_symmetry_random():
@@ -290,8 +288,8 @@ def test_lambda_symmetry_random():
         m = monge_point(t)
         scale = t.edge_scale() ** 2
         for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS:
-            lhs = np.dot(t.vertex(i) - m, t.vertex(j) - m)
-            rhs = np.dot(t.vertex(k) - m, t.vertex(l) - m)
+            lhs = np.dot(t.vertices[i] - m, t.vertices[j] - m)
+            rhs = np.dot(t.vertices[k] - m, t.vertices[l] - m)
             assert abs(lhs - rhs) <= 1e-9 * scale
 
 
@@ -392,7 +390,7 @@ def test_closed_forms_match_plane_intersections(shape, bound):
         assert np.linalg.norm(monge_point(t) - m_ref) <= bound * np.linalg.norm(m_ref - g)
         assert np.linalg.norm(circumcenter(t) - c_ref) <= bound * np.linalg.norm(c_ref - g)
         for l in range(4):
-            i, j, k = t.others(l)
+            i, j, k = _FACES[l]
             edges = [v[i] - v[j], v[j] - v[k], v[k] - v[i]]
             h, n = altitude(t, l), ortho_perpendicular(t, l)
             h_ref = _plane_pair_line([v[l]] * 3, edges)
