@@ -21,7 +21,6 @@ from .forms import (
     Tripod,
     classify_traceless,
     evaluate,
-    outer_sym,
     polar,
     rank,
     restrict_to_plane,

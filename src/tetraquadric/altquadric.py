@@ -33,16 +33,12 @@ from .errors import (
     NotHyperboloid,
     TrivialQuadric,
 )
-from .forms import (
-    QuadForm3,
-    evaluate,
-    outer_sym,
-    polar,
-    restrict_to_plane,
-)
+from .forms import QuadForm3, _plane_bases
 from .tetra import (
+    OPPOSITE_EDGE_PAIRS,
     Tetrahedron,
     TetraKind,
+    _pair_of,
     classify,
     edge_vector,
     monge_point,
@@ -58,7 +54,10 @@ def q_ijkl(t: Tetrahedron, perm: tuple[int, int, int, int]) -> QuadForm3:
     if sorted(perm) != [0, 1, 2, 3]:
         raise BadPermutation(f"{perm} is not a permutation of (0, 1, 2, 3)")
     i, j, k, l = perm
-    return outer_sym(edge_vector(t, i, j), edge_vector(t, k, l))
+    pair = _pair_of(i, j)
+    edges, w = OPPOSITE_EDGE_PAIRS[pair], t.basic_forms[pair]
+    # the pair's basic form, negated when just one of ij, kl runs against its order
+    return QuadForm3.from_matrix(w if ((i, j) in edges) == ((k, l) in edges) else -w)
 
 
 def q_star(t: Tetrahedron) -> QuadForm3:
@@ -220,33 +219,30 @@ def section(
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("sections are computed for the hyperboloid case")
-    quad, (u, v) = restrict_to_plane(qd.form, p)
     # in-plane origin: plane point closest to the quadric center
     origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
-    o = origin - qd.center
-    linear = 2.0 * np.array([polar(qd.form, u, o), polar(qd.form, v, o)])
-    constant = evaluate(qd.form, o) - qd.rhs
-    kind = _classify_conic(quad, linear, constant, qd.form.max_abs(), tol)
-    return ConicSection(p, quad, linear, constant, origin, (u, v), kind)
+    # the conic's symmetric 3x3 matrix in the frame (u, v, origin)
+    frame = np.vstack([_plane_bases(p.normal[None])[0], origin - qd.center])
+    h = frame @ qd.form.matrix @ frame.T
+    h[2, 2] -= qd.rhs
+    kind = _classify_conic(h, qd.form.max_abs(), tol)
+    linear = 2.0 * h[:2, 2]
+    return ConicSection(p, h[:2, :2], linear, h[2, 2], origin, (frame[0], frame[1]), kind)
 
 
-def _classify_conic(
-    quad: np.ndarray, linear: np.ndarray, constant: float, form_scale: float,
-    tol: Tolerance,
-) -> ConicKind:
-    """`form_scale` is the largest coefficient of the form cut by the plane."""
-    a_norm = float(np.max(np.abs(quad)))
+def _classify_conic(h: np.ndarray, form_scale: float, tol: Tolerance) -> ConicKind:
+    """Kind of the conic (s, t, 1) h (s, t, 1)^T = 0 from its invariants in
+    closed form; `form_scale` is the largest coefficient of the form cut by the
+    plane."""
+    (a, b, x), (_, c, y), (_, _, k) = h.tolist()
+    a_norm = max(abs(a), abs(b), abs(c))
     if a_norm <= tol.gate(form_scale):
         return ConicKind.OTHER
-    det2 = float(np.linalg.det(quad))
-    tr2 = float(np.trace(quad))
-    m3 = np.zeros((3, 3))
-    m3[:2, :2] = quad
-    m3[:2, 2] = m3[2, :2] = 0.5 * linear
-    m3[2, 2] = constant
-    det3 = float(np.linalg.det(m3))
-    # det3 = constant det2 - linear^T adj(quad) linear / 4
-    terms = abs(constant) * a_norm + float(linear @ linear)
+    det2 = a * c - b * b
+    tr2 = a + c
+    # det h = k det2 - (x, y) adj(quad) (x, y)^T
+    det3 = k * det2 - (c * x * x - 2.0 * b * x * y + a * y * y)
+    terms = abs(k) * a_norm + 4.0 * (x * x + y * y)
     degenerate = abs(det3) <= tol.gate(a_norm, terms)
     if det2 < -tol.gate(a_norm, a_norm):
         if degenerate:
@@ -257,10 +253,8 @@ def _classify_conic(
     if det2 > tol.gate(a_norm, a_norm):
         if degenerate:
             return ConicKind.OTHER  # single point
-        # real ellipse iff the value at the center has sign opposite the trace
-        center = np.linalg.solve(quad, -0.5 * linear)
-        v0 = float(center @ quad @ center + linear @ center + constant)
-        if tr2 * v0 < 0:
+        # real ellipse iff the value at the center, det3 / det2, has sign
+        # opposite the trace
+        if tr2 * det3 < 0:
             return ConicKind.ELLIPSE
-        return ConicKind.OTHER
     return ConicKind.OTHER

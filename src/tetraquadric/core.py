@@ -168,34 +168,26 @@ class Plane3:
         return abs(dot(self.normal, x) - self.offset)
 
 
-def plane_basis(normal: Vec3) -> tuple[Vec3, Vec3]:
-    """Deterministic orthonormal in-plane basis (u, v) with u x v = normal-hat."""
-    n = normalize(normal)
-    k = np.zeros(3)
-    k[int(np.argmin(np.abs(n)))] = 1.0
-    u = normalize(cross(n, k))
-    v = cross(n, u)
-    return u, v
-
-
 def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
     """Orthocenter of a triangle given by three coplanar 3D points.
 
-    Solved in units of the power of two just above the longest edge.  The
-    change of unit is exact, so no product overflows or underflows at any
-    scale and results at ordinary scales keep every bit.
+    Solved in units of the power of two just above the longest edge, whose
+    exponent is read in units of the largest coordinate, where no edge
+    overflows.  Both changes of unit are exact, so no product overflows or
+    underflows at any scale and results at ordinary scales keep every bit.
     """
     v = np.array([as_vec(p) for p in tri])
-    longest = max(norm(v[i] - v[j]) for i, j in ((1, 0), (2, 0), (2, 1)))
-    unit = math.ldexp(1.0, math.frexp(longest)[1])
-    v0, v1, v2 = v / unit
+    v_exp = math.frexp(float(np.max(np.abs(v))))[1]
+    w = np.ldexp(v, -v_exp)
+    frac, exp = math.frexp(max(norm(w[i] - w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
+    v0, v1, v2 = np.ldexp(w, -exp)
     n = cross(v1 - v0, v2 - v0)
-    if norm(n) <= tol.gate(longest / unit, longest / unit):
+    if norm(n) <= tol.gate(frac, frac):
         raise CollinearPoints("triangle vertices are collinear")
     n_hat = n / norm(n)
     a = np.array([v1 - v2, v2 - v0, n_hat])
     b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n_hat)])
-    return unit * np.linalg.solve(a, b)
+    return np.ldexp(np.linalg.solve(a, b), v_exp + exp)
 
 
 class LineRelation(Enum):

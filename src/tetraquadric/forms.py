@@ -26,7 +26,6 @@ from .core import (
     _frozen,
     as_vec,
     cross_rows,
-    plane_basis,
 )
 from .errors import DegenerateForm, NotOnCone, NotTraceless
 
@@ -91,12 +90,6 @@ def evaluate(q: QuadForm3, x: Vec3) -> float:
 def polar(q: QuadForm3, v: Vec3, w: Vec3) -> float:
     """Symmetric bilinear form associated with q; polar(q, v, v) = evaluate(q, v)."""
     return float(as_vec(v) @ q.matrix @ as_vec(w))
-
-
-def outer_sym(c: Vec3, d: Vec3) -> QuadForm3:
-    """Form x -> (x.c)(x.d); its trace equals c.d."""
-    c, d = as_vec(c), as_vec(d)
-    return QuadForm3.from_matrix(0.5 * (np.outer(c, d) + np.outer(d, c)))
 
 
 def trace(q: QuadForm3) -> float:
@@ -186,6 +179,9 @@ def _canonical_rows(v: np.ndarray) -> np.ndarray:
 def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Legs (N, 3, 3) of the tripods through the generators g (N, 3), by the
     construction of `tripod_through_generator`; leg 0 is the generator."""
+    # in units of the power of two just above each row's largest component, as
+    # in `orthocenter2d`: exact, so the squares neither overflow nor underflow
+    g = np.ldexp(g, -np.frexp(np.max(np.abs(g), axis=1))[1][:, None])
     lengths = np.linalg.norm(g, axis=1)
     if np.any(lengths == 0.0):
         raise NotOnCone("zero vector is not a generator")
@@ -197,20 +193,25 @@ def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nd
     bad = np.abs(on_cone) > tol.gate(q.max_abs())
     if np.any(bad):
         raise NotOnCone(f"Q(g) = {on_cone[np.argmax(bad)]} is not zero")
-    # restriction to the plane orthogonal to g, in the orthonormal basis (u, n x u)
-    # where u is the coordinate axis least aligned with g, projected onto the plane
     n = _canonical_rows(ghat)
+    basis = _plane_bases(n)
+    m2 = basis @ m @ basis.transpose(0, 2, 1)
+    # the restriction to the plane orthogonal to g is traceless; its zero lines
+    # lie 45 degrees off its principal axes
+    theta = 0.5 * np.arctan2(2.0 * m2[:, 0, 1], m2[:, 0, 0] - m2[:, 1, 1])
+    phi = (theta[:, None] + [math.pi / 4, -math.pi / 4])[..., None]
+    legs = np.cos(phi) * basis[:, None, 0] + np.sin(phi) * basis[:, None, 1]
+    return np.concatenate([n[:, None], _canonical_rows(legs)], axis=1)
+
+
+def _plane_bases(n: np.ndarray) -> np.ndarray:
+    """Orthonormal in-plane bases (N, 2, 3) of the planes with unit normals n
+    (N, 3): u is the coordinate axis least aligned with n, projected onto the
+    plane, and v = n x u, so that u x v = n."""
     k = np.argmin(np.abs(n), axis=1)
     u = np.eye(3)[k] - n[np.arange(len(n)), k, None] * n
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = cross_rows(n, u)
-    basis = np.stack([u, v], axis=1)
-    m2 = basis @ m @ basis.transpose(0, 2, 1)
-    # its zero lines lie 45 degrees off its principal axes
-    theta = 0.5 * np.arctan2(2.0 * m2[:, 0, 1], m2[:, 0, 0] - m2[:, 1, 1])
-    phi = theta[:, None] + [math.pi / 4, -math.pi / 4]
-    legs = np.cos(phi)[..., None] * u[:, None] + np.sin(phi)[..., None] * v[:, None]
-    return np.concatenate([n[:, None], _canonical_rows(legs)], axis=1)
+    return np.stack([u, cross_rows(n, u)], axis=1)
 
 
 def restrict_to_plane(
@@ -221,11 +222,5 @@ def restrict_to_plane(
     Only the direction of the plane matters; its trace satisfies
     trace(restriction) = trace(q) - q(normal).
     """
-    u, v = plane_basis(p.normal)
-    m2 = np.array(
-        [
-            [polar(q, u, u), polar(q, u, v)],
-            [polar(q, u, v), polar(q, v, v)],
-        ]
-    )
-    return m2, (u, v)
+    b = _plane_bases(p.normal[None])[0]
+    return b @ q.matrix @ b.T, (b[0], b[1])

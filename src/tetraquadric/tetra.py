@@ -54,9 +54,10 @@ _FACES = tuple(tuple(i for i in range(4) if i != l) for l in range(4))
 
 @dataclass(frozen=True, eq=False)
 class Tetrahedron:
-    """Four position vectors; rejects at construction coplanar vertex sets and
-    figures whose opposite-edge products b_ij . b_kl or |b_ij| |b_kl| leave the
-    normal double range, where `classify` could no longer read them.
+    """Four position vectors; rejects at construction coplanar vertex sets,
+    edges longer than the largest double, and figures whose opposite-edge
+    products b_ij . b_kl or |b_ij| |b_kl| leave the normal double range, where
+    `classify` could no longer read them.
 
     Construction computes the whole tolerance-free record in one pass, with
     b_ij = a_i - a_j and m the Monge point, and keeps every array read-only:
@@ -90,9 +91,12 @@ class Tetrahedron:
         v = np.array(self.vertices, dtype=float)
         if v.shape != (4, 3) or not np.isfinite(v).all():
             raise DegenerateTetrahedron("need four finite 3-vectors")
-        e = v[:, None] - v[None]
-        lengths = np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2])
+        with np.errstate(over="ignore"):
+            e = v[:, None] - v[None]
+            lengths = np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2])
         s = float(lengths.max())
+        if not math.isfinite(s):
+            raise DegenerateTetrahedron("an edge leaves the double range")
         b = e[0, 1:]
         # in units of the power of two just above the longest edge, as in
         # `orthocenter2d`: exact, so the cube neither overflows nor underflows
@@ -162,6 +166,11 @@ def edge_vector(t: Tetrahedron, i: int, j: int) -> Vec3:
 def pluecker_residual(t: Tetrahedron) -> float:
     """b01.b23 + b02.b31 + b03.b12; vanishes identically for every tetrahedron."""
     return float(t.opposite_dots.sum())
+
+
+def _pair_of(i: int, j: int) -> int:
+    """Index in OPPOSITE_EDGE_PAIRS of the pair holding the edge ij."""
+    return next(p for p, es in enumerate(OPPOSITE_EDGE_PAIRS) if {i, j} in map(set, es))
 
 
 def _face_normal(t: Tetrahedron, l: int) -> Vec3:
@@ -243,8 +252,7 @@ def _orthogonal(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
 def altitudes_meet(t: Tetrahedron, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff altitudes h_i and h_j intersect, i.e. edge kl is orthogonal to edge ij."""
     _check_edge(i, j)
-    pair = next(p for p, es in enumerate(OPPOSITE_EDGE_PAIRS) if {i, j} in map(set, es))
-    return bool(_orthogonal(t, tol)[pair])
+    return bool(_orthogonal(t, tol)[_pair_of(i, j)])
 
 
 class TetraKind(Enum):

@@ -1,9 +1,11 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
 from tetraquadric import (
+    DEFAULT_TOL,
     ConicKind,
     Line3,
     LineRelation,
@@ -47,7 +49,7 @@ from tetraquadric.errors import (
 )
 from tetraquadric.reporting import altitude_level_residual
 
-from conic_oracle import conic_value, conic_value_scale
+from conic_oracle import conic_value, conic_value_scale, reference_conic_kind
 
 ALL_KINDS = [TetraKind.GENERIC, TetraKind.SEMI_ORTHOCENTRIC, TetraKind.ORTHOCENTRIC]
 QUADRIC_OF_CLASS = {
@@ -59,6 +61,11 @@ QUADRIC_OF_CLASS = {
 
 def random_mixed(n, seed0=0):
     return [random_tetra(ALL_KINDS[s % 3], seed0 + s) for s in range(n)]
+
+
+def outer_sym(c, d):
+    """The form x -> (x.c)(x.d) written the long way, as the oracle of `q_ijkl`."""
+    return QuadForm3.from_matrix(0.5 * (np.outer(c, d) + np.outer(d, c)))
 
 
 def test_q_ijkl_examples(t_gen, t_orth):
@@ -73,6 +80,35 @@ def test_q_ijkl_examples(t_gen, t_orth):
         assert trace(q_ijkl(t_orth, perm)) == pytest.approx(0, abs=1e-12)
     with pytest.raises(BadPermutation):
         q_ijkl(t_gen, (0, 1, 2, 2))
+
+
+def test_q_ijkl_is_outer_sym_to_the_bit(t_gen):
+    # the oracle itself: its trace is the dot product
+    assert outer_sym(np.array([1.0, 0, 0]), np.array([1.0, 0, 0])) == QuadForm3(1, 0, 0)
+    q = outer_sym(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+    assert q.s12 == pytest.approx(0.5) and trace(q) == pytest.approx(0)
+    assert trace(outer_sym(np.array([-4.0, 0, 0]), np.array([-1.0, 2, -2]))) == pytest.approx(4)
+    # q_ijkl reads the signed basic form of the tetrahedron record, with the
+    # same bits as the outer products of its two edges; where an edge has a
+    # zero coordinate, as on the fixture, only the sign of a zero may differ
+    for t in [t_gen, *random_mixed(12, seed0=300)]:
+        for s in (1e-6, 1.0, 1e6):
+            u = Tetrahedron(t.vertices * s)
+            for i, j, k, l in itertools.permutations(range(4)):
+                ref = outer_sym(u.vertices[i] - u.vertices[j], u.vertices[k] - u.vertices[l])
+                got = q_ijkl(u, (i, j, k, l))
+                assert got == ref
+                if t is not t_gen:
+                    assert np.array(got.coefficients).tobytes() == np.array(ref.coefficients).tobytes()
+
+
+def test_q_ijkl_trace_is_dot():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        t = Tetrahedron(rng.normal(size=(4, 3)) * 10)
+        for i, j, k, l in itertools.permutations(range(4)):
+            dot = float(np.dot(t.vertices[i] - t.vertices[j], t.vertices[k] - t.vertices[l]))
+            assert trace(q_ijkl(t, (i, j, k, l))) == pytest.approx(dot, rel=1e-12, abs=1e-12)
 
 
 def test_q_ijkl_antisymmetry(t_gen):
@@ -331,6 +367,48 @@ def test_section_oblique_not_equilateral(t_gen):
     assert sec.kind in (ConicKind.ELLIPSE, ConicKind.HYPERBOLA)
     with pytest.raises(NotHyperboloid):
         section(build(random_tetra(TetraKind.ORTHOCENTRIC, 1)), Plane3(np.array([0, 0, 1.0]), 0.0))
+
+
+def _probe_planes(t, qd, rng):
+    """Face planes (equilateral hyperbolas), random planes, planes through an
+    altitude and a face perpendicular that meets it (line pairs), a plane
+    orthogonal to each altitude, and the waist plane orthogonal to the
+    hyperboloid's axis (an ellipse)."""
+    v, s = t.vertices, t.edge_scale()
+    planes = [Plane3.from_point_normal(v[f[0]], np.cross(v[f[1]] - v[f[0]], v[f[2]] - v[f[0]]))
+              for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
+    planes += [Plane3.from_point_normal(qd.center + 0.5 * s * rng.normal(size=3), rng.normal(size=3))
+               for _ in range(6)]
+    for l in range(4):
+        h = altitude(t, l)
+        for m in range(4):
+            p = ortho_perpendicular(t, m)
+            if m != l and line_line_meet(h, p).relation is LineRelation.MEETING:
+                planes.append(Plane3.from_point_normal(h.base, np.cross(h.dir, p.dir)))
+        planes.append(Plane3(h.dir, float(h.dir @ qd.center) + s))
+    values, axes = qd.form.frame.values, qd.form.frame.axes
+    axis = axes[int(np.argmax(np.sign(values) != np.sign(qd.rhs)))]
+    planes.append(Plane3(axis, float(axis @ qd.center)))
+    return planes
+
+
+def test_section_kind_is_the_determinant_reference():
+    # the closed-form invariants of the conic's 3x3 matrix decide as the
+    # reference's numpy determinants and solve for the center do
+    seen = set()
+    for seed in range(1000, 1020):
+        base = random_tetra(TetraKind.GENERIC, seed).vertices
+        for scale in (1e-6, 1.0, 1e6):
+            t = Tetrahedron(base * scale)
+            qd = build(t)
+            for p in _probe_planes(t, qd, np.random.default_rng(seed)):
+                sec = section(qd, p)
+                ref = reference_conic_kind(
+                    sec.quad, sec.linear, sec.constant, qd.form.max_abs(), DEFAULT_TOL
+                )
+                assert sec.kind is ref
+                seen.add(sec.kind)
+    assert seen == set(ConicKind) - {ConicKind.OTHER}
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from tetraquadric import (
     TracelessKind,
     classify_traceless,
     evaluate,
-    outer_sym,
     polar,
     rank,
     restrict_to_plane,
@@ -49,25 +49,6 @@ def test_polarization_identity():
         rhs = 0.5 * (evaluate(q, v + w) - evaluate(q, v) - evaluate(q, w))
         assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
         assert polar(q, v, v) == pytest.approx(evaluate(q, v))
-
-
-def test_outer_sym_examples():
-    assert outer_sym(vec(1, 0, 0), vec(1, 0, 0)) == D(1, 0, 0)
-    q = outer_sym(vec(1, 0, 0), vec(0, 1, 0))
-    assert q.s12 == pytest.approx(0.5)
-    assert trace(q) == pytest.approx(0)
-    # opposite edges 01 and 23 of the generic fixture
-    q = outer_sym(vec(-4, 0, 0), vec(-1, 2, -2))
-    assert trace(q) == pytest.approx(4)
-
-
-def test_outer_sym_trace_is_dot():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        c, d = rng.normal(size=3) * 10, rng.normal(size=3) * 10
-        assert trace(outer_sym(c, d)) == pytest.approx(
-            float(np.dot(c, d)), rel=1e-12, abs=1e-12
-        )
 
 
 def test_trace_invariant_under_rotation():
@@ -245,6 +226,22 @@ def test_batched_tripod_keeps_every_check():
         _tripods(q, off)
     with pytest.raises(DegenerateForm):
         _tripods(D(1, -1, 0), np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("exp", [-664, -532, 532, 664])
+def test_tripod_at_extreme_generator_lengths(exp):
+    # the generator's rows are brought to unit size by a power of two, so its
+    # length neither overflows nor underflows in the squares: 2^exp g has the
+    # legs of g to the bit, and 1e200 or 1e-200 times g has them to roundoff
+    rng = np.random.default_rng(33)
+    q, g = _cone_generators(rng, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(_tripods(q, math.ldexp(1.0, exp) * g), _tripods(q, g))
+        q, g = D(2, 1, -3), vec(1, 1, 1)
+        legs = np.array(tripod_through_generator(q, g).legs)
+        tp = tripod_through_generator(q, 10.0 ** math.copysign(200, exp) * g)
+    np.testing.assert_allclose(np.array(tp.legs), legs, rtol=0, atol=1e-15)
 
 
 def test_restrict_to_plane_examples():

@@ -634,6 +634,18 @@ def test_construction_warns_nothing_at_overflowing_scales(scale, raises):
                 step(t)
 
 
+@pytest.mark.parametrize("cmd", ["classify", "analyze"])
+def test_edge_beyond_the_largest_double_is_bad_input(tmp_path, capsys, cmd):
+    # every coordinate is finite, but the edge from vertex 0 to vertex 1 is 2e308
+    verts = [[-1e308, 0, 0], [1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTetrahedron, match="double range"):
+            Tetrahedron(verts)
+        assert main([cmd, str(_write_tetra(tmp_path, verts))]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_porism_non_finite_form_exits_2(tmp_path, capsys):
     out = tmp_path / "fig.svg"
     assert main(["porism", "--form", "nan,nan,nan,nan,nan,nan", "--rho", "1", "--svg", str(out)]) == 2

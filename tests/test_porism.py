@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,22 @@ def test_orthocenter2d_examples():
 def test_orthocenter2d_at_extreme_scale(s):
     h = orthocenter2d((vec(0, 0, 0), vec(4, 0, 0) * s, vec(1, 3, 0) * s))
     np.testing.assert_allclose(h, vec(1, 1, 0) * s, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "tri, h",
+    [
+        # right angles at the origin and at (0, 1e308, 0); the second
+        # triangle's longest edge, 2e308, is beyond the largest double
+        (((0, 0, 0), (1.2e308, 0, 0), (0, 1e308, 0)), (0, 0, 0)),
+        (((-1e308, 0, 0), (1e308, 0, 0), (0, 1e308, 0)), (0, 1e308, 0)),
+    ],
+)
+def test_orthocenter2d_near_the_double_maximum(tri, h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orthocenter2d(tuple(np.array(p, float) for p in tri))
+    np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12 * 1e308)
 
 
 def test_orthocenter2d_perpendicularity():
