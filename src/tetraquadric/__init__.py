@@ -21,9 +21,7 @@ from .forms import (
     Tripod,
     classify_traceless,
     evaluate,
-    polar,
     rank,
-    restrict_to_plane,
     trace,
     tripod_through_generator,
 )

@@ -109,17 +109,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit(report.to_dict(), args.pretty)
     elif args.command == "classify":
         cls = tetra.classify(_load(args.file), tol)
-        _emit(
-            {
-                "tetra_class": cls.kind.value,
-                "orthogonal_pair": (
-                    [list(cls.orthogonal_pair[0]), list(cls.orthogonal_pair[1])]
-                    if cls.orthogonal_pair
-                    else None
-                ),
-            },
-            args.pretty,
-        )
+        _emit(reporting.class_fields(cls), args.pretty)
     elif args.command == "quadric":
         t = _load(args.file)
         qd = altquadric.build(t, tol)

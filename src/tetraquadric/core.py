@@ -174,7 +174,9 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     Solved in units of the power of two just above the longest edge, whose
     exponent is read in units of the largest coordinate, where no edge
     overflows.  Both changes of unit are exact, so no product overflows or
-    underflows at any scale and results at ordinary scales keep every bit.
+    underflows at any scale and results at ordinary scales keep every bit.  A
+    triangle so flat that its orthocenter lies beyond the largest double raises
+    `CollinearPoints`.
     """
     v = np.array([as_vec(p) for p in tri])
     v_exp = math.frexp(float(np.max(np.abs(v))))[1]
@@ -187,7 +189,11 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     n_hat = n / norm(n)
     a = np.array([v1 - v2, v2 - v0, n_hat])
     b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n_hat)])
-    return np.ldexp(np.linalg.solve(a, b), v_exp + exp)
+    with np.errstate(over="ignore"):
+        h = np.ldexp(np.linalg.solve(a, b), v_exp + exp)
+    if not np.isfinite(h).all():
+        raise CollinearPoints("triangle too flat: its orthocenter leaves the double range")
+    return h
 
 
 class LineRelation(Enum):

@@ -1,6 +1,6 @@
 """Quadratic forms on 3-space.
 
-Covers the polar form, the basis-independent trace, principal axes from
+Covers evaluation, the basis-independent trace, principal axes from
 numpy's symmetric eigensolver, the three-way classification of traceless
 forms (zero form / orthogonal plane pair / equilateral cone), and the
 orthogonal tripods carried by every equilateral cone.  A `QuadForm3` computes
@@ -85,11 +85,6 @@ def evaluate(q: QuadForm3, x: Vec3) -> float:
     """Value x^T Sigma x of the form at x."""
     x = as_vec(x)
     return float(x @ q.matrix @ x)
-
-
-def polar(q: QuadForm3, v: Vec3, w: Vec3) -> float:
-    """Symmetric bilinear form associated with q; polar(q, v, v) = evaluate(q, v)."""
-    return float(as_vec(v) @ q.matrix @ as_vec(w))
 
 
 def trace(q: QuadForm3) -> float:
@@ -179,6 +174,8 @@ def _canonical_rows(v: np.ndarray) -> np.ndarray:
 def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Legs (N, 3, 3) of the tripods through the generators g (N, 3), by the
     construction of `tripod_through_generator`; leg 0 is the generator."""
+    if not np.isfinite(g).all():
+        raise NotOnCone("a generator must be finite")
     # in units of the power of two just above each row's largest component, as
     # in `orthocenter2d`: exact, so the squares neither overflow nor underflow
     g = np.ldexp(g, -np.frexp(np.max(np.abs(g), axis=1))[1][:, None])
@@ -213,14 +210,3 @@ def _plane_bases(n: np.ndarray) -> np.ndarray:
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return np.stack([u, cross_rows(n, u)], axis=1)
 
-
-def restrict_to_plane(
-    q: QuadForm3, p: Plane3
-) -> tuple[np.ndarray, tuple[Vec3, Vec3]]:
-    """2x2 matrix of the form restricted to the plane, with the basis used.
-
-    Only the direction of the plane matters; its trace satisfies
-    trace(restriction) = trace(q) - q(normal).
-    """
-    b = _plane_bases(p.normal[None])[0]
-    return b @ q.matrix @ b.T, (b[0], b[1])

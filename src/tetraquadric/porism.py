@@ -58,6 +58,14 @@ def _cut(legs: np.ndarray, cut: Plane3, tol: Tolerance) -> np.ndarray:
     return (cut.offset / denom)[..., None] * legs
 
 
+def _check_height(rho: float) -> None:
+    """Reject a non-finite section height, or one through the cone vertex."""
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
+    if rho == 0.0:
+        raise ZeroOffset("section plane must not pass through the cone vertex")
+
+
 def ellipse_section(
     q: QuadForm3, rho: float, tol: Tolerance = DEFAULT_TOL
 ) -> Ellipse3:
@@ -69,8 +77,7 @@ def ellipse_section(
     eigenvalue is read in the frame of -q, which is its own frame with the
     eigenvalues negated and both eigenvalues and axes in reverse order.
     """
-    if rho == 0.0:
-        raise ZeroOffset("section plane must not pass through the cone vertex")
+    _check_height(rho)
     if not_traceless(q, tol) or rank(q, tol) < 3:
         raise DegenerateForm("cone sections need a traceless rank-3 form")
     (v1, v2, v3), (e1, e2, e3) = q.frame.values, q.frame.axes
@@ -98,8 +105,7 @@ def porism_family(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if rho == 0.0:
-        raise ZeroOffset("section plane must not pass through the cone vertex")
+    _check_height(rho)
     # the family at height rho is |rho| times the family at height +-1; cutting
     # at unit height keeps every product below free of overflow and underflow
     unit = ellipse_section(q, 1.0, tol)

@@ -78,6 +78,14 @@ class AnalysisReport:
         return dict(vars(self))
 
 
+def class_fields(cls: tetra.TetraClass) -> dict:
+    """The JSON fields `tetra_class` and `orthogonal_pair` (two [i, j] edges or
+    None) that `analyze` reports and the `classify` command prints."""
+    pair = cls.orthogonal_pair
+    edges = [list(e) for e in pair] if pair else None
+    return {"tetra_class": cls.kind.value, "orthogonal_pair": edges}
+
+
 #: Sample steps along each altitude, in longest edges.
 _ALTITUDE_STEPS = np.arange(-3.0, 4.0)
 
@@ -147,12 +155,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
 
     return AnalysisReport(
         vertices=t.vertices.tolist(),
-        tetra_class=cls.kind.value,
-        orthogonal_pair=(
-            [list(cls.orthogonal_pair[0]), list(cls.orthogonal_pair[1])]
-            if cls.orthogonal_pair
-            else None
-        ),
+        **class_fields(cls),
         monge=points.monge.tolist(),
         centroid=points.centroid.tolist(),
         circumcenter=points.circumcenter.tolist(),
@@ -194,8 +197,8 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("meshes are generated for the hyperboloid case")
-    if extent <= 0:
-        raise ValueError("extent must be positive")
+    if not 0.0 < extent < math.inf:
+        raise ValueError("extent must be finite and positive")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
     if rank(qd.form) < 3:

@@ -62,8 +62,7 @@ class Tetrahedron:
     Construction computes the whole tolerance-free record in one pass, with
     b_ij = a_i - a_j and m the Monge point, and keeps every array read-only:
 
-    - `edges` (4, 4, 3), edges[i, j] = b_ij, and `edge_lengths` (4, 4), |b_ij|
-      free of overflow in the squares;
+    - `edges` (4, 4, 3), edges[i, j] = b_ij;
     - `face_normals` (4, 3), (a_j - a_i) x (a_k - a_i) for the face i < j < k
       opposite l, and `unit_normals`, the same scaled to unit length: up to
       sign, the directions of the altitudes;
@@ -130,7 +129,6 @@ class Tetrahedron:
         vars(self).update(
             vertices=_frozen(v),
             edges=_frozen(e),
-            edge_lengths=_frozen(lengths),
             face_normals=_frozen(face_normals),
             unit_normals=_frozen(unit_normals),
             opposite_dots=_frozen(np.array(dots)),

@@ -10,16 +10,14 @@ from tetraquadric import (
     TracelessKind,
     classify_traceless,
     evaluate,
-    polar,
     rank,
-    restrict_to_plane,
     trace,
     tripod_through_generator,
     vec,
 )
 from tetraquadric.core import canonical_dir
 from tetraquadric.errors import DegenerateForm, NotOnCone, NotTraceless
-from tetraquadric.forms import _tripods
+from tetraquadric.forms import _plane_bases, _tripods
 
 D = QuadForm3
 
@@ -32,23 +30,6 @@ def test_evaluate_examples():
     q = D(1, 1, -2)
     assert evaluate(q, vec(1, 1, 1)) == pytest.approx(0)
     assert evaluate(q, vec(1, 0, 0)) == pytest.approx(1)
-
-
-def test_polar_examples():
-    q = D(1, 1, -2)
-    assert polar(q, vec(1, 0, 0), vec(0, 0, 1)) == pytest.approx(0)
-    assert polar(q, vec(1, 0, 1), vec(1, 0, -1)) == pytest.approx(3)
-
-
-def test_polarization_identity():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        q = random_form(rng)
-        v, w = rng.normal(size=3), rng.normal(size=3)
-        lhs = polar(q, v, w)
-        rhs = 0.5 * (evaluate(q, v + w) - evaluate(q, v) - evaluate(q, w))
-        assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
-        assert polar(q, v, v) == pytest.approx(evaluate(q, v))
 
 
 def test_trace_invariant_under_rotation():
@@ -228,6 +209,18 @@ def test_batched_tripod_keeps_every_check():
         _tripods(D(1, -1, 0), np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_generator_is_not_on_cone(bad):
+    q = D(2, 1, -3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotOnCone, match="finite"):
+            tripod_through_generator(q, vec(bad, 1, 1))
+        # one bad row rejects the whole batch
+        with pytest.raises(NotOnCone, match="finite"):
+            _tripods(q, np.array([[1.0, 1.0, 1.0], [1.0, bad, 1.0]]))
+
+
 @pytest.mark.parametrize("exp", [-664, -532, 532, 664])
 def test_tripod_at_extreme_generator_lengths(exp):
     # the generator's rows are brought to unit size by a power of two, so its
@@ -244,17 +237,24 @@ def test_tripod_at_extreme_generator_lengths(exp):
     np.testing.assert_allclose(np.array(tp.legs), legs, rtol=0, atol=1e-15)
 
 
+def _restriction(q, p):
+    """2x2 matrix B M B^T of q on the plane p, with B the in-plane basis of
+    `_plane_bases`: the restriction that `section` and `_tripods` compute."""
+    b = _plane_bases(p.normal[None])[0]
+    return b @ q.matrix @ b.T
+
+
 def test_restrict_to_plane_examples():
     q = D(1, 1, -2)
-    m2, _ = restrict_to_plane(q, Plane3(vec(0, 0, 1), 0.0))
+    m2 = _restriction(q, Plane3(vec(0, 0, 1), 0.0))
     np.testing.assert_allclose(np.sort(np.diag(m2)), [1, 1], atol=1e-12)
     np.testing.assert_allclose(m2[0, 1], 0, atol=1e-12)
 
     n = vec(1, 1, 1) / math.sqrt(3)
-    m2, _ = restrict_to_plane(q, Plane3(n, 0.0))
+    m2 = _restriction(q, Plane3(n, 0.0))
     assert np.trace(m2) == pytest.approx(0, abs=1e-12)
 
-    m2, _ = restrict_to_plane(D(0.0, 0.0, 0.0), Plane3(vec(0, 1, 0), 2.0))
+    m2 = _restriction(D(0.0, 0.0, 0.0), Plane3(vec(0, 1, 0), 2.0))
     np.testing.assert_allclose(m2, 0, atol=1e-15)
 
 
@@ -264,6 +264,6 @@ def test_restriction_trace_identity():
         q = random_form(rng)
         n = rng.normal(size=3)
         nhat = n / np.linalg.norm(n)
-        m2, _ = restrict_to_plane(q, Plane3(n, rng.normal()))
+        m2 = _restriction(q, Plane3(n, rng.normal()))
         lhs = float(np.trace(m2)) + evaluate(q, nhat)
         assert lhs == pytest.approx(trace(q), rel=1e-10, abs=1e-12)

@@ -167,6 +167,11 @@ def test_quadric_mesh(t_gen, t_semi):
         quadric_mesh(qd, 3.0, 4)
     with pytest.raises(ValueError):
         quadric_mesh(qd, -1.0, 32)
+    for extent in (math.nan, math.inf, -math.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and positive"):
+                quadric_mesh(qd, extent, 8)
     with pytest.raises(NotHyperboloid):
         quadric_mesh(build(t_semi), 3.0, 32)
 
@@ -448,11 +453,20 @@ def test_mesh_of_a_rank_2_form_is_degenerate_input(tmp_path, capsys, verts):
 
 
 def test_cli_classify(tmp_path, capsys):
-    f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [1, 2, 2]])
-    assert main(["classify", str(f)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["tetra_class"] == "semi_orthocentric"
-    assert doc["orthogonal_pair"] == [[0, 1], [2, 3]]
+    for apex, kind, pair in (
+        ([2, 1, 2], "generic", None),
+        ([1, 2, 2], "semi_orthocentric", [[0, 1], [2, 3]]),
+        ([1, 1, 2], "orthocentric", None),
+    ):
+        f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], apex])
+        assert main(["classify", str(f)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"tetra_class": kind, "orthogonal_pair": pair}
+        # `analyze` reports the same two fields, in the same place after the vertices
+        assert main(["analyze", str(f)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report)[1:3] == list(doc)
+        assert {k: report[k] for k in doc} == doc
 
 
 def test_cli_bad_input(tmp_path, capsys):

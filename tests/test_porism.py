@@ -104,6 +104,15 @@ def test_orthocenter2d_near_the_double_maximum(tri, h):
     np.testing.assert_allclose(got, h, rtol=1e-12, atol=1e-12 * 1e308)
 
 
+def test_orthocenter2d_beyond_the_double_maximum():
+    # obtuse and flat: the orthocenter is near (0, -1e316, 0), past every double
+    tri = (vec(-1e308, 0, 0), vec(1e308, 0, 0), vec(0, 1e300, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CollinearPoints, match="double range"):
+            orthocenter2d(tri)
+
+
 def test_orthocenter2d_perpendicularity():
     rng = np.random.default_rng(21)
     for _ in range(20):
@@ -145,6 +154,17 @@ def test_ellipse_section_errors():
         ellipse_section(D(1, -1, 0), 1.0)
     with pytest.raises(DegenerateForm):
         ellipse_section(D(1, 1, 1), 1.0)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_non_finite_height_is_rejected(rho):
+    q = D(2, 1, -3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rho must be finite"):
+            ellipse_section(q, rho)
+        with pytest.raises(ValueError, match="rho must be finite"):
+            porism_family(q, rho, 3)
 
 
 def test_porism_family_circle_is_equilateral():

@@ -86,9 +86,9 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
             a[0] += 1.0
     # the whole record: read-only, and computed once, the same object on every read
     for name in (
-        "vertices", "edges", "edge_lengths", "face_normals", "unit_normals",
-        "opposite_dots", "opposite_scales", "monge_centered", "monge",
-        "circumcenter", "lambdas", "basic_forms", "q_star.matrix",
+        "vertices", "edges", "face_normals", "unit_normals", "opposite_dots",
+        "opposite_scales", "monge_centered", "monge", "circumcenter", "lambdas",
+        "basic_forms", "q_star.matrix",
     ):
         a = attrgetter(name)(t)
         assert attrgetter(name)(t) is a, name
