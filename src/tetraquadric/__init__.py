@@ -62,10 +62,8 @@ from .altquadric import (
 from .porism import (
     Ellipse3,
     InscribedTriangle,
-    TrirectangularTetra,
     ellipse_section,
     porism_family,
-    trirect_from_tripod,
 )
 from .reporting import (
     AnalysisReport,

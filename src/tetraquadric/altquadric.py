@@ -61,13 +61,13 @@ def q_ijkl(t: Tetrahedron, perm: tuple[int, int, int, int]) -> QuadForm3:
 
 
 def q_star(t: Tetrahedron) -> QuadForm3:
-    """The traceless lambda-weighted combination of the three basic forms."""
+    """The traceless form (d_1 F_2 - d_2 F_1) / 2 on the opposite-edge dots d_p."""
     return t.q_star
 
 
 def q_star_two_term(t: Tetrahedron) -> QuadForm3:
-    """Equivalent two-term expression -(l03 - l01) Q_0123 + (l02 - l03) Q_0231
-    for the same form, on the basic forms of `q_star`; used as a cross-check."""
+    """The paper's two-term form -(l03 - l01) Q_0123 + (l02 - l03) Q_0231 on the
+    Monge point's lambda; against `q_star`, which reads the dots, it checks m."""
     l01, l02, l03 = t.lambdas.tolist()
     w = t.basic_forms
     with np.errstate(over="ignore", invalid="ignore"):
@@ -76,7 +76,7 @@ def q_star_two_term(t: Tetrahedron) -> QuadForm3:
 
 
 def rhs(t: Tetrahedron) -> float:
-    """Right-hand side (l01-l02)(l02-l03)(l03-l01) of the altitude-quadric equation."""
+    """Right-hand side d_1 d_2 d_3 / 8 of the altitude-quadric equation."""
     return t.rhs
 
 

@@ -11,15 +11,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3
 from .errors import DegenerateForm, PlaneMissesLeg, ZeroOffset
-from .forms import QuadForm3, Tripod, _tripods, not_traceless, rank
-
-
-@dataclass(frozen=True, eq=False)
-class TrirectangularTetra:
-    """Apex with three mutually orthogonal edges to the base vertices."""
-
-    apex: Vec3
-    legs: tuple[Vec3, Vec3, Vec3]
+from .forms import QuadForm3, _tripods, not_traceless, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,20 +27,9 @@ class InscribedTriangle:
     angles: tuple[float, float, float]
 
 
-def trirect_from_tripod(
-    tripod: Tripod, cut: Plane3, tol: Tolerance = DEFAULT_TOL
-) -> TrirectangularTetra:
-    """Intersect the tripod legs with a cutting plane.
-
-    The apex stays at the cone vertex (the origin); the base vertices inherit
-    mutual orthogonality from the tripod legs.
-    """
-    points = _cut(np.array(tripod.legs)[None], cut, tol)[0]
-    return TrirectangularTetra(np.zeros(3), tuple(points))
-
-
 def _cut(legs: np.ndarray, cut: Plane3, tol: Tolerance) -> np.ndarray:
-    """Points (N, 3, 3) where the tripod legs (N, 3, 3) pierce the plane."""
+    """Points (N, 3, 3) where the tripod legs (N, 3, 3) pierce the plane: with
+    the apex at the cone vertex (the origin), N trirectangular tetrahedra."""
     denom = legs @ cut.normal
     if np.any(np.abs(denom) <= tol.gate(1.0)):
         raise PlaneMissesLeg("cutting plane is parallel to a tripod leg")
@@ -75,7 +56,8 @@ def ellipse_section(
     section plane is orthogonal to it at distance rho from the vertex.  The
     zero set is unchanged under negation, so a form with one positive
     eigenvalue is read in the frame of -q, which is its own frame with the
-    eigenvalues negated and both eigenvalues and axes in reverse order.
+    eigenvalues negated and both eigenvalues and axes in reverse order.  A
+    height whose semi-axes leave the double range raises `DegenerateForm`.
     """
     _check_height(rho)
     if not_traceless(q, tol) or rank(q, tol) < 3:
@@ -86,6 +68,8 @@ def ellipse_section(
     center = rho * e3
     a = abs(rho) * math.sqrt(-v3 / v1)
     b = abs(rho) * math.sqrt(-v3 / v2)
+    if max(a, b) == math.inf:
+        raise DegenerateForm("the section leaves the double range at this height")
     plane = Plane3.from_point_normal(center, e3)
     return Ellipse3(center, (a * e1, b * e2), plane)
 
@@ -101,7 +85,8 @@ def porism_family(
 
     Each point sampled on the ellipse section at unit height is a cone
     generator; it is lifted to an orthogonal tripod, and the tripod is cut with
-    the section plane.
+    the section plane.  A height whose vertices leave the double range raises
+    `DegenerateForm`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -122,6 +107,10 @@ def porism_family(
     d = pts[:, nxt] - pts
     d /= np.linalg.norm(d, axis=2, keepdims=True)
     angles = np.arccos(np.clip(-np.sum(d * d[:, [2, 0, 1]], axis=2), -1.0, 1.0))
-    rows = list((abs(rho) * pts).reshape(-1, 3))
+    with np.errstate(over="ignore"):
+        pts = abs(rho) * pts
+    if not np.isfinite(pts).all():
+        raise DegenerateForm("the family leaves the double range at this height")
+    rows = list(pts.reshape(-1, 3))
     vertices = zip(rows[0::3], rows[1::3], rows[2::3])
     return list(map(InscribedTriangle, vertices, map(tuple, angles.tolist())))

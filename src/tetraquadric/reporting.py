@@ -193,7 +193,8 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     vertex satisfies the quadric equation up to roundoff.  Vertex
     `j * resolution + i` sits at angle 2 pi i / resolution on ring j.  A form
     of rank below 3 at the default tolerance (the rule of
-    `porism.ellipse_section`) raises `DegenerateForm`.
+    `porism.ellipse_section`) raises `DegenerateForm`, and so does an extent
+    whose vertices leave the double range.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("meshes are generated for the hyperboloid case")
@@ -216,18 +217,22 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     u_max = math.asinh(extent / c)
 
     n = resolution
-    u = -u_max + 2.0 * u_max * np.arange(n + 1) / n
     th = 2.0 * math.pi * np.arange(n) / n
     # 1-D samples through `math`, so that every vertex equals the pointwise
     # formula to the bit (numpy's cosh and sinh can differ in the last bit)
     cos_t, sin_t = np.array([[math.cos(t), math.sin(t)] for t in th.tolist()]).T
-    cosh_u, sinh_u = np.array([[math.cosh(x), math.sinh(x)] for x in u.tolist()]).T
-    verts = (
-        qd.center
-        + (a * cos_t)[:, None] * cosh_u[:, None, None] * e_a
-        + (b * sin_t)[:, None] * cosh_u[:, None, None] * e_b
-        + (c * sinh_u)[:, None, None] * e_c
-    )
+    # an inf u_max or an overflowing vertex shows up as a non-finite vertex
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = -u_max + 2.0 * u_max * np.arange(n + 1) / n
+        cosh_u, sinh_u = np.array([[math.cosh(x), math.sinh(x)] for x in u.tolist()]).T
+        verts = (
+            qd.center
+            + (a * cos_t)[:, None] * cosh_u[:, None, None] * e_a
+            + (b * sin_t)[:, None] * cosh_u[:, None, None] * e_b
+            + (c * sinh_u)[:, None, None] * e_c
+        )
+    if not np.isfinite(verts).all():
+        raise DegenerateForm("the mesh leaves the double range at this extent")
     tris = _grid(n) if n <= _GRID_CACHE_RES else _grid.__wrapped__(n)
     return Mesh(verts.reshape(-1, 3), tris)
 

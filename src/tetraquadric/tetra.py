@@ -76,8 +76,9 @@ class Tetrahedron:
     - `lambdas` (3,), (a_0 - m) . (a_j - m) for j = 1, 2, 3;
     - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
       (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order;
-    - `q_star`, the traceless form sum_j lambda_0j (x.b_0j)(x.b_kl), and `rhs`,
-      (l01 - l02)(l02 - l03)(l03 - l01).
+    - `q_star`, (d_1 F_2 - d_2 F_1) / 2, and `rhs`, d_1 d_2 d_3 / 8, with d_p the
+      `opposite_dots` and F_p the `basic_forms`: the paper's sum_j l0j F_j and
+      (l01 - l02)(l02 - l03)(l03 - l01), as 2 (l0i - l0j) is a d_p and sum F_p = 0.
 
     An overflow in `unit_normals`, `lambdas`, `q_star` or `rhs` leaves
     non-finite values, which `altquadric.build` rejects, instead of a numpy
@@ -123,9 +124,8 @@ class Tetrahedron:
             lam = _frozen(centered @ centered.T)[0, 1:]
             o = b[:, :, None] * b_kl[:, None, :]
             forms = 0.5 * (o + o.transpose(0, 2, 1))
-            w = lam[:, None, None] * forms
-            q_star = QuadForm3.from_matrix(w[0] + w[1] + w[2])
-        l01, l02, l03 = lam.tolist()
+            d1, d2, d3 = dots
+            q_star = QuadForm3.from_matrix(0.5 * (d1 * forms[1] - d2 * forms[0]))
         vars(self).update(
             vertices=_frozen(v),
             edges=_frozen(e),
@@ -139,7 +139,7 @@ class Tetrahedron:
             lambdas=lam,
             basic_forms=_frozen(forms),
             q_star=q_star,
-            rhs=(l01 - l02) * (l02 - l03) * (l03 - l01),
+            rhs=0.125 * d1 * d2 * d3,
             _edge_scale=s,
             # `classify`'s decision for each tolerance asked so far
             _classes={},

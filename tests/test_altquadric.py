@@ -47,7 +47,7 @@ from tetraquadric.errors import (
     NotHyperboloid,
     TrivialQuadric,
 )
-from tetraquadric.reporting import altitude_level_residual
+from tetraquadric.reporting import altitude_level_residual, quadric_mesh
 
 from conic_oracle import conic_value, conic_value_scale, reference_conic_kind
 
@@ -429,3 +429,30 @@ def test_a_two_to_two_regulus_vote_is_bad_input_not_a_bug(verts, l):
     with pytest.raises(AmbiguousRegulus) as exc:
         regulus_of(qd, altitude(t, l), t)
     assert not isinstance(exc.value, InternalInvariantError)
+
+
+#: Near-gate probe, orthocentric seed 1078 with vertex 3 moved by 3e-9 and by 1e-8
+#: edge lengths: generic hyperboloids within roundoff of the orthocentric class.
+#: Read from the Monge point's lambda, all eight lines of each voted
+#: `not_on_quadric`, and the second mesh exited 3.
+NEAR_ORTHOCENTRIC = [
+    [[-4.269154600921527, -1.8114727924163012, -1.07748947134675],
+     [1.8091543536808916, 2.8663318060866545, -3.7246179502946095],
+     [-1.0690130706533905, 0.9395700437271848, -2.3268307066190084],
+     [-15.860095295400038, 39.88565652940448, 32.53260791523425]],
+    [[-4.269154600921527, -1.8114727924163012, -1.07748947134675],
+     [1.8091543536808916, 2.8663318060866545, -3.7246179502946095],
+     [-1.0690130706533905, 0.9395700437271848, -2.3268307066190084],
+     [-15.860095947681483, 39.88565692091139, 32.53260764998243]],
+]
+
+
+@pytest.mark.parametrize("verts", NEAR_ORTHOCENTRIC)
+def test_near_gate_altitudes_and_perpendiculars_lie_on_their_reguli(verts):
+    t = Tetrahedron(verts)
+    qd = build(t)
+    assert qd.kind is QuadricKind.HYPERBOLOID
+    for l in range(4):
+        assert regulus_of(qd, altitude(t, l), t) is RegulusTag.ALTITUDE_REGULUS
+        assert regulus_of(qd, ortho_perpendicular(t, l), t) is RegulusTag.PERPENDICULAR_REGULUS
+    assert len(quadric_mesh(qd, 3.0, 16).vertices) == 17 * 16

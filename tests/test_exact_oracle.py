@@ -4,10 +4,12 @@ On a lattice every construction of the paper is rational, so `Fraction`
 arithmetic gives the class, the Monge point, lambda, `Q*` and `rhs` exactly
 (the exact-predicate idea of Shewchuk, "Adaptive Precision Floating-Point
 Arithmetic and Fast Robust Geometric Predicates", 1997).  The library must
-return the exact class and floats within a few ulps of the rational values,
-the ulps taken at each quantity's natural length power.  The Monge point and
-lambda come out of a linear solve, so their ulps are widened by the condition
-number of the edge system it solves.  The oracle first proves itself:
+return the exact class and the Monge point and lambda within a few ulps of the
+rational values, the ulps taken at each quantity's natural length power and
+widened by the condition number of the edge system they are solved from.
+`Q*` and `rhs` are products of the opposite-edge dots and the basic forms, so on
+a lattice scaled by a power of two they must equal the rational values exactly;
+in `Fraction` they equal the paper's lambda-weighted forms.  The oracle first proves itself:
 `Q*(p - M) = rhs` holds exactly at rational points of the four altitudes and
 the four face perpendiculars.
 
@@ -78,6 +80,19 @@ def exact_quadric(v):
     return kind, pair, m, lam, q, rhs
 
 
+def dot_form_quadric(v):
+    """Q* = (d_1 F_2 - d_2 F_1) / 2 and rhs = d_1 d_2 d_3 / 8 from the
+    opposite-edge dots d_p and the basic forms F_p, in rational arithmetic."""
+    dots, forms = [], []
+    for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS:
+        c, d = _sub(v[i], v[j]), _sub(v[k], v[l])
+        dots.append(_dot(c, d))
+        forms.append([[(c[r] * d[s] + c[s] * d[r]) / 2 for s in range(3)] for r in range(3)])
+    (d1, d2, d3), (f1, f2, _) = dots, forms
+    q = [[(d1 * f2[r][s] - d2 * f1[r][s]) / 2 for s in range(3)] for r in range(3)]
+    return q, d1 * d2 * d3 / 8
+
+
 def _altitude_lines(v):
     """(point, direction) of the four altitudes and the four face perpendiculars."""
     lines = []
@@ -120,6 +135,14 @@ def test_oracle_altitudes_lie_on_the_quadric_exactly(v):
             assert _form_value(q, _sub(p, m)) == rhs
 
 
+def test_dot_form_equals_the_lambda_form_exactly():
+    # lambda_01 - lambda_02 = d_3 / 2 (and cyclically) and F_1 + F_2 + F_3 = 0
+    for v in LATTICE:
+        v = [[Fraction(x) for x in p] for p in v]
+        _, _, _, _, q, rhs = exact_quadric(v)
+        assert dot_form_quadric(v) == (q, rhs), v
+
+
 def _ulps(got, exact, scale):
     exact = np.array([float(x) for x in np.ravel(exact)])
     return float(np.max(np.abs(np.ravel(got) - exact))) / float(np.spacing(scale))
@@ -142,8 +165,9 @@ def test_library_matches_oracle_on_lattice(unit_exp):
         checks = (
             (t.monge, m, max(length, r) * cond),
             (t.lambdas, lam, r * r * cond),
-            (t.q_star.matrix, q, r * r * length * length),
-            (t.rhs, rhs, r**6),
         )
         for got, exact, scale in checks:
             assert _ulps(got, exact, scale) <= ULPS, v
+        # products of lattice dots and half-integers, times powers of two: exact
+        assert t.q_star.matrix.tolist() == [[float(x) for x in row] for row in q], v
+        assert t.rhs == float(rhs), v

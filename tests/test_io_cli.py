@@ -452,6 +452,24 @@ def test_mesh_of_a_rank_2_form_is_degenerate_input(tmp_path, capsys, verts):
     assert not (tmp_path / "q.obj").exists()
 
 
+#: Draw 3 of the sliver probe: vertex 3 sits 7e-7 edge lengths from the centroid
+#: of the opposite face.  Read from the Monge point's lambda, its Q* had a middle
+#: eigenvalue of 1e-2 against 57 where 1e-11 is due, and the mesh exited 3.
+SLIVER = [[0.8830214670698506, -2.966139966746928, -2.6373454584063705],
+          [2.1358418670650945, -4.805707282620814, -4.813895429766842],
+          [4.766407323130462, -4.493992895058032, 2.792957883024995],
+          [2.5950926351531423, -4.088618052400556, -1.5527625918558605]]
+
+
+def test_sliver_mesh_is_a_result_or_bad_input(tmp_path, capsys):
+    f, out = _write_tetra(tmp_path, SLIVER), tmp_path / "q.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["quadric", str(f), "--obj", str(out)])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_classify(tmp_path, capsys):
     for apex, kind, pair in (
         ([2, 1, 2], "generic", None),
@@ -664,4 +682,33 @@ def test_cli_porism_non_finite_form_exits_2(tmp_path, capsys):
     out = tmp_path / "fig.svg"
     assert main(["porism", "--form", "nan,nan,nan,nan,nan,nan", "--rho", "1", "--svg", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_quadric_extent_beyond_the_double_range(tmp_path, capsys):
+    # a finite extent whose mesh vertices overflow wrote `v nan nan nan` and exited 0
+    verts = [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateForm, match="double range"):
+            quadric_mesh(build(Tetrahedron(verts)), 1e308, 8)
+        out = tmp_path / "big.obj"
+        cmd = ["quadric", str(_write_tetra(tmp_path, verts)), "--obj", str(out)]
+        assert main([*cmd, "--extent", "1e308", "--res", "8"]) == 2
+    assert "double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_porism_height_beyond_the_double_range(tmp_path, capsys):
+    # a finite height whose semi-axes and vertices overflow wrote nan into the SVG
+    q = QuadForm3(1e-6, 1, -1.000001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (lambda: ellipse_section(q, 1e308), lambda: porism_family(q, 1e308, 3)):
+            with pytest.raises(DegenerateForm, match="double range"):
+                f()
+        out = tmp_path / "big.svg"
+        form = ["--form", "1e-6,1,-1.000001,0,0,0", "--rho", "1e308"]
+        assert main(["porism", *form, "--svg", str(out)]) == 2
+    assert "double range" in capsys.readouterr().err
     assert not out.exists()

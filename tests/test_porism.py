@@ -12,29 +12,35 @@ from tetraquadric import (
     orthocenter2d,
     porism_family,
     tripod_through_generator,
-    trirect_from_tripod,
     vec,
 )
+from tetraquadric.core import DEFAULT_TOL
 from tetraquadric.errors import (
     CollinearPoints,
     DegenerateForm,
     PlaneMissesLeg,
     ZeroOffset,
 )
+from tetraquadric.porism import _cut
 from tetraquadric.tetra import TetraKind, Tetrahedron
 
 D = QuadForm3
+
+
+def cut_tripod(tp, cut):
+    """Base vertices where the legs of one tripod pierce the plane; with the
+    origin as apex they form a trirectangular tetrahedron."""
+    return _cut(np.array(tp.legs)[None], cut, DEFAULT_TOL)[0]
 
 
 def test_trirect_from_tripod_cone():
     q = D(1, 1, -2)
     tp = tripod_through_generator(q, vec(1, 1, 1) / math.sqrt(3))
     cut = Plane3(vec(0, 0, 1.0), 1.0)
-    tet = trirect_from_tripod(tp, cut)
-    np.testing.assert_allclose(tet.apex, 0)
+    legs = cut_tripod(tp, cut)
     for a in range(3):
         for b in range(a + 1, 3):
-            assert abs(np.dot(tet.legs[a], tet.legs[b])) < 1e-9
+            assert abs(np.dot(legs[a], legs[b])) < 1e-9
 
 
 def test_trirect_recovers_axis_tetrahedron():
@@ -42,10 +48,10 @@ def test_trirect_recovers_axis_tetrahedron():
     from tetraquadric.forms import Tripod
 
     tp = Tripod((vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)))
-    tet = trirect_from_tripod(tp, Plane3(vec(1, 1, 1.0), 1.0))
-    got = sorted(tuple(np.round(l, 9)) for l in tet.legs)
+    legs = cut_tripod(tp, Plane3(vec(1, 1, 1.0), 1.0))
+    got = sorted(tuple(np.round(l, 9)) for l in legs)
     assert got == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    verts = np.vstack([tet.apex, tet.legs])
+    verts = np.vstack([np.zeros(3), legs])
     assert classify(Tetrahedron(verts)).kind is TetraKind.ORTHOCENTRIC
 
 
@@ -55,18 +61,18 @@ def test_trirect_plane_misses_leg():
     # plane parallel to the seed leg
     n = np.cross(tp.legs[0], tp.legs[1])
     with pytest.raises(PlaneMissesLeg):
-        trirect_from_tripod(tp, Plane3(n, 1.0))
+        cut_tripod(tp, Plane3(n, 1.0))
     with pytest.raises(PlaneMissesLeg):
-        trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), 0.0))
+        cut_tripod(tp, Plane3(vec(0, 0, 1.0), 0.0))
 
 
 @pytest.mark.parametrize("offset", [1e-10, 1e-300])
 def test_trirect_cut_close_to_the_apex(offset):
     # the cone is scale-free; a plane exactly through the apex still raises above
     tp = tripod_through_generator(D(1, 1, -2), vec(1, 1, 1) / math.sqrt(3))
-    tet = trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), offset))
-    unit = trirect_from_tripod(tp, Plane3(vec(0, 0, 1.0), 1.0))
-    np.testing.assert_allclose(np.array(tet.legs) / offset, unit.legs, rtol=1e-14)
+    legs = cut_tripod(tp, Plane3(vec(0, 0, 1.0), offset))
+    unit = cut_tripod(tp, Plane3(vec(0, 0, 1.0), 1.0))
+    np.testing.assert_allclose(legs / offset, unit, rtol=1e-14)
 
 
 def test_orthocenter2d_examples():
@@ -253,7 +259,7 @@ def _reference_family(q, rho, count):
             + math.sin(phi) / math.sqrt(v2) * e2
             + 1.0 / math.sqrt(-v3) * e3
         )
-        pts = list(trirect_from_tripod(tripod_through_generator(q, g), cut).legs)
+        pts = list(cut_tripod(tripod_through_generator(q, g), cut))
         xy = [(np.dot(p, e1), np.dot(p, e2)) for p in pts]
         area2 = sum(xy[i][0] * xy[i - 2][1] - xy[i - 2][0] * xy[i][1] for i in range(3))
         if area2 < 0:

@@ -76,13 +76,6 @@ def test_decisions_invariant_under_scale_and_translation(seed, kind, log_scale, 
             assert analyze(u).residuals["altitude_incidence"] <= 1e-9
 
 
-_ORTHOCENTRIC_NOISE = pytest.mark.xfail(
-    strict=True,
-    reason="altitude_incidence reads above 1e-9 on a correct result: the orthocentric "
-    "residual measures only the noise of a zero form (recorded as FOUND in CHANGES.md)",
-)
-
-
 @pytest.mark.parametrize(
     "kind, seed, scale, shift",
     [
@@ -90,12 +83,8 @@ _ORTHOCENTRIC_NOISE = pytest.mark.xfail(
         (TetraKind.SEMI_ORTHOCENTRIC, 1533, 1.0, (1e3, 1e3, 1e3)),
         (TetraKind.GENERIC, 1252, 1.0, (1e6, 1e6, 1e6)),
         (TetraKind.SEMI_ORTHOCENTRIC, 1533, 1.0, (-1e6, 1e6, 1e6)),
-        pytest.param(
-            TetraKind.ORTHOCENTRIC, 548, 1.0, (0.0, 0.0, 0.0), marks=_ORTHOCENTRIC_NOISE
-        ),
-        pytest.param(
-            TetraKind.ORTHOCENTRIC, 1353, 10.0, (0.0, 0.0, 0.0), marks=_ORTHOCENTRIC_NOISE
-        ),
+        (TetraKind.ORTHOCENTRIC, 548, 1.0, (0.0, 0.0, 0.0)),
+        (TetraKind.ORTHOCENTRIC, 1353, 10.0, (0.0, 0.0, 0.0)),
     ],
 )
 def test_altitude_incidence_reads_below_1e_9_on_any_similar_copy(kind, seed, scale, shift):
