@@ -22,7 +22,7 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
-    cross_rows,
+    _meet_rule,
     dot,
     norm,
 )
@@ -158,24 +158,15 @@ def regulus_of(
 
     Decided by meet/skew votes against the four altitudes: lines of the same
     regulus are mutually skew, lines of the other regulus meet all but at most
-    one altitude.  The four votes are one array expression with the rule of
-    `line_line_meet`: the line meets altitude l when the two are not parallel
-    and the gap |w . c| / |c|, c the cross product of the directions and w the
-    offset of the base points, is within the gate of the larger base point.
-    A two-to-two vote, which only roundoff near a gate can give, raises
-    `AmbiguousRegulus`.
+    one altitude.  The four votes are one call of `core._meet_rule`, the rule
+    that `line_line_meet` decides with.  A two-to-two vote, which only roundoff
+    near a gate can give, raises `AmbiguousRegulus`.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("reguli exist only for the hyperboloid case")
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
-    c = cross_rows(line.dir, t.unit_normals)
-    c_norm = np.array([math.hypot(*r) for r in c.tolist()])
-    scale = np.maximum(norm(line.base), [math.hypot(*v) for v in t.vertices.tolist()])
-    # a line parallel to an altitude has c = 0; the mask below votes it skew
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(np.sum((t.vertices - line.base) * c, axis=1)) / c_norm
-    meets = int(np.sum((c_norm > tol.gate(1.0)) & (gap <= tol.gate(scale))))
+    meets = int(np.sum(_meet_rule(line.base, line.dir, t.vertices, t.unit_normals, tol)[1]))
     if meets >= 3:
         return RegulusTag.PERPENDICULAR_REGULUS
     if 4 - meets >= 3:

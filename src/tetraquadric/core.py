@@ -56,10 +56,14 @@ def _cross(u: list, v: list) -> list:
     return [b * f - c * e, c * d - a * f, a * e - b * d]
 
 
+#: Index arrays of the cyclic shifts (y, z, x) and (z, x, y) of a 3-vector.
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross products along the last axis of broadcastable (..., 3) arrays; the
     same closed form as `cross`, so equal to `np.cross` to the bit."""
-    return u[..., [1, 2, 0]] * v[..., [2, 0, 1]] - u[..., [2, 0, 1]] * v[..., [1, 2, 0]]
+    return u[..., _NEXT] * v[..., _PREV] - u[..., _PREV] * v[..., _NEXT]
 
 
 def norm(v: Vec3) -> float:
@@ -210,33 +214,39 @@ class LineMeet:
     gap: float
 
 
+def _meet_rule(
+    base: Vec3, direction: Vec3, bases: np.ndarray, directions: np.ndarray, tol: Tolerance
+) -> tuple[np.ndarray, ...]:
+    """How the line (base, direction) lies against each line (bases, directions)
+    (N, 3), directions unit, as (N,) arrays (parallel, meets, gap, scale, |c|), c
+    the cross product of the directions: parallel is |c| <= gate(1.0); meets, not
+    parallel and |(base_k - base) . c| / |c| within the gate of the larger base point."""
+    c = cross_rows(direction, directions)
+    c_norm = np.array([math.hypot(*r) for r in c.tolist()])
+    scale = np.maximum(norm(base), [math.hypot(*v) for v in bases.tolist()])
+    # a parallel pair has c = 0; its gap, 0 / 0, is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(np.sum((bases - base) * c, axis=1)) / c_norm
+    meets = (c_norm > tol.gate(1.0)) & (gap <= tol.gate(scale))
+    return c_norm <= tol.gate(1.0), meets, gap, scale, c_norm
+
+
 def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMeet:
     """Classify the mutual position of two lines; Meeting carries the common point.
 
-    The gap is gated relative to the larger base point, so lines far from the
-    origin are not spuriously declared intersecting.
-    """
-    d1, d2 = l1.dir, l2.dir
-    c = cross(d1, d2)
-    scale = max(norm(l1.base), norm(l2.base))
-    w = l2.base - l1.base
-    if norm(c) <= tol.gate(1.0):
+    `_meet_rule` decides, the one rule that `altquadric.regulus_of` votes with; a
+    parallel pair is identical when l2's base point is within the gate of l1."""
+    rule = _meet_rule(l1.base, l1.dir, l2.base[None], l2.dir[None], tol)
+    parallel, meets, gap, scale, c_norm = (x.item() for x in rule)
+    if parallel:
         gap = l1.distance_to_point(l2.base)
-        if gap <= tol.gate(scale):
-            return LineMeet(LineRelation.IDENTICAL, None, gap)
-        return LineMeet(LineRelation.PARALLEL, None, gap)
-    gap = abs(dot(w, c)) / norm(c)
-    # closest points: minimize |l1(t1) - l2(t2)|
-    a11 = 1.0
-    a12 = -dot(d1, d2)
-    a22 = 1.0
-    b1 = dot(w, d1)
-    b2 = -dot(w, d2)
-    det = a11 * a22 - a12 * a12
-    t1 = (b1 * a22 - a12 * b2) / det
-    t2 = (a11 * b2 - a12 * b1) / det
-    q1 = l1.point_at(t1)
-    q2 = l2.point_at(t2)
-    if gap <= tol.gate(scale):
-        return LineMeet(LineRelation.MEETING, 0.5 * (q1 + q2), gap)
-    return LineMeet(LineRelation.SKEW, None, gap)
+        relation = LineRelation.IDENTICAL if gap <= tol.gate(scale) else LineRelation.PARALLEL
+        return LineMeet(relation, None, gap)
+    if not meets:
+        return LineMeet(LineRelation.SKEW, None, gap)
+    # the midpoint of the closest points l1(t1), l2(t2), from the normal equations;
+    # their determinant 1 - (d1 . d2)^2 = |c|^2 rounds to 0 for directions ~1e-8 apart
+    w, k = l2.base - l1.base, dot(l1.dir, l2.dir)
+    b1, b2, det = dot(w, l1.dir), dot(w, l2.dir), (1.0 - k * k) or c_norm * c_norm
+    t1, t2 = (b1 - k * b2) / det, (k * b1 - b2) / det
+    return LineMeet(LineRelation.MEETING, 0.5 * (l1.point_at(t1) + l2.point_at(t2)), gap)

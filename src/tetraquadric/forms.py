@@ -30,6 +30,7 @@ from .core import (
 from .errors import DegenerateForm, NotOnCone, NotTraceless
 
 _SQRT2 = math.sqrt(2.0)
+_AXES = _frozen(np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ def _plane_bases(n: np.ndarray) -> np.ndarray:
     (N, 3): u is the coordinate axis least aligned with n, projected onto the
     plane, and v = n x u, so that u x v = n."""
     k = np.argmin(np.abs(n), axis=1)
-    u = np.eye(3)[k] - n[np.arange(len(n)), k, None] * n
+    u = _AXES[k] - n[np.arange(len(n)), k, None] * n
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return np.stack([u, cross_rows(n, u)], axis=1)
 

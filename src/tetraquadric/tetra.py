@@ -73,7 +73,7 @@ class Tetrahedron:
       b_0j . c = b_0j . mid(edge 0j).  Both are solved relative to a_0, so that
       a translation far from the origin costs no digits, with one factorization
       of B = (b_01, b_02, b_03);
-    - `lambdas` (3,), (a_0 - m) . (a_j - m) for j = 1, 2, 3;
+    - `gram` (4, 4), (a_i - m) . (a_j - m), and `lambdas` (3,), its row 0 for j = 1, 2, 3;
     - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
       (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order;
     - `q_star`, (d_1 F_2 - d_2 F_1) / 2, and `rhs`, d_1 d_2 d_3 / 8, with d_p the
@@ -120,8 +120,7 @@ class Tetrahedron:
             centered = r - x[:, 0]
             b_kl = e[_KL_INDEX[0], _KL_INDEX[1]]
             unit_normals = face_normals / np.array([[math.hypot(*n)] for n in normals])
-            # the first row of the Gram matrix that `monge_identity_residual` reads
-            lam = _frozen(centered @ centered.T)[0, 1:]
+            gram = _frozen(centered @ centered.T)
             o = b[:, :, None] * b_kl[:, None, :]
             forms = 0.5 * (o + o.transpose(0, 2, 1))
             d1, d2, d3 = dots
@@ -136,7 +135,8 @@ class Tetrahedron:
             monge_centered=_frozen(centered),
             monge=_frozen(v[0] - centered[0]),
             circumcenter=_frozen(v[0] + x[:, 1]),
-            lambdas=lam,
+            gram=gram,
+            lambdas=gram[0, 1:],
             basic_forms=_frozen(forms),
             q_star=q_star,
             rhs=0.125 * d1 * d2 * d3,
@@ -216,9 +216,7 @@ def monge_point(t: Tetrahedron) -> Vec3:
 
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
-    d = t.monge_centered
-    # the Gram matrix whose (0, j) entries are `lambdas`
-    g = (d @ d.T).tolist()
+    g = t.gram.tolist()
     return max(abs(g[i][j] - g[k][l]) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS)
 
 

@@ -50,6 +50,7 @@ from tetraquadric.errors import (
 from tetraquadric.reporting import altitude_level_residual, quadric_mesh
 
 from conic_oracle import conic_value, conic_value_scale, reference_conic_kind
+from line_oracle import reference_line_meet
 
 ALL_KINDS = [TetraKind.GENERIC, TetraKind.SEMI_ORTHOCENTRIC, TetraKind.ORTHOCENTRIC]
 QUADRIC_OF_CLASS = {
@@ -249,11 +250,11 @@ def test_regulus_examples(t_gen):
 
 
 def reference_regulus(qd, t, line):
-    """The regulus vote as one scalar `line_line_meet` per altitude."""
+    """The regulus vote as one scalar `reference_line_meet` per altitude."""
     if not contains_line(qd, line):
         return RegulusTag.NOT_ON_QUADRIC
     meets = sum(
-        line_line_meet(line, altitude(t, l)).relation is LineRelation.MEETING
+        reference_line_meet(line, altitude(t, l)).relation is LineRelation.MEETING
         for l in range(4)
     )
     if meets >= 3:

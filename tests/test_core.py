@@ -15,6 +15,7 @@ from tetraquadric import (
 )
 from tetraquadric.core import norm, normalize
 
+from line_oracle import reference_line_meet
 from plane_oracle import (
     ParallelPlanes,
     SingularSystem,
@@ -142,6 +143,60 @@ def test_line_line_meet_symmetric():
         assert m12.relation is m21.relation
         if m12.point is not None:
             np.testing.assert_allclose(m12.point, m21.point, atol=1e-9)
+
+
+def _line_pairs(rng, n):
+    """n pairs of lines, a quarter each random, parallel or nearly so, identical,
+    and meeting or near-meeting at an offset of 1e-11..1e-8 of their size, at
+    scales 1e-6..1e6 and shifted up to 1e6 from the origin."""
+    for k in range(n):
+        size = 10 ** rng.uniform(-6, 6)
+        shift = 10 ** rng.uniform(0, 6) * rng.normal(size=3) * (k % 8 < 4)
+        d1, d2 = rng.normal(size=3), rng.normal(size=3)
+        b1 = shift + size * rng.normal(size=3)
+        b2 = shift + size * rng.normal(size=3)
+        kind = k % 4
+        if kind == 1:  # parallel, either orientation, or turned by 1e-12..1e-6
+            tilt = 10 ** rng.uniform(-12, -6) * rng.normal(size=3) * (rng.random() < 0.5)
+            d2 = d1 * rng.choice([-1.0, 1.0]) + tilt * np.linalg.norm(d1)
+        elif kind == 2:  # identical: a second base point on the first line
+            d2 = d1 * rng.choice([-1.0, 1.0])
+            b2 = b1 + size * rng.normal() * d1 / np.linalg.norm(d1)
+        elif kind == 3:  # through one point, then moved off it along the common normal
+            if rng.random() < 0.25:  # at directions 1e-8..1e-3 apart
+                d2 = d1 + 10 ** rng.uniform(-8, -3) * rng.normal(size=3) * np.linalg.norm(d1)
+            n = np.cross(d1, d2)
+            off = 10 ** rng.uniform(-11, -8) * size * n / np.linalg.norm(n)
+            b2 = b1 + size * rng.normal() * d1 + size * rng.normal() * d2 + off
+        yield Line3(b1, d1), Line3(b2, d2)
+
+
+def test_line_line_meet_matches_the_scalar_reference():
+    # the array kernel at N = 1 against the scalar rule it replaced
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for l1, l2 in _line_pairs(rng, 10_000):
+        got, ref = line_line_meet(l1, l2), reference_line_meet(l1, l2)
+        assert got.relation is ref.relation
+        assert abs(got.gap - ref.gap) <= 1e-14 * max(norm(l2.base - l1.base), 1.0)
+        assert (got.point is None) == (ref.point is None)
+        if got.point is not None:
+            size = max(norm(l1.base), norm(l2.base), 1.0)
+            assert norm(got.point - ref.point) <= 1e-12 * size
+        seen.add(got.relation)
+    assert seen == set(LineRelation)
+
+
+def test_near_parallel_lines_are_decided():
+    # directions 3e-9 apart, above the parallel gate: 1 - (d1 . d2)^2 rounds to 0
+    # there, which the closest-point equations once divided by
+    x_axis = Line3(vec(0, 0, 0), vec(1, 0, 0))
+    assert line_line_meet(x_axis, Line3(vec(5, 0, 0), vec(1, 3e-9, 0))).relation is (
+        LineRelation.MEETING
+    )
+    assert line_line_meet(x_axis, Line3(vec(5, 0, 1), vec(1, 3e-9, 0))).relation is (
+        LineRelation.SKEW
+    )
 
 
 def test_tolerance_validation():

@@ -685,6 +685,24 @@ def test_cli_porism_non_finite_form_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_porism_non_number_form_exits_2(tmp_path, capsys):
+    out = tmp_path / "bad.svg"
+    assert main(["porism", "--form=a,1,-1,0,0,0", "--rho", "1", "--svg", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "six comma-separated numbers" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_internal_invariant_violation_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(t, tol):
+        raise InternalInvariantError("planted")
+
+    monkeypatch.setattr(reporting, "analyze", broken)
+    f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
+    assert main(["analyze", str(f)]) == 3
+    assert "internal invariant violation: planted" in capsys.readouterr().err
+
+
 def test_cli_quadric_extent_beyond_the_double_range(tmp_path, capsys):
     # a finite extent whose mesh vertices overflow wrote `v nan nan nan` and exited 0
     verts = [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]]

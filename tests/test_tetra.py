@@ -87,8 +87,8 @@ def test_vertices_are_copied_and_every_derived_array_is_frozen():
     # the whole record: read-only, and computed once, the same object on every read
     for name in (
         "vertices", "edges", "face_normals", "unit_normals", "opposite_dots",
-        "opposite_scales", "monge_centered", "monge", "circumcenter", "lambdas",
-        "basic_forms", "q_star.matrix",
+        "opposite_scales", "monge_centered", "monge", "circumcenter", "gram",
+        "lambdas", "basic_forms", "q_star.matrix",
     ):
         a = attrgetter(name)(t)
         assert attrgetter(name)(t) is a, name
@@ -314,6 +314,19 @@ def test_classify_examples(t_gen, t_semi, t_orth):
     assert cls.kind is TetraKind.SEMI_ORTHOCENTRIC
     assert cls.orthogonal_pair == ((0, 1), (2, 3))
     assert classify(t_orth).kind is TetraKind.ORTHOCENTRIC
+
+
+def test_two_vanished_dots_read_generic_with_a_warning():
+    # d3 = -(d1 + d2), so at a loose tolerance a short pair 03, 12 can keep its dot
+    # above ten gates while the other two read zero, which no exact figure allows
+    t = Tetrahedron([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0.1, -0.1, 0.1]])
+    tol = Tolerance(0.05)
+    zero = np.abs(t.opposite_dots) <= tol.rel_eps * t.opposite_scales
+    assert zero.tolist() == [True, True, False]
+    cls = classify(t, tol)
+    assert cls.kind is TetraKind.GENERIC and cls.orthogonal_pair is None
+    assert "two opposite-edge dot products vanished" in cls.warning
+    assert analyze(t, tol).warnings == [cls.warning]
 
 
 def test_two_meets_force_concurrency():
