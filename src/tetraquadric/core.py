@@ -218,8 +218,8 @@ def _meet_rule(
     base: Vec3, direction: Vec3, bases: np.ndarray, directions: np.ndarray, tol: Tolerance
 ) -> tuple[np.ndarray, ...]:
     """How the line (base, direction) lies against each line (bases, directions)
-    (N, 3), directions unit, as (N,) arrays (parallel, meets, gap, scale, |c|), c
-    the cross product of the directions: parallel is |c| <= gate(1.0); meets, not
+    (N, 3), directions unit, as arrays (parallel, meets, gap, scale, c), c (N, 3)
+    the cross products of the directions: parallel is |c| <= gate(1.0); meets, not
     parallel and |(base_k - base) . c| / |c| within the gate of the larger base point."""
     c = cross_rows(direction, directions)
     c_norm = np.array([math.hypot(*r) for r in c.tolist()])
@@ -228,25 +228,25 @@ def _meet_rule(
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(np.sum((bases - base) * c, axis=1)) / c_norm
     meets = (c_norm > tol.gate(1.0)) & (gap <= tol.gate(scale))
-    return c_norm <= tol.gate(1.0), meets, gap, scale, c_norm
+    return c_norm <= tol.gate(1.0), meets, gap, scale, c
 
 
 def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMeet:
     """Classify the mutual position of two lines; Meeting carries the common point.
 
     `_meet_rule` decides, the one rule that `altquadric.regulus_of` votes with; a
-    parallel pair is identical when l2's base point is within the gate of l1."""
-    rule = _meet_rule(l1.base, l1.dir, l2.base[None], l2.dir[None], tol)
-    parallel, meets, gap, scale, c_norm = (x.item() for x in rule)
+    parallel pair is identical when l2's base point is within the gate of l1.  The
+    meeting point is the midpoint of the closest points l1(t1), l2(t2), with
+    t1 = ((w x d2) . c) / |c|^2, t2 = ((w x d1) . c) / |c|^2, w = l2.base - l1.base
+    and c the rule's own cross product d1 x d2."""
+    *rule, (c,) = _meet_rule(l1.base, l1.dir, l2.base[None], l2.dir[None], tol)
+    parallel, meets, gap, scale = (x.item() for x in rule)
     if parallel:
         gap = l1.distance_to_point(l2.base)
         relation = LineRelation.IDENTICAL if gap <= tol.gate(scale) else LineRelation.PARALLEL
         return LineMeet(relation, None, gap)
     if not meets:
         return LineMeet(LineRelation.SKEW, None, gap)
-    # the midpoint of the closest points l1(t1), l2(t2), from the normal equations;
-    # their determinant 1 - (d1 . d2)^2 = |c|^2 rounds to 0 for directions ~1e-8 apart
-    w, k = l2.base - l1.base, dot(l1.dir, l2.dir)
-    b1, b2, det = dot(w, l1.dir), dot(w, l2.dir), (1.0 - k * k) or c_norm * c_norm
-    t1, t2 = (b1 - k * b2) / det, (k * b1 - b2) / det
+    w, cc = l2.base - l1.base, dot(c, c)
+    t1, t2 = dot(cross(w, l2.dir), c) / cc, dot(cross(w, l1.dir), c) / cc
     return LineMeet(LineRelation.MEETING, 0.5 * (l1.point_at(t1) + l2.point_at(t2)), gap)

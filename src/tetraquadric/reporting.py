@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,7 +32,7 @@ def parse_tetrahedron(text: str) -> Tetrahedron:
     """Read a tetrahedron from a JSON document {"vertices": [[x,y,z] x4]}."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past Python's digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ParseError('document must be an object with a "vertices" field')
@@ -42,13 +43,12 @@ def parse_tetrahedron(text: str) -> Tetrahedron:
         or any(not isinstance(v, list) or len(v) != 3 for v in verts)
     ):
         raise ParseError("vertices must be four [x, y, z] triples")
-    try:
-        arr = np.array(verts, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("vertex coordinates must be numbers") from exc
-    if not np.all(np.isfinite(arr)):
+    coords = [x for v in verts for x in v]
+    if any(type(x) not in (int, float) for x in coords):  # no str, bool or null
+        raise ParseError("vertex coordinates must be numbers")
+    if not all(abs(x) <= sys.float_info.max for x in coords):  # exact on big integers
         raise ParseError("vertex coordinates must be finite")
-    return Tetrahedron(arr)
+    return Tetrahedron(np.array(verts, dtype=float))
 
 
 def serialize_tetrahedron(t: Tetrahedron) -> str:

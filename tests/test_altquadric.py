@@ -254,7 +254,7 @@ def reference_regulus(qd, t, line):
     if not contains_line(qd, line):
         return RegulusTag.NOT_ON_QUADRIC
     meets = sum(
-        reference_line_meet(line, altitude(t, l)).relation is LineRelation.MEETING
+        reference_line_meet(line, altitude(t, l))[0] is LineRelation.MEETING
         for l in range(4)
     )
     if meets >= 3:

@@ -6,6 +6,8 @@ Tetrahedra come from `random_tetra` as they are, as slivers, near a class
 gate, far from the origin and scaled anywhere in 1e-300..1e300; extents and
 heights anywhere in 1e-300..1e308.  Each command runs in-process with every
 warning raised as an error, so a numpy overflow warning fails the test too.
+The same draws that mesh are checked against the quadric computed exactly in
+`Fraction` from the binary input.
 """
 
 import contextlib
@@ -14,20 +16,24 @@ import json
 import re
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tetraquadric import TetraKind, Tetrahedron, random_tetra
+from tetraquadric import TetraKind, Tetrahedron, build, quadric_mesh, random_tetra
 from tetraquadric.cli import main
-from tetraquadric.errors import DegenerateTetrahedron
+from tetraquadric.errors import DegenerateTetrahedron, GeometryError
+
+from test_exact_oracle import exact_quadric, _form_value, _sub
 
 README_TETRA = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
 NON_FINITE_JSON = re.compile(r"NaN|Infinity")
 NON_FINITE_TEXT = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 COMMANDS = ("analyze", "classify", "quadric", "porism")
+EPS = Fraction(np.finfo(float).eps)
 
 
 @st.composite
@@ -96,3 +102,25 @@ def test_cli_exits_0_with_finite_output_or_2(v, log_extent, log_rho):
                 assert not NON_FINITE_JSON.search(stdout), argv
                 if figure is not None:
                     assert not NON_FINITE_TEXT.search(figure.read_text()), argv
+
+
+@settings(max_examples=175, deadline=None, derandomize=True)
+@given(v=vertices(), log_extent=st.floats(-300.0, 308.0))
+def test_mesh_vertices_lie_on_the_exact_quadric(v, log_extent):
+    # Q*(p - M) - rhs, exact at each float vertex p, with M, Q* and rhs exact
+    # from the binary input, within 4 eps of its operands' scale: the vertex's
+    # own rounding, eps |p| through the gradient, and the forward error of the
+    # dots that Q* and rhs are made of, eps L^4 and eps L^6 for the longest edge L
+    try:
+        t = Tetrahedron(v)
+        mesh = quadric_mesh(build(t), 10**log_extent, 8)
+    except GeometryError:
+        return
+    _, _, m, _, q, rhs = exact_quadric([[Fraction(x) for x in p] for p in v.tolist()])
+    length = Fraction(t.edge_scale())
+    for p in mesh.vertices.tolist():
+        p = [Fraction(x) for x in p]
+        d, size = _sub(p, m), max(map(abs, p))
+        reach = max(map(abs, d))
+        bound = 4 * EPS * (length**4 * reach * (reach + size) + length**6)
+        assert abs(_form_value(q, d) - rhs) <= bound, (v.tolist(), log_extent)

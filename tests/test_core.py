@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from tetraquadric import (
 from tetraquadric.core import norm, normalize
 
 from line_oracle import reference_line_meet
+from test_exact_oracle import _cross, _dot, _sub
 from plane_oracle import (
     ParallelPlanes,
     SingularSystem,
@@ -23,6 +27,8 @@ from plane_oracle import (
     reference_plane,
     solve3,
 )
+
+EPS = np.finfo(float).eps
 
 coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 vectors = st.builds(vec, coord, coord, coord)
@@ -171,32 +177,47 @@ def _line_pairs(rng, n):
         yield Line3(b1, d1), Line3(b2, d2)
 
 
+def assert_meeting_point_is_exact(m, l1, l2):
+    """The meeting point is within 4 eps * size / |c| of the midpoint of the closest
+    points, exact in `Fraction` from the float bases and directions, with size the
+    larger base point and c = d1 x d2: the conditioning of the point itself."""
+    b1, d1, b2, d2 = ([Fraction(x) for x in a.tolist()] for a in (l1.base, l1.dir, l2.base, l2.dir))
+    c, w = _cross(d1, d2), _sub(b2, b1)
+    cc = _dot(c, c)
+    t1, t2 = _dot(_cross(w, d2), c) / cc, _dot(_cross(w, d1), c) / cc
+    exact = [(p + t1 * u + q + t2 * v) / 2 for p, u, q, v in zip(b1, d1, b2, d2)]
+    err = math.hypot(*(float(Fraction(g) - e) for g, e in zip(m.point.tolist(), exact)))
+    assert err * math.sqrt(cc) <= 4 * EPS * max(norm(l1.base), norm(l2.base))
+
+
 def test_line_line_meet_matches_the_scalar_reference():
-    # the array kernel at N = 1 against the scalar rule it replaced
+    # the array kernel at N = 1 against the scalar rule it replaced, for the
+    # relation and the gap; the meeting point against the exact closest point
     rng = np.random.default_rng(2024)
     seen = set()
     for l1, l2 in _line_pairs(rng, 10_000):
-        got, ref = line_line_meet(l1, l2), reference_line_meet(l1, l2)
-        assert got.relation is ref.relation
-        assert abs(got.gap - ref.gap) <= 1e-14 * max(norm(l2.base - l1.base), 1.0)
-        assert (got.point is None) == (ref.point is None)
+        got = line_line_meet(l1, l2)
+        relation, gap = reference_line_meet(l1, l2)
+        assert got.relation is relation
+        assert abs(got.gap - gap) <= 1e-14 * max(norm(l2.base - l1.base), 1.0)
+        assert (got.point is None) == (relation is not LineRelation.MEETING)
         if got.point is not None:
-            size = max(norm(l1.base), norm(l2.base), 1.0)
-            assert norm(got.point - ref.point) <= 1e-12 * size
+            assert_meeting_point_is_exact(got, l1, l2)
         seen.add(got.relation)
     assert seen == set(LineRelation)
 
 
 def test_near_parallel_lines_are_decided():
-    # directions 3e-9 apart, above the parallel gate: 1 - (d1 . d2)^2 rounds to 0
-    # there, which the closest-point equations once divided by
+    # directions 3e-9 and 1e-7 apart, above the parallel gate: 1 - (d1 . d2)^2
+    # cancels there and rounds to 0 at 3e-9, so the meeting point is read from
+    # c = d1 x d2, which keeps its digits
     x_axis = Line3(vec(0, 0, 0), vec(1, 0, 0))
-    assert line_line_meet(x_axis, Line3(vec(5, 0, 0), vec(1, 3e-9, 0))).relation is (
-        LineRelation.MEETING
-    )
-    assert line_line_meet(x_axis, Line3(vec(5, 0, 1), vec(1, 3e-9, 0))).relation is (
-        LineRelation.SKEW
-    )
+    for tilt in (3e-9, 1e-7):
+        m = line_line_meet(x_axis, Line3(vec(5, 0, 0), vec(1, tilt, 0)))
+        assert m.relation is LineRelation.MEETING
+        assert norm(m.point - vec(5, 0, 0)) <= 1e-12 * 5
+        skew = line_line_meet(x_axis, Line3(vec(5, 0, 1), vec(1, tilt, 0)))
+        assert skew.relation is LineRelation.SKEW
 
 
 def test_tolerance_validation():

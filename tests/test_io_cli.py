@@ -497,6 +497,28 @@ def test_cli_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "vertex, message",
+    [
+        ('["0", "0", "0"]', "must be numbers"),
+        ("[true, 0, 0]", "must be numbers"),
+        (f"[{'9' * 400}, 0, 0]", "must be finite"),
+        (f"[{'9' * 5000}, 0, 0]", "invalid JSON"),
+    ],
+    ids=["string", "boolean", "400_digits", "5000_digits"],
+)
+def test_cli_coordinates_must_be_finite_json_numbers(tmp_path, capsys, vertex, message):
+    # strings once parsed as 0.0 and true as 1.0, both with exit 0; a 400-digit
+    # integer overflowed the conversion to float, and a 5000-digit one Python's
+    # digit limit, both with a traceback and exit 1
+    f = tmp_path / "t.json"
+    f.write_text(f'{{"vertices": [{vertex}, [4, 0, 0], [1, 3, 0], [2, 1, 2]]}}')
+    with pytest.raises(ParseError, match=message):
+        parse_tetrahedron(f.read_text())
+    assert main(["classify", str(f)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_quadric(tmp_path, capsys):
     f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
     out = tmp_path / "q.obj"

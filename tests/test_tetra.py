@@ -33,6 +33,7 @@ from tetraquadric.tetra import _FACES, OPPOSITE_EDGE_PAIRS
 
 from plane_oracle import line_from_two_planes, perp_bisector, solve3
 
+EPS = np.finfo(float).eps
 ALL_KINDS = [TetraKind.GENERIC, TetraKind.SEMI_ORTHOCENTRIC, TetraKind.ORTHOCENTRIC]
 
 
@@ -150,21 +151,48 @@ def test_ortho_perpendicular_examples(t_tri, t_gen, t_orth):
     assert n0.distance_to_point(np.zeros(3)) < 1e-12
 
 
+#: Draw 23 of the sliver probe: vertex 3 sits 1.3e-8 edge lengths from the
+#: centroid of the opposite face, so every face normal is within 3e-8 of the
+#: others, and n_l and h_i cross at that angle.  Its gaps read up to 9.3e-10 of
+#: its size against the fixed 1e-9 meet gate, so it is scaled by powers of two,
+#: which keep every bit; at 1e-6, 1e-3 and 1e3 rounding puts a pair above it.
+SLIVER = [[0.387540214171084, -4.174651271526702, 4.4301462617276774],
+          [-5.6762335399145565, -3.328023257569995, 4.453897287898569],
+          [-6.900162795163933, -7.142018931863856, 2.5174122574586377],
+          [-4.062952118472688, -4.881564461252999, 3.800485330795028]]
+
+
 def test_parallelism_and_theorem1():
-    for t in random_mixed(20, seed0=100):
-        scale = t.edge_scale()
-        for l in range(4):
-            h = altitude(t, l)
-            n = ortho_perpendicular(t, l)
-            assert min(
-                np.linalg.norm(h.dir - n.dir), np.linalg.norm(h.dir + n.dir)
-            ) <= 1e-9
-            for i in range(4):
-                if i == l:
-                    continue
-                m = line_line_meet(n, altitude(t, i))
-                assert m.relation in (LineRelation.MEETING, LineRelation.IDENTICAL)
-                assert m.gap <= 1e-8 * scale
+    # n_l is parallel to h_l and meets every h_i, i != l, at a point of the
+    # proof's plane b_jk . (a_i - x) = 0; the point is checked to within
+    # 8 eps * edge_scale / |c|, its own conditioning, c = d(n_l) x d(h_i)
+    shapes = [t.vertices for t in random_mixed(20, seed0=100)]
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        sliver = Tetrahedron(np.ldexp(SLIVER, round(np.log2(scale))))
+        for t in [Tetrahedron(scale * v) for v in shapes] + [sliver]:
+            _check_theorem1(t)
+
+
+def _check_theorem1(t):
+    v, size = t.vertices, t.edge_scale()
+    for l in range(4):
+        n, d = ortho_perpendicular(t, l), altitude(t, l).dir
+        assert min(np.linalg.norm(d - n.dir), np.linalg.norm(d + n.dir)) <= 1e-9
+        for i in range(4):
+            if i == l:
+                continue
+            h = altitude(t, i)
+            m = line_line_meet(n, h)
+            assert m.relation in (LineRelation.MEETING, LineRelation.IDENTICAL)
+            assert m.gap <= 1e-8 * size
+            if m.point is None:
+                continue
+            j, k = (x for x in range(4) if x not in (i, l))
+            b = v[k] - v[j]
+            bound = 8 * EPS * size / np.linalg.norm(np.cross(n.dir, h.dir))
+            assert n.distance_to_point(m.point) <= bound
+            assert h.distance_to_point(m.point) <= bound
+            assert abs(b @ (v[i] - m.point)) / np.linalg.norm(b) <= bound
 
 
 def test_midplane_examples(t_tri, t_gen, t_semi):
