@@ -175,26 +175,26 @@ class Plane3:
 def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
     """Orthocenter of a triangle given by three coplanar 3D points.
 
-    Solved in units of the power of two just above the longest edge, whose
-    exponent is read in units of the largest coordinate, where no edge
-    overflows.  Both changes of unit are exact, so no product overflows or
-    underflows at any scale and results at ordinary scales keep every bit.  A
-    triangle so flat that its orthocenter lies beyond the largest double raises
-    `CollinearPoints`.
+    H = v0 + (e1 . e2) (n x (v1 - v2)) / |n|^2 with e1 = v1 - v0, e2 = v2 - v0
+    and n = e1 x e2, relative to v0 so that a shifted copy keeps its digits; in
+    units of the power of two just above the longest edge, whose exponent is
+    read in units of the largest coordinate, where no edge overflows.  Both
+    changes of unit are exact, so no product overflows or underflows at any
+    scale and results at ordinary scales keep every bit; dividing by |n| twice,
+    |n|^2 is never formed.  A triangle so flat that its orthocenter lies beyond
+    the largest double raises `CollinearPoints`.
     """
     v = np.array([as_vec(p) for p in tri])
     v_exp = math.frexp(float(np.max(np.abs(v))))[1]
     w = np.ldexp(v, -v_exp)
     frac, exp = math.frexp(max(norm(w[i] - w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
     v0, v1, v2 = np.ldexp(w, -exp)
-    n = cross(v1 - v0, v2 - v0)
+    e1, e2 = v1 - v0, v2 - v0
+    n = cross(e1, e2)
     if norm(n) <= tol.gate(frac, frac):
         raise CollinearPoints("triangle vertices are collinear")
-    n_hat = n / norm(n)
-    a = np.array([v1 - v2, v2 - v0, n_hat])
-    b = np.array([dot(v0, v1 - v2), dot(v1, v2 - v0), dot(v0, n_hat)])
-    with np.errstate(over="ignore"):
-        h = np.ldexp(np.linalg.solve(a, b), v_exp + exp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.ldexp(v0 + dot(e1, e2) / norm(n) * (cross(n, v1 - v2) / norm(n)), v_exp + exp)
     if not np.isfinite(h).all():
         raise CollinearPoints("triangle too flat: its orthocenter leaves the double range")
     return h

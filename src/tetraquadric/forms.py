@@ -183,7 +183,7 @@ def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nd
     lengths = np.linalg.norm(g, axis=1)
     if np.any(lengths == 0.0):
         raise NotOnCone("zero vector is not a generator")
-    if rank(q, tol) < 3:
+    if not_traceless(q, tol) or rank(q, tol) < 3:
         raise DegenerateForm("cone requires a rank-3 traceless form")
     m = q.matrix
     ghat = g / lengths[:, None]

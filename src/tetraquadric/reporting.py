@@ -192,9 +192,9 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     `extent` bounds the coordinate along the hyperboloid axis; every emitted
     vertex satisfies the quadric equation up to roundoff.  Vertex
     `j * resolution + i` sits at angle 2 pi i / resolution on ring j.  A form
-    of rank below 3 at the default tolerance (the rule of
-    `porism.ellipse_section`) raises `DegenerateForm`, and so does an extent
-    whose vertices leave the double range.
+    of rank below 3 at the default tolerance raises `DegenerateForm` (unlike
+    `porism.ellipse_section`, the trace and the caller's tolerance are not
+    read), and so does an extent whose vertices leave the double range.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("meshes are generated for the hyperboloid case")

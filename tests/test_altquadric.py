@@ -249,6 +249,17 @@ def test_regulus_examples(t_gen):
     assert regulus_of(qd, noteworthy(t_gen).euler, t_gen) is RegulusTag.NOT_ON_QUADRIC
 
 
+def test_face_perpendiculars_of_a_far_shifted_tetrahedron_vote_their_regulus():
+    # shifted by 1e6 edge lengths, each face orthocenter keeps the digits of its
+    # offset from a vertex, so its perpendicular stays on the quadric
+    t = random_tetra(TetraKind.GENERIC, 1004)
+    far = Tetrahedron(t.vertices + 1e6 * t.edge_scale())
+    qd = build(far)
+    for l in range(4):
+        tag = regulus_of(qd, ortho_perpendicular(far, l), far)
+        assert tag is RegulusTag.PERPENDICULAR_REGULUS, l
+
+
 def reference_regulus(qd, t, line):
     """The regulus vote as one scalar `reference_line_meet` per altitude."""
     if not contains_line(qd, line):

@@ -15,14 +15,19 @@ the four face perpendiculars.
 
 Scaling by a power of two is exact, so the same lattice checked at 2**-20 and
 2**20 (about 1e-6 and 1e6) must give the same class and the same ulp errors.
+
+Any float triangle is rational too, so the face orthocenter is also checked on
+random triangles shifted far from the origin, against the same plane system
+solved exactly.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from tetraquadric import TetraKind, Tetrahedron, classify
+from tetraquadric import TetraKind, Tetrahedron, classify, orthocenter2d
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
 
 #: bound on every error, in ulps of the quantity's natural scale
@@ -93,15 +98,19 @@ def dot_form_quadric(v):
     return q, d1 * d2 * d3 / 8
 
 
+def exact_orthocenter(a_i, a_j, a_k):
+    """Orthocenter h of the triangle a_i a_j a_k and its normal n, from the plane
+    system (h - a_i).(a_j - a_k) = (h - a_j).(a_k - a_i) = n.(h - a_i) = 0."""
+    n = _cross(_sub(a_j, a_i), _sub(a_k, a_i))
+    rows = [_sub(a_j, a_k), _sub(a_k, a_i), n]
+    return _solve(rows, [_dot(rows[0], a_i), _dot(rows[1], a_j), _dot(n, a_i)]), n
+
+
 def _altitude_lines(v):
     """(point, direction) of the four altitudes and the four face perpendiculars."""
     lines = []
     for l in range(4):
-        i, j, k = (x for x in range(4) if x != l)
-        n = _cross(_sub(v[j], v[i]), _sub(v[k], v[i]))
-        # face orthocenter h: (h - a_i).(a_j - a_k) = (h - a_j).(a_k - a_i) = n.(h - a_i) = 0
-        rows = [_sub(v[j], v[k]), _sub(v[k], v[i]), n]
-        h = _solve(rows, [_dot(rows[0], v[i]), _dot(rows[1], v[j]), _dot(n, v[i])])
+        h, n = exact_orthocenter(*(v[x] for x in range(4) if x != l))
         lines += [(v[l], n), (h, n)]
     return lines
 
@@ -171,3 +180,21 @@ def test_library_matches_oracle_on_lattice(unit_exp):
         # products of lattice dots and half-integers, times powers of two: exact
         assert t.q_star.matrix.tolist() == [[float(x) for x in row] for row in q], v
         assert t.rhs == float(rhs), v
+
+
+@pytest.mark.parametrize("k", [0, 20, 40])
+def test_orthocenter2d_matches_the_exact_orthocenter_far_from_the_origin(k):
+    # read relative to a vertex, a shift by 2^k edge lengths costs only the
+    # rounding of the result itself: one ulp of H plus 8 eps of the larger of
+    # the edge length and the reach of H from v0
+    rng = np.random.default_rng(2024)
+    eps = float(np.finfo(float).eps)
+    for tri in rng.uniform(-1.0, 1.0, size=(1000, 3, 3)):
+        length = max(float(np.linalg.norm(tri[i] - tri[j])) for i, j in ((1, 0), (2, 0), (2, 1)))
+        tri = tri + 2.0**k * length * np.array([1.0, -1.0, 1.0])
+        got = orthocenter2d(tuple(tri))
+        v = [[Fraction(x) for x in p] for p in tri.tolist()]
+        h, _ = exact_orthocenter(*v)
+        reach = math.hypot(*(float(x - y) for x, y in zip(h, v[0])))
+        bound = math.ulp(max(abs(float(x)) for x in h)) + 8 * eps * max(length, reach)
+        assert max(abs(Fraction(g) - x) for g, x in zip(got.tolist(), h)) <= bound, tri

@@ -207,6 +207,9 @@ def test_batched_tripod_keeps_every_check():
         _tripods(q, off)
     with pytest.raises(DegenerateForm):
         _tripods(D(1, -1, 0), np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]))
+    # rank 3 but not traceless: (1, 0, 1) is on its cone, the companion legs are not
+    with pytest.raises(DegenerateForm):
+        tripod_through_generator(D(1, 1, -1), vec(1, 0, 1))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
