@@ -22,9 +22,9 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
+    _cross,
     _meet_rule,
     dot,
-    norm,
 )
 from .errors import (
     AmbiguousRegulus,
@@ -33,7 +33,7 @@ from .errors import (
     NotHyperboloid,
     TrivialQuadric,
 )
-from .forms import QuadForm3, _plane_bases
+from .forms import QuadForm3
 from .tetra import (
     OPPOSITE_EDGE_PAIRS,
     Tetrahedron,
@@ -127,12 +127,19 @@ def contains_line(
     """
     if qd.kind is QuadricKind.TRIVIAL:
         raise TrivialQuadric("the zero form carries no incidence information")
+    m = float(qd.form.max_abs())
+    base, u, center, rows = (a.tolist() for a in (line.base, line.dir, qd.center, qd.form.matrix))
     # at least the figure's own length |Q*|^(1/4), so that rhs roundoff cannot decide
-    span = max(norm(line.base - qd.center), qd.form.max_abs() ** 0.25)
-    d = line.base + np.array([[-span], [0.0], [span]]) * line.dir - qd.center
-    scale = max(abs(qd.rhs), qd.form.max_abs() * float(np.max(np.sum(d * d, axis=1))))
-    res = np.abs(np.einsum("ki,ij,kj->k", d, qd.form.matrix, d) - qd.rhs)
-    return bool(np.all(res <= tol.gate(scale)))
+    span = max(math.dist(base, center), m ** 0.25)
+    d = [[b + t * e - c for b, e, c in zip(base, u, center)] for t in (-span, 0.0, span)]
+    scale = max(abs(qd.rhs), m * max(x * x + y * y + z * z for x, y, z in d))
+    for x in d:
+        q = 0.0  # x^T Q* x, summed in the order of einsum("i,ij,j", x, Q*, x)
+        for xi, (a, b, c) in zip(x, rows):
+            q = q + xi * a * x[0] + xi * b * x[1] + xi * c * x[2]
+        if not abs(q - qd.rhs) <= tol.gate(scale):
+            return False
+    return True
 
 
 def asymptotic_cone(qd: AltitudeQuadric) -> QuadForm3:
@@ -166,7 +173,7 @@ def regulus_of(
         raise NotHyperboloid("reguli exist only for the hyperboloid case")
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
-    meets = int(np.sum(_meet_rule(line.base, line.dir, t.vertices, t.unit_normals, tol)[1]))
+    meets = sum(row[1] for row in _meet_rule(line.base, line.dir, t.vertices, t.unit_normals, tol))
     if meets >= 3:
         return RegulusTag.PERPENDICULAR_REGULUS
     if 4 - meets >= 3:
@@ -212,8 +219,14 @@ def section(
         raise NotHyperboloid("sections are computed for the hyperboloid case")
     # in-plane origin: plane point closest to the quadric center
     origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
+    # in-plane basis (u, n x u) as `forms._plane_bases` forms it, on Python floats
+    n = p.normal.tolist()
+    k = min(range(3), key=lambda i: abs(n[i]))
+    u = [float(i == k) - n[k] * x for i, x in enumerate(n)]
+    length = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    u = [x / length for x in u]
     # the conic's symmetric 3x3 matrix in the frame (u, v, origin)
-    frame = np.vstack([_plane_bases(p.normal[None])[0], origin - qd.center])
+    frame = np.array([u, _cross(n, u), (origin - qd.center).tolist()])
     h = frame @ qd.form.matrix @ frame.T
     h[2, 2] -= qd.rhs
     kind = _classify_conic(h, qd.form.max_abs(), tol)

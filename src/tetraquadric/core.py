@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -78,8 +78,8 @@ def triple(u: Vec3, v: Vec3, w: Vec3) -> float:
 
 def normalize(v: Vec3) -> Vec3:
     n = norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
+    if not 0.0 < n < math.inf:
+        raise ValueError("cannot normalize a zero or non-finite vector")
     return v / n
 
 
@@ -125,13 +125,15 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True, eq=False)
 class Line3:
-    """Line given by a base point and a unit direction."""
+    """Line given by a finite base point and a unit direction."""
 
     base: Vec3
     dir: Vec3
 
     def __post_init__(self):
         object.__setattr__(self, "base", as_vec(self.base))
+        if not all(map(math.isfinite, self.base.tolist())):
+            raise ValueError("a line needs a finite base point")
         object.__setattr__(self, "dir", canonical_dir(as_vec(self.dir)))
 
     def point_at(self, t: float) -> Vec3:
@@ -146,7 +148,7 @@ class Line3:
 class Plane3:
     """Plane { x : normal . x = offset } with a unit, sign-canonical normal:
     normal and offset are divided by |normal|, then both negated when the unit
-    normal fails the sign rule of `canonical_dir`."""
+    normal fails the sign rule of `canonical_dir`.  Both must be finite."""
 
     normal: Vec3
     offset: float
@@ -154,10 +156,12 @@ class Plane3:
     def __post_init__(self):
         n = as_vec(self.normal)
         s = norm(n)
-        if s == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        if not 0.0 < s < math.inf:
+            raise ValueError("cannot normalize a zero or non-finite vector")
         u = n / s
         off = float(self.offset) / s
+        if not math.isfinite(off):
+            raise ValueError("a plane needs a finite offset")
         if _leads_negative(u):
             u, off = -u, -off
         object.__setattr__(self, "normal", u)
@@ -173,7 +177,7 @@ class Plane3:
 
 
 def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
-    """Orthocenter of a triangle given by three coplanar 3D points.
+    """Orthocenter of a triangle given by three finite coplanar 3D points.
 
     H = v0 + (e1 . e2) (n x (v1 - v2)) / |n|^2 with e1 = v1 - v0, e2 = v2 - v0
     and n = e1 x e2, relative to v0 so that a shifted copy keeps its digits; in
@@ -184,20 +188,26 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     |n|^2 is never formed.  A triangle so flat that its orthocenter lies beyond
     the largest double raises `CollinearPoints`.
     """
-    v = np.array([as_vec(p) for p in tri])
-    v_exp = math.frexp(float(np.max(np.abs(v))))[1]
-    w = np.ldexp(v, -v_exp)
-    frac, exp = math.frexp(max(norm(w[i] - w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
-    v0, v1, v2 = np.ldexp(w, -exp)
-    e1, e2 = v1 - v0, v2 - v0
-    n = cross(e1, e2)
-    if norm(n) <= tol.gate(frac, frac):
-        raise CollinearPoints("triangle vertices are collinear")
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = np.ldexp(v0 + dot(e1, e2) / norm(n) * (cross(n, v1 - v2) / norm(n)), v_exp + exp)
-    if not np.isfinite(h).all():
-        raise CollinearPoints("triangle too flat: its orthocenter leaves the double range")
-    return h
+    v = [as_vec(p).tolist() for p in tri]
+    if not all(math.isfinite(x) for p in v for x in p):
+        raise ValueError("triangle vertices must be finite")
+    v_exp = math.frexp(max(abs(x) for p in v for x in p))[1]
+    w = [[math.ldexp(x, -v_exp) for x in p] for p in v]
+    frac, exp = math.frexp(max(math.dist(w[i], w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
+    try:
+        v0, v1, v2 = ([math.ldexp(x, -exp) for x in p] for p in w)
+        e1, e2 = ([a - b for a, b in zip(p, v0)] for p in (v1, v2))
+        n = _cross(e1, e2)
+        n_norm = math.hypot(*n)
+        if n_norm <= tol.gate(frac, frac):
+            raise CollinearPoints("triangle vertices are collinear")
+        s, k = dot(e1, e2) / n_norm, _cross(n, [a - b for a, b in zip(v1, v2)])
+        h = [math.ldexp(a + s * (b / n_norm), v_exp + exp) for a, b in zip(v0, k)]
+        if all(map(math.isfinite, h)):
+            return np.array(h)
+    except OverflowError:  # from `math.ldexp`
+        pass
+    raise CollinearPoints("triangle too flat: its orthocenter leaves the double range")
 
 
 class LineRelation(Enum):
@@ -216,19 +226,20 @@ class LineMeet:
 
 def _meet_rule(
     base: Vec3, direction: Vec3, bases: np.ndarray, directions: np.ndarray, tol: Tolerance
-) -> tuple[np.ndarray, ...]:
-    """How the line (base, direction) lies against each line (bases, directions)
-    (N, 3), directions unit, as arrays (parallel, meets, gap, scale, c), c (N, 3)
-    the cross products of the directions: parallel is |c| <= gate(1.0); meets, not
-    parallel and |(base_k - base) . c| / |c| within the gate of the larger base point."""
-    c = cross_rows(direction, directions)
-    c_norm = np.array([math.hypot(*r) for r in c.tolist()])
-    scale = np.maximum(norm(base), [math.hypot(*v) for v in bases.tolist()])
-    # a parallel pair has c = 0; its gap, 0 / 0, is masked
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.abs(np.sum((bases - base) * c, axis=1)) / c_norm
-    meets = (c_norm > tol.gate(1.0)) & (gap <= tol.gate(scale))
-    return c_norm <= tol.gate(1.0), meets, gap, scale, c
+) -> Iterator[tuple[bool, bool, float, float, list]]:
+    """How the line (base, direction) lies against each line (bases, directions) (N, 3),
+    directions unit, row by row on Python floats: yields (parallel, meets, gap, scale, c),
+    c the directions' cross product, gap |(base_k - base) . c| / |c| (NaN when c = 0) and
+    scale the larger |base|; parallel is |c| <= gate(1), meets not parallel, gap <= gate(scale)."""
+    b0, d0 = base.tolist(), direction.tolist()
+    s0, g1 = math.hypot(*b0), tol.gate(1.0)
+    for b, d in zip(bases.tolist(), directions.tolist()):
+        c = _cross(d0, d)
+        c_norm = math.hypot(*c)
+        scale = max(s0, math.hypot(*b))
+        w0, w1, w2 = (x - y for x, y in zip(b, b0))
+        gap = abs(w0 * c[0] + w1 * c[1] + w2 * c[2]) / c_norm if c_norm else math.nan
+        yield c_norm <= g1, c_norm > g1 and gap <= tol.gate(scale), gap, scale, c
 
 
 def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMeet:
@@ -239,8 +250,8 @@ def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMe
     meeting point is the midpoint of the closest points l1(t1), l2(t2), with
     t1 = ((w x d2) . c) / |c|^2, t2 = ((w x d1) . c) / |c|^2, w = l2.base - l1.base
     and c the rule's own cross product d1 x d2."""
-    *rule, (c,) = _meet_rule(l1.base, l1.dir, l2.base[None], l2.dir[None], tol)
-    parallel, meets, gap, scale = (x.item() for x in rule)
+    (rule,) = _meet_rule(l1.base, l1.dir, l2.base[None], l2.dir[None], tol)
+    parallel, meets, gap, scale, c = rule
     if parallel:
         gap = l1.distance_to_point(l2.base)
         relation = LineRelation.IDENTICAL if gap <= tol.gate(scale) else LineRelation.PARALLEL

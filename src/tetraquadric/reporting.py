@@ -220,21 +220,22 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     th = 2.0 * math.pi * np.arange(n) / n
     # 1-D samples through `math`, so that every vertex equals the pointwise
     # formula to the bit (numpy's cosh and sinh can differ in the last bit)
-    cos_t, sin_t = np.array([[math.cos(t), math.sin(t)] for t in th.tolist()]).T
+    cos_t, sin_t = (np.array(list(map(f, th.tolist()))) for f in (math.cos, math.sin))
     # an inf u_max or an overflowing vertex shows up as a non-finite vertex
     with np.errstate(over="ignore", invalid="ignore"):
         u = -u_max + 2.0 * u_max * np.arange(n + 1) / n
-        cosh_u, sinh_u = np.array([[math.cosh(x), math.sinh(x)] for x in u.tolist()]).T
+        cosh_u, sinh_u = (np.array(list(map(f, u.tolist()))) for f in (math.cosh, math.sinh))
+        # coordinates (3, n + 1, n), the long ring axis innermost
         verts = (
-            qd.center
-            + (a * cos_t)[:, None] * cosh_u[:, None, None] * e_a
-            + (b * sin_t)[:, None] * cosh_u[:, None, None] * e_b
-            + (c * sinh_u)[:, None, None] * e_c
+            qd.center[:, None, None]
+            + (a * cos_t) * cosh_u[:, None] * e_a[:, None, None]
+            + (b * sin_t) * cosh_u[:, None] * e_b[:, None, None]
+            + (c * sinh_u)[:, None] * e_c[:, None, None]
         )
     if not np.isfinite(verts).all():
         raise DegenerateForm("the mesh leaves the double range at this extent")
     tris = _grid(n) if n <= _GRID_CACHE_RES else _grid.__wrapped__(n)
-    return Mesh(verts.reshape(-1, 3), tris)
+    return Mesh(np.ascontiguousarray(verts.reshape(3, -1).T), tris)
 
 
 #: Largest resolution whose triangles and OBJ face text are kept between calls.

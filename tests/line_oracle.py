@@ -1,10 +1,10 @@
 """The scalar line-meet rule, kept as a test oracle.
 
-The library decides how two lines lie with one array kernel, `core._meet_rule`,
-which `line_line_meet` runs on a single pair and `regulus_of` on the four
-altitudes at once.  `reference_line_meet` is the same decision written the
-scalar way, one cross product and one dot product per pair, so the tests can
-check the kernel's relation and gap against an independent implementation.  It
+The library decides how two lines lie with one rule, `core._meet_rule`, which
+`line_line_meet` runs on a single pair and `regulus_of` on the four altitudes.
+`reference_line_meet` is the same decision written on the library's vector
+helpers, one cross product and one dot product per pair, so the tests can
+check the rule's relation and gap against an independent implementation.  It
 locates no meeting point: the tests check that against the exact closest point.
 """
 

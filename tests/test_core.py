@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetraquadric import (
+    ConicKind,
     Line3,
     LineRelation,
     Plane3,
     Tolerance,
+    build,
     dot,
     line_line_meet,
+    orthocenter2d,
+    section,
     triple,
     vec,
 )
@@ -191,7 +195,7 @@ def assert_meeting_point_is_exact(m, l1, l2):
 
 
 def test_line_line_meet_matches_the_scalar_reference():
-    # the array kernel at N = 1 against the scalar rule it replaced, for the
+    # the meet rule on one pair against the scalar reference, for the
     # relation and the gap; the meeting point against the exact closest point
     rng = np.random.default_rng(2024)
     seen = set()
@@ -254,3 +258,48 @@ def test_plane_matches_the_double_normalising_reference():
     for make in (Plane3, reference_plane):
         with pytest.raises(ValueError):
             make(vec(0, 0, 0), 1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "normal, offset",
+    [
+        ((0, 0, 1), NAN), ((0, 0, 1), INF), ((0, 0, 1), -INF), ((NAN, 0, 1), 0.0),
+        ((INF, 0, 1), 0.0),
+        # a finite offset whose unit-normal form overflows
+        ((0, 0, 1e-300), 1e300),
+    ],
+)
+def test_plane_rejects_a_non_finite_normal_or_offset(normal, offset):
+    with pytest.raises(ValueError, match="finite"):
+        Plane3(np.array(normal, dtype=float), offset)
+
+
+def test_a_nan_plane_cuts_no_section_of_the_hyperboloid(t_gen):
+    qd = build(t_gen)
+    assert section(qd, Plane3(vec(0, 0, 1), 0.5)).kind is not ConicKind.OTHER
+    with pytest.raises(ValueError, match="finite"):
+        section(qd, Plane3(vec(0, 0, 1), NAN))
+
+
+@pytest.mark.parametrize(
+    "base, direction",
+    [
+        ((INF, 0, 0), (1, 0, 0)), ((NAN, 0, 0), (0, 1, 0)), ((0, -INF, 0), (0, 0, 1)),
+        ((0, 0, 0), (INF, 1, 0)), ((0, 0, 0), (NAN, 1, 0)),
+    ],
+)
+def test_line_rejects_a_non_finite_base_or_direction(base, direction):
+    with pytest.raises(ValueError, match="finite"):
+        Line3(np.array(base, dtype=float), np.array(direction, dtype=float))
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_orthocenter2d_rejects_a_non_finite_vertex(bad):
+    for i in range(3):
+        tri = [vec(0, 0, 0), vec(4, 0, 0), vec(1, 3, 0)]
+        tri[i] = vec(1, bad, 0)
+        with pytest.raises(ValueError, match="triangle vertices must be finite"):
+            orthocenter2d(tuple(tri))

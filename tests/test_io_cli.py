@@ -207,10 +207,12 @@ def _reference_mesh(qd, extent, n):
 
 def test_quadric_mesh_matches_reference_loop(t_gen):
     qd = build(t_gen)
-    for extent, n in ((3.0, 16), (0.5, 9)):
+    # res 64 is the benchmark's resolution
+    for extent, n in ((3.0, 16), (0.5, 9), (2.0, 64)):
         mesh = quadric_mesh(qd, extent, n)
         verts, tris = _reference_mesh(qd, extent, n)
         assert mesh.vertices.shape == ((n + 1) * n, 3)
+        assert mesh.vertices.flags.c_contiguous
         assert mesh.triangles.shape == (2 * n * n, 3)
         np.testing.assert_array_equal(mesh.vertices, verts)
         np.testing.assert_array_equal(mesh.triangles, tris)
