@@ -180,13 +180,14 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     """Orthocenter of a triangle given by three finite coplanar 3D points.
 
     H = v0 + (e1 . e2) (n x (v1 - v2)) / |n|^2 with e1 = v1 - v0, e2 = v2 - v0
-    and n = e1 x e2, relative to v0 so that a shifted copy keeps its digits; in
-    units of the power of two just above the longest edge, whose exponent is
-    read in units of the largest coordinate, where no edge overflows.  Both
-    changes of unit are exact, so no product overflows or underflows at any
-    scale and results at ordinary scales keep every bit; dividing by |n| twice,
-    |n|^2 is never formed.  A triangle so flat that its orthocenter lies beyond
-    the largest double raises `CollinearPoints`.
+    and n = e1 x e2, relative to v0 so that a shifted copy keeps its digits.  The
+    vertices are read in units of the power of two just above the largest
+    coordinate, and the edges, formed there, in units of the power of two just
+    above the longest edge, where they lie below 2 however small the triangle.
+    Both changes of unit are exact, so no product overflows or underflows at
+    any scale and results at ordinary scales keep every bit; dividing by |n|
+    twice, |n|^2 is never formed.  A triangle so flat that its orthocenter lies
+    beyond the largest double raises `CollinearPoints`.
     """
     v = [as_vec(p).tolist() for p in tri]
     if not all(math.isfinite(x) for p in v for x in p):
@@ -194,15 +195,16 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     v_exp = math.frexp(max(abs(x) for p in v for x in p))[1]
     w = [[math.ldexp(x, -v_exp) for x in p] for p in v]
     frac, exp = math.frexp(max(math.dist(w[i], w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
+    # a vertex in the unit of a tiny edge would overflow, so only edges go there
+    pairs = ((1, 0), (2, 0), (1, 2))
+    e1, e2, d = ([math.ldexp(a - b, -exp) for a, b in zip(w[i], w[j])] for i, j in pairs)
+    n = _cross(e1, e2)
+    n_norm = math.hypot(*n)
+    if n_norm <= tol.gate(frac, frac):
+        raise CollinearPoints("triangle vertices are collinear")
+    s, k = dot(e1, e2) / n_norm, _cross(n, d)
     try:
-        v0, v1, v2 = ([math.ldexp(x, -exp) for x in p] for p in w)
-        e1, e2 = ([a - b for a, b in zip(p, v0)] for p in (v1, v2))
-        n = _cross(e1, e2)
-        n_norm = math.hypot(*n)
-        if n_norm <= tol.gate(frac, frac):
-            raise CollinearPoints("triangle vertices are collinear")
-        s, k = dot(e1, e2) / n_norm, _cross(n, [a - b for a, b in zip(v1, v2)])
-        h = [math.ldexp(a + s * (b / n_norm), v_exp + exp) for a, b in zip(v0, k)]
+        h = [math.ldexp(a + math.ldexp(s * (b / n_norm), exp), v_exp) for a, b in zip(w[0], k)]
         if all(map(math.isfinite, h)):
             return np.array(h)
     except OverflowError:  # from `math.ldexp`

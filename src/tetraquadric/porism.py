@@ -1,6 +1,7 @@
 """Trirectangular tetrahedra cut from cone tripods, ellipse sections of an
 equilateral cone, and the closed family of acute triangles inscribed in such a
-section that all share its center as orthocenter."""
+section that all share its center as orthocenter, whose tripods are in closed
+form on the section ellipse."""
 
 from __future__ import annotations
 
@@ -9,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3
+from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, cross_rows
 from .errors import DegenerateForm, PlaneMissesLeg, ZeroOffset
-from .forms import QuadForm3, _tripods, not_traceless, rank
+from .forms import QuadForm3, not_traceless, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,13 +24,15 @@ class Ellipse3:
 
 @dataclass(frozen=True, eq=False)
 class InscribedTriangle:
-    vertices: tuple[Vec3, Vec3, Vec3]
+    #: read-only (3, 3), one row per vertex
+    vertices: np.ndarray
     angles: tuple[float, float, float]
 
 
 def _cut(legs: np.ndarray, cut: Plane3, tol: Tolerance) -> np.ndarray:
-    """Points (N, 3, 3) where the tripod legs (N, 3, 3) pierce the plane: with
-    the apex at the cone vertex (the origin), N trirectangular tetrahedra."""
+    """Points (N, 3, 3) where the tripod legs (N, 3, 3), each at least unit long,
+    pierce the plane: with the apex at the cone vertex (the origin), N
+    trirectangular tetrahedra."""
     denom = legs @ cut.normal
     if np.any(np.abs(denom) <= tol.gate(1.0)):
         raise PlaneMissesLeg("cutting plane is parallel to a tripod leg")
@@ -81,12 +84,14 @@ def porism_family(
     tol: Tolerance = DEFAULT_TOL,
 ) -> list[InscribedTriangle]:
     """Acute triangles inscribed in the ellipse section, sharing its center as
-    orthocenter.
+    orthocenter, as read-only (3, 3) vertex arrays.
 
-    Each point sampled on the ellipse section at unit height is a cone
-    generator; it is lifted to an orthogonal tripod, and the tripod is cut with
-    the section plane.  A height whose vertices leave the double range raises
-    `DegenerateForm`.
+    On the section at unit height, e3 + X s1 + Y s2 lies on the cone when
+    X^2 + Y^2 = 1.  Each sampled point (X, Y) = (cos phi, sin phi) is a cone
+    generator g, the second leg h is where the plane g . x = 0 meets the
+    ellipse, and the third leg is g x h: an orthogonal tripod in closed form,
+    which is cut with the section plane.  A height whose vertices leave the
+    double range raises `DegenerateForm`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -97,8 +102,21 @@ def porism_family(
     (s1, s2), e3 = unit.semi_axes, unit.center
     cut = Plane3.from_point_normal(math.copysign(1.0, rho) * e3, e3)
     phi = 2.0 * math.pi * np.arange(count) / count
-    g = e3 + np.cos(phi)[:, None] * s1 + np.sin(phi)[:, None] * s2
-    pts = _cut(_tripods(q, g, tol), cut, tol)
+    c, s = np.cos(phi), np.sin(phi)
+    # h = e3 + X s1 + Y s2 is orthogonal to g on the line a X + b Y = -1, which
+    # meets the circle at (-(a, b) + r (-b, a)) / n2 with n2 = a^2 + b^2 and
+    # r = sqrt(n2 - 1); n2 >= 1 for a traceless form, and the clamp absorbs a
+    # trace within the gate
+    a, b = (s1 @ s1) * c, (s2 @ s2) * s
+    n2 = a * a + b * b
+    r = np.sqrt(np.maximum(n2 - 1.0, 0.0))
+    legs = np.empty((count, 3, 3))
+    legs[:, 0] = e3 + c[:, None] * s1 + s[:, None] * s2
+    legs[:, 1] = e3 + ((-a - b * r) / n2)[:, None] * s1 + ((-b + a * r) / n2)[:, None] * s2
+    # the cross product, not the circle's other root, keeps the third leg
+    # orthogonal to both on a long ellipse
+    legs[:, 2] = cross_rows(legs[:, 0], legs[:, 1])
+    pts = _cut(legs, cut, tol)
     # counter-clockwise in the frame of the semi-axes
     x, y, nxt = pts @ s1, pts @ s2, [1, 2, 0]
     area2 = np.sum(x * y[:, nxt] - x[:, nxt] * y, axis=1)
@@ -111,6 +129,4 @@ def porism_family(
         pts = abs(rho) * pts
     if not np.isfinite(pts).all():
         raise DegenerateForm("the family leaves the double range at this height")
-    rows = list(pts.reshape(-1, 3))
-    vertices = zip(rows[0::3], rows[1::3], rows[2::3])
-    return list(map(InscribedTriangle, vertices, map(tuple, angles.tolist())))
+    return list(map(InscribedTriangle, _frozen(pts), map(tuple, angles.tolist())))

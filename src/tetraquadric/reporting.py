@@ -182,7 +182,11 @@ class Mesh:
         tris = np.asarray(self.triangles, dtype=np.int64)
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "triangles", tris)
-        if tris.size and (tris.min() < 0 or tris.max() >= len(self.vertices)):
+        # the cached grid of resolution n is in range by construction for n (n + 1) vertices
+        n, verts = math.isqrt(len(tris) // 2), self.vertices
+        if tris is _cached_grid and not tris.flags.writeable and len(verts) >= n * (n + 1):
+            return
+        if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise InternalInvariantError("triangle index out of range")
 
 
@@ -234,7 +238,7 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
         )
     if not np.isfinite(verts).all():
         raise DegenerateForm("the mesh leaves the double range at this extent")
-    tris = _grid(n) if n <= _GRID_CACHE_RES else _grid.__wrapped__(n)
+    tris = _grid(n) if n <= _GRID_CACHE_RES else _build_grid(n)
     return Mesh(np.ascontiguousarray(verts.reshape(3, -1).T), tris)
 
 
@@ -243,10 +247,21 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
 _GRID_CACHE_RES = 256
 
 
+#: The array in `_grid`'s cache, known without calling `_grid`, which would
+#: evict it for another resolution.
+_cached_grid: Optional[np.ndarray] = None
+
+
 @functools.lru_cache(maxsize=1)
 def _grid(n: int) -> np.ndarray:
-    """Read-only triangles (2 n^2, 3) of the `quadric_mesh` grid at resolution n;
-    the cached array is shared by every mesh of that resolution."""
+    """`_build_grid(n)`, shared by every mesh of that resolution."""
+    global _cached_grid
+    _cached_grid = _build_grid(n)
+    return _cached_grid
+
+
+def _build_grid(n: int) -> np.ndarray:
+    """Read-only triangles (2 n^2, 3) of the `quadric_mesh` grid at resolution n."""
     i0 = np.arange(n * n, dtype=np.int64).reshape(n, n)
     i1 = i0 - np.arange(n) + (np.arange(n) + 1) % n
     return _frozen(np.stack([i0, i1, i1 + n, i0, i1 + n, i0 + n], axis=-1).reshape(-1, 3))
@@ -269,10 +284,8 @@ def _obj_rows(fmt: str, rows: np.ndarray) -> str:
 def mesh_to_obj(mesh: Mesh) -> str:
     """OBJ text: one `v` line per vertex, then one `f` line per triangle."""
     f = mesh.triangles
-    n = math.isqrt(len(f) // 2)
-    # the cheap writeable test keeps a hand-built mesh from building a grid
-    if n <= _GRID_CACHE_RES and not f.flags.writeable and f is _grid(n):
-        faces = _grid_faces(n)
+    if f is _cached_grid and not f.flags.writeable:
+        faces = _grid_faces(math.isqrt(len(f) // 2))
     else:
         faces = _obj_rows("f %d %d %d\n", f + 1)
     return _obj_rows("v %.12g %.12g %.12g\n", mesh.vertices) + faces

@@ -301,6 +301,25 @@ def test_mesh_rejects_out_of_range_index():
             Mesh(verts, [(0, 1, 2), bad])
 
 
+def test_mesh_skips_the_scan_only_for_the_cached_grid(t_gen):
+    grid = quadric_mesh(build(t_gen), 3.0, 8).triangles
+    before = reporting._grid.cache_info()
+    # hand-built triangles of another resolution (2 * 9^2 rows), writeable or
+    # read-only, are scanned, and the cached grid is neither read nor evicted
+    for writeable in (True, False):
+        tris = np.zeros((162, 3), dtype=np.int64)
+        tris[-1] = (0, 1, 90)
+        tris.flags.writeable = writeable
+        with pytest.raises(InternalInvariantError):
+            Mesh(np.zeros((90, 3)), tris)
+        assert len(mesh_to_obj(Mesh(np.zeros((91, 3)), tris))) > 0
+    assert reporting._grid.cache_info() == before
+    # the cached grid itself is checked against the vertex count
+    with pytest.raises(InternalInvariantError):
+        Mesh(np.zeros((8 * 9 - 1, 3)), grid)
+    assert Mesh(np.zeros((8 * 9, 3)), grid).triangles is grid
+
+
 def test_random_tetra_classes_and_determinism():
     for kind, gate_zeros in (
         (TetraKind.GENERIC, 0),

@@ -181,8 +181,6 @@ def test_collinear_triangle_raises_collinear_points():
     [
         # obtuse and flat: the orthocenter is near (0, -1e316, 0)
         ((-1e308, 0, 0), (1e308, 0, 0), (0, 1e300, 0)),
-        # edges of 2**-1049 beside a unit coordinate: the edge unit overflows
-        ((1, 0, 0), (1, 2.0**-1049, 0), (1, 0, 2.0**-1049)),
     ],
 )
 def test_orthocenter_past_the_double_range_raises_collinear_points(tri):
@@ -190,3 +188,12 @@ def test_orthocenter_past_the_double_range_raises_collinear_points(tri):
         warnings.simplefilter("error")
         with pytest.raises(CollinearPoints, match="double range"):
             orthocenter2d(tuple(np.array(p, float) for p in tri))
+
+
+def test_orthocenter_of_a_right_triangle_with_edges_far_below_its_coordinates():
+    # edges of 2**-1049 beside a unit coordinate: the right angle is the orthocenter
+    tri = ((1, 0, 0), (1, 2.0**-1049, 0), (1, 0, 2.0**-1049))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = orthocenter2d(tuple(np.array(p, float) for p in tri))
+    assert h.tolist() == [1.0, 0.0, 0.0]

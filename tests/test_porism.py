@@ -309,3 +309,32 @@ def test_porism_at_extreme_heights_stays_finite(rho):
         np.testing.assert_allclose(tri.angles, unit.angles, rtol=1e-14)
         h = orthocenter2d(tri.vertices)
         np.testing.assert_allclose(h, e.center, rtol=0, atol=1e-12 * abs(rho))
+
+
+def _near_rank_two_forms():
+    """Traceless forms with eigenvalues 1, r and -(1 + r), r in 1e-8..1e-1, in
+    fixed random frames; each also negated, so that one eigenvalue is positive."""
+    rng = np.random.default_rng(22)
+    for r in np.logspace(-8, -1, 8):
+        rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = rot @ np.diag([1.0, r, -(1.0 + r)]) @ rot.T
+        yield QuadForm3.from_matrix(m)
+        yield QuadForm3.from_matrix(-m)
+
+
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300])
+def test_porism_of_a_near_rank_two_cone_keeps_its_tripods(rho):
+    # an ellipse with semi-axes up to 1e4 apart: each tripod stays orthogonal
+    # and on the cone to a few ulps, and its triangle keeps the center as orthocenter
+    eps = np.finfo(float).eps
+    for q in _near_rank_two_forms():
+        e = ellipse_section(q, rho)
+        radius = max(math.hypot(*a) for a in e.semi_axes)
+        for tri in porism_family(q, rho, 24):
+            units = [p / math.hypot(*p) for p in tri.vertices]
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                assert abs(np.dot(units[i], units[j])) <= 16 * eps
+            for u in units:
+                assert abs(u @ q.matrix @ u) <= 32 * eps * q.max_abs()
+            h = orthocenter2d(tri.vertices)
+            assert math.dist(h, e.center) <= 1e-12 * radius
