@@ -18,12 +18,10 @@ from .forms import (
     QuadForm3,
     TracelessClass,
     TracelessKind,
-    Tripod,
     classify_traceless,
     evaluate,
     rank,
     trace,
-    tripod_through_generator,
 )
 from .tetra import (
     NoteworthyPoints,
@@ -62,8 +60,10 @@ from .altquadric import (
 from .porism import (
     Ellipse3,
     InscribedTriangle,
+    Tripod,
     ellipse_section,
     porism_family,
+    tripod_through_generator,
 )
 from .reporting import (
     AnalysisReport,

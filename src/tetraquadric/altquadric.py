@@ -219,7 +219,7 @@ def section(
         raise NotHyperboloid("sections are computed for the hyperboloid case")
     # in-plane origin: plane point closest to the quadric center
     origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
-    # in-plane basis (u, n x u) as `forms._plane_bases` forms it, on Python floats
+    # in-plane basis (u, n x u), u the coordinate axis least aligned with n, projected
     n = p.normal.tolist()
     k = min(range(3), key=lambda i: abs(n[i]))
     u = [float(i == k) - n[k] * x for i, x in enumerate(n)]

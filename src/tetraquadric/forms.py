@@ -1,9 +1,9 @@
 """Quadratic forms on 3-space.
 
 Covers evaluation, the basis-independent trace, principal axes from
-numpy's symmetric eigensolver, the three-way classification of traceless
-forms (zero form / orthogonal plane pair / equilateral cone), and the
-orthogonal tripods carried by every equilateral cone.  A `QuadForm3` computes
+numpy's symmetric eigensolver, and the three-way classification of traceless
+forms (zero form / orthogonal plane pair / equilateral cone).  The orthogonal
+tripods of an equilateral cone are in `porism`.  A `QuadForm3` computes
 its matrix and its principal frame once, on first use, and keeps them
 read-only; the functions below read them.
 """
@@ -25,12 +25,10 @@ from .core import (
     Vec3,
     _frozen,
     as_vec,
-    cross_rows,
 )
-from .errors import DegenerateForm, NotOnCone, NotTraceless
+from .errors import DegenerateForm, NotTraceless
 
 _SQRT2 = math.sqrt(2.0)
-_AXES = _frozen(np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -143,71 +141,3 @@ def classify_traceless(q: QuadForm3, tol: Tolerance = DEFAULT_TOL) -> TracelessC
         p2 = Plane3((e1 - e3) / _SQRT2, 0.0)
         return TracelessClass(TracelessKind.ORTHOGONAL_PLANE_PAIR, (p1, p2))
     return TracelessClass(TracelessKind.EQUILATERAL_CONE)
-
-
-@dataclass(frozen=True, eq=False)
-class Tripod:
-    """Three mutually orthogonal unit directions, all on the cone Q = 0."""
-
-    legs: tuple[Vec3, Vec3, Vec3]
-
-
-def tripod_through_generator(
-    q: QuadForm3, g: Vec3, tol: Tolerance = DEFAULT_TOL
-) -> Tripod:
-    """Orthogonal tripod of cone generators containing the generator g.
-
-    The two companion legs are found by diagonalizing the restriction of the
-    form to the plane orthogonal to g; the restriction is traceless there, so
-    its zero lines are the diagonals of its principal axes.
-    """
-    return Tripod(tuple(_tripods(q, as_vec(g)[None], tol)[0]))
-
-
-def _canonical_rows(v: np.ndarray) -> np.ndarray:
-    """`canonical_dir` along the last axis.  With weights 4, 2, 1 the first
-    component above 1e-12 in magnitude decides the sign of `lead`."""
-    u = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    lead = ((np.abs(u) > 1e-12) * np.sign(u)) @ [4.0, 2.0, 1.0]
-    return np.where(lead[..., None] < 0, -u, u)
-
-
-def _tripods(q: QuadForm3, g: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Legs (N, 3, 3) of the tripods through the generators g (N, 3), by the
-    construction of `tripod_through_generator`; leg 0 is the generator."""
-    if not np.isfinite(g).all():
-        raise NotOnCone("a generator must be finite")
-    # in units of the power of two just above each row's largest component, as
-    # in `orthocenter2d`: exact, so the squares neither overflow nor underflow
-    g = np.ldexp(g, -np.frexp(np.max(np.abs(g), axis=1))[1][:, None])
-    lengths = np.linalg.norm(g, axis=1)
-    if np.any(lengths == 0.0):
-        raise NotOnCone("zero vector is not a generator")
-    if not_traceless(q, tol) or rank(q, tol) < 3:
-        raise DegenerateForm("cone requires a rank-3 traceless form")
-    m = q.matrix
-    ghat = g / lengths[:, None]
-    on_cone = np.sum(ghat @ m * ghat, axis=1)
-    bad = np.abs(on_cone) > tol.gate(q.max_abs())
-    if np.any(bad):
-        raise NotOnCone(f"Q(g) = {on_cone[np.argmax(bad)]} is not zero")
-    n = _canonical_rows(ghat)
-    basis = _plane_bases(n)
-    m2 = basis @ m @ basis.transpose(0, 2, 1)
-    # the restriction to the plane orthogonal to g is traceless; its zero lines
-    # lie 45 degrees off its principal axes
-    theta = 0.5 * np.arctan2(2.0 * m2[:, 0, 1], m2[:, 0, 0] - m2[:, 1, 1])
-    phi = (theta[:, None] + [math.pi / 4, -math.pi / 4])[..., None]
-    legs = np.cos(phi) * basis[:, None, 0] + np.sin(phi) * basis[:, None, 1]
-    return np.concatenate([n[:, None], _canonical_rows(legs)], axis=1)
-
-
-def _plane_bases(n: np.ndarray) -> np.ndarray:
-    """Orthonormal in-plane bases (N, 2, 3) of the planes with unit normals n
-    (N, 3): u is the coordinate axis least aligned with n, projected onto the
-    plane, and v = n x u, so that u x v = n."""
-    k = np.argmin(np.abs(n), axis=1)
-    u = _AXES[k] - n[np.arange(len(n)), k, None] * n
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.stack([u, cross_rows(n, u)], axis=1)
-

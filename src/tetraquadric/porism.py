@@ -1,7 +1,7 @@
-"""Trirectangular tetrahedra cut from cone tripods, ellipse sections of an
-equilateral cone, and the closed family of acute triangles inscribed in such a
-section that all share its center as orthocenter, whose tripods are in closed
-form on the section ellipse."""
+"""Ellipse sections of an equilateral cone, the orthogonal tripods of its
+generators in closed form on the section at unit height, trirectangular
+tetrahedra cut from them, and the closed family of acute triangles inscribed in
+a section that all share its center as orthocenter."""
 
 from __future__ import annotations
 
@@ -10,9 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, cross_rows
-from .errors import DegenerateForm, PlaneMissesLeg, ZeroOffset
-from .forms import QuadForm3, not_traceless, rank
+from .core import (
+    DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, as_vec, canonical_dir, cross, cross_rows
+)
+from .errors import DegenerateForm, NotOnCone, PlaneMissesLeg, ZeroOffset
+from .forms import QuadForm3, evaluate, not_traceless, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,6 +22,13 @@ class Ellipse3:
     center: Vec3
     semi_axes: tuple[Vec3, Vec3]
     plane: Plane3
+
+
+@dataclass(frozen=True, eq=False)
+class Tripod:
+    """Three mutually orthogonal unit directions, all on the cone Q = 0."""
+
+    legs: tuple[Vec3, Vec3, Vec3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +86,41 @@ def ellipse_section(
     return Ellipse3(center, (a * e1, b * e2), plane)
 
 
+def _companion(e3, s1, s2, a, b):
+    """Second legs e3 + X s1 + Y s2 of the tripods through the points w of the
+    unit section, from arrays a = w . s1 and b = w . s2: orthogonal to w on the
+    line a X + b Y = -1, which meets X^2 + Y^2 = 1 at (-(a, b) + r (-b, a)) / n2
+    with n2 = a^2 + b^2 and r = sqrt(n2 - 1); n2 >= 1 for a traceless form, and
+    the clamp absorbs a trace within the gate."""
+    n2 = a * a + b * b
+    r = np.sqrt(np.maximum(n2 - 1.0, 0.0))
+    return e3 + ((-a - b * r) / n2)[..., None] * s1 + ((-b + a * r) / n2)[..., None] * s2
+
+
+def tripod_through_generator(
+    q: QuadForm3, g: Vec3, tol: Tolerance = DEFAULT_TOL
+) -> Tripod:
+    """Orthogonal tripod of cone generators containing the generator g, in the
+    closed form of `porism_family`: on the unit section e3 + X s1 + Y s2 of
+    `ellipse_section(q, 1)`, g is w = g / (g . e3), the second leg h is where the
+    plane g . x = 0 meets the section, and the third leg is g x h.  Leg 0 is g;
+    every leg is a sign-canonical unit vector."""
+    g = as_vec(g)
+    if not (np.isfinite(g).all() and g.any()):
+        raise NotOnCone("a generator must be finite and nonzero")
+    # in units of the power of two just above the largest component, as in
+    # `orthocenter2d`: exact, so the squares neither overflow nor underflow
+    g = np.ldexp(g, -np.frexp(np.max(np.abs(g)))[1])
+    unit = ellipse_section(q, 1.0, tol)
+    on_cone = evaluate(q, g / np.linalg.norm(g))
+    if abs(on_cone) > tol.gate(q.max_abs()):
+        raise NotOnCone(f"Q(g) = {on_cone} is not zero")
+    (s1, s2), e3 = unit.semi_axes, unit.center
+    w = g / (g @ e3)
+    h = _companion(e3, s1, s2, np.asarray(w @ s1), np.asarray(w @ s2))
+    return Tripod((canonical_dir(g), canonical_dir(h), canonical_dir(cross(g, h))))
+
+
 def porism_family(
     q: QuadForm3,
     rho: float,
@@ -86,12 +130,10 @@ def porism_family(
     """Acute triangles inscribed in the ellipse section, sharing its center as
     orthocenter, as read-only (3, 3) vertex arrays.
 
-    On the section at unit height, e3 + X s1 + Y s2 lies on the cone when
-    X^2 + Y^2 = 1.  Each sampled point (X, Y) = (cos phi, sin phi) is a cone
-    generator g, the second leg h is where the plane g . x = 0 meets the
-    ellipse, and the third leg is g x h: an orthogonal tripod in closed form,
-    which is cut with the section plane.  A height whose vertices leave the
-    double range raises `DegenerateForm`.
+    Each sampled point (X, Y) = (cos phi, sin phi) of the unit section is a
+    cone generator g, whose tripod, in the closed form of
+    `tripod_through_generator`, is cut with the section plane.  A height whose
+    vertices leave the double range raises `DegenerateForm`.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -103,16 +145,10 @@ def porism_family(
     cut = Plane3.from_point_normal(math.copysign(1.0, rho) * e3, e3)
     phi = 2.0 * math.pi * np.arange(count) / count
     c, s = np.cos(phi), np.sin(phi)
-    # h = e3 + X s1 + Y s2 is orthogonal to g on the line a X + b Y = -1, which
-    # meets the circle at (-(a, b) + r (-b, a)) / n2 with n2 = a^2 + b^2 and
-    # r = sqrt(n2 - 1); n2 >= 1 for a traceless form, and the clamp absorbs a
-    # trace within the gate
-    a, b = (s1 @ s1) * c, (s2 @ s2) * s
-    n2 = a * a + b * b
-    r = np.sqrt(np.maximum(n2 - 1.0, 0.0))
     legs = np.empty((count, 3, 3))
     legs[:, 0] = e3 + c[:, None] * s1 + s[:, None] * s2
-    legs[:, 1] = e3 + ((-a - b * r) / n2)[:, None] * s1 + ((-b + a * r) / n2)[:, None] * s2
+    # g . s1 and g . s2 for g = e3 + c s1 + s s2
+    legs[:, 1] = _companion(e3, s1, s2, (s1 @ s1) * c, (s2 @ s2) * s)
     # the cross product, not the circle's other root, keeps the third leg
     # orthogonal to both on a long ellipse
     legs[:, 2] = cross_rows(legs[:, 0], legs[:, 1])

@@ -179,13 +179,12 @@ class Mesh:
     triangles: np.ndarray
 
     def __post_init__(self):
+        verts = np.asarray(self.vertices, dtype=float)
         tris = np.asarray(self.triangles, dtype=np.int64)
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
+        object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
-        # the cached grid of resolution n is in range by construction for n (n + 1) vertices
-        n, verts = math.isqrt(len(tris) // 2), self.vertices
-        if tris is _cached_grid and not tris.flags.writeable and len(verts) >= n * (n + 1):
-            return
+        if verts.shape[1:] != (3,) or tris.shape[1:] != (3,):
+            raise InternalInvariantError("a mesh needs (n, 3) vertices and (m, 3) triangles")
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise InternalInvariantError("triangle index out of range")
 

@@ -16,7 +16,8 @@ from tetraquadric import DEFAULT_TOL, ConicSection, QuadricKind, RegulusTag
 from tetraquadric.altquadric import _classify_conic
 from tetraquadric.core import as_vec, cross, cross_rows, dot, norm
 from tetraquadric.errors import CollinearPoints
-from tetraquadric.forms import _plane_bases
+
+from tripod_oracle import plane_bases
 
 
 def meet_rule(base, direction, bases, directions, tol=DEFAULT_TOL):
@@ -78,9 +79,9 @@ def regulus_of(qd, line, t, tol=DEFAULT_TOL):
 
 
 def section(qd, p, tol=DEFAULT_TOL):
-    """The planar section, its in-plane basis from the batched `_plane_bases`."""
+    """The planar section, its in-plane basis from the batched `plane_bases`."""
     origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
-    frame = np.vstack([_plane_bases(p.normal[None])[0], origin - qd.center])
+    frame = np.vstack([plane_bases(p.normal[None])[0], origin - qd.center])
     h = frame @ qd.form.matrix @ frame.T
     h[2, 2] -= qd.rhs
     kind = _classify_conic(h, qd.form.max_abs(), tol)

@@ -17,7 +17,9 @@ from tetraquadric import (
 )
 from tetraquadric.core import canonical_dir
 from tetraquadric.errors import DegenerateForm, NotOnCone, NotTraceless
-from tetraquadric.forms import _plane_bases, _tripods
+
+from test_porism import _near_rank_two_forms
+from tripod_oracle import plane_bases, tripods
 
 D = QuadForm3
 
@@ -158,14 +160,19 @@ def test_tripod_property_random():
 
 
 def _cone_generators(rng, count):
-    """A random rank-3 traceless form with two positive eigenvalues and
-    `count` generators of its cone."""
+    """A random rank-3 traceless form and `count` generators of its cone."""
     while True:
         m = rng.normal(size=(3, 3))
         q = QuadForm3.from_matrix(m + m.T)
         q = QuadForm3.from_matrix(q.matrix - trace(q) / 3.0 * np.eye(3))
         if rank(q) == 3:
-            break
+            return q, _generators(q, rng, count)
+
+
+def _generators(q, rng, count):
+    """`count` generators of the cone of the rank-3 traceless form q, at random
+    angles and at random lengths in 0.1..10."""
+    # the cone of -q is the cone of q; read it where two eigenvalues are positive
     if (q.frame.values > 0).sum() == 1:
         q = QuadForm3.from_matrix(-q.matrix)
     frame = q.frame
@@ -176,40 +183,59 @@ def _cone_generators(rng, count):
         + (np.sin(phi) / math.sqrt(v2))[:, None] * e2
         + 1.0 / math.sqrt(-v3) * e3
     )
-    return q, g * rng.uniform(0.1, 10.0, size=(count, 1))
+    return g * rng.uniform(0.1, 10.0, size=(count, 1))
 
 
-def test_tripod_is_the_batched_kernel():
+def _random_and_near_rank_two_cones():
+    """(q, generators): 100 random cones with 9 generators each, then the near-rank-two
+    cones of `test_porism` (eigenvalue ratio 1e-8..1e-1, and negated) with 20 each."""
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        q, g = _cone_generators(rng, 9)
-        legs = _tripods(q, g)
-        assert legs.shape == (9, 3, 3)
-        for row, gi in zip(legs, g):
-            scalar = tripod_through_generator(q, gi)
-            np.testing.assert_array_equal(np.array(scalar.legs), row)
-            # leg 0 is the generator; every leg is a sign-canonical unit vector
-            assert np.linalg.norm(np.cross(row[0], gi)) <= 1e-12 * np.linalg.norm(gi)
-            for leg in row:
+    for _ in range(100):
+        yield _cone_generators(rng, 9)
+    for q in _near_rank_two_forms():
+        yield q, _generators(q, rng, 20)
+
+
+def test_tripod_is_the_restriction_construction():
+    # the closed form on the section ellipse and the oracle's diagonalized
+    # restriction find the same lines; legs 1 and 2 may come in either order
+    eps = np.finfo(float).eps
+    for q, g in _random_and_near_rank_two_cones():
+        ref = tripods(q, g)
+        for gi, row in zip(g, ref):
+            legs = np.array(tripod_through_generator(q, gi).legs)
+            assert np.max(np.abs(legs[0] - row[0])) <= 2 * eps
+            assert np.linalg.norm(np.cross(legs[0], gi)) <= 1e-12 * np.linalg.norm(gi)
+            off = [np.max(np.abs(legs[1:] - row[order])) for order in ([1, 2], [2, 1])]
+            assert min(off) <= 1e-13
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                assert abs(legs[i] @ legs[j]) <= 4 * eps
+            for leg in legs:
+                assert abs(leg @ q.matrix @ leg) <= 32 * eps * q.max_abs()
                 np.testing.assert_allclose(leg, canonical_dir(leg), rtol=0, atol=1e-15)
 
 
-def test_batched_tripod_keeps_every_check():
+def test_tripod_keeps_every_check():
     rng = np.random.default_rng(32)
-    q, g = _cone_generators(rng, 5)
-    zero = g.copy()
-    zero[3] = 0.0
-    with pytest.raises(NotOnCone, match="zero vector"):
-        _tripods(q, zero)
-    off = g.copy()
-    off[2] += np.array([0.3, -0.2, 0.1])
+    q, g = _cone_generators(rng, 1)
+    g = g[0]
+    with pytest.raises(NotOnCone, match="nonzero"):
+        tripod_through_generator(q, vec(0, 0, 0))
     with pytest.raises(NotOnCone, match="is not zero"):
-        _tripods(q, off)
+        tripod_through_generator(q, g + np.array([0.3, -0.2, 0.1]))
+    # a zero generator is refused before the form is read
+    with pytest.raises(NotOnCone, match="nonzero"):
+        tripod_through_generator(D(1, -1, 0), vec(0, 0, 0))
     with pytest.raises(DegenerateForm):
-        _tripods(D(1, -1, 0), np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]))
+        tripod_through_generator(D(1, -1, 0), vec(1, 1, 0))
     # rank 3 but not traceless: (1, 0, 1) is on its cone, the companion legs are not
     with pytest.raises(DegenerateForm):
         tripod_through_generator(D(1, 1, -1), vec(1, 0, 1))
+    # the form is checked before the generator is gated on its cone
+    with pytest.raises(DegenerateForm):
+        tripod_through_generator(D(1, 1, -1), vec(1, 0, 0))
+    with pytest.raises(ValueError):
+        tripod_through_generator(q, np.ones(4))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -217,23 +243,28 @@ def test_non_finite_generator_is_not_on_cone(bad):
     q = D(2, 1, -3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        for g in (vec(bad, 1, 1), vec(1, bad, 1), vec(1, 1, bad)):
+            with pytest.raises(NotOnCone, match="finite"):
+                tripod_through_generator(q, g)
+        # the generator is checked before the form
         with pytest.raises(NotOnCone, match="finite"):
-            tripod_through_generator(q, vec(bad, 1, 1))
-        # one bad row rejects the whole batch
-        with pytest.raises(NotOnCone, match="finite"):
-            _tripods(q, np.array([[1.0, 1.0, 1.0], [1.0, bad, 1.0]]))
+            tripod_through_generator(D(1, 1, 1), vec(1, bad, 1))
 
 
 @pytest.mark.parametrize("exp", [-664, -532, 532, 664])
 def test_tripod_at_extreme_generator_lengths(exp):
-    # the generator's rows are brought to unit size by a power of two, so its
-    # length neither overflows nor underflows in the squares: 2^exp g has the
-    # legs of g to the bit, and 1e200 or 1e-200 times g has them to roundoff
+    # the generator is brought to unit size by a power of two, so its length
+    # neither overflows nor underflows in the squares: 2^exp g has the legs of
+    # g to the bit, and 1e200 or 1e-200 times g has them to roundoff
     rng = np.random.default_rng(33)
     q, g = _cone_generators(rng, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        np.testing.assert_array_equal(_tripods(q, math.ldexp(1.0, exp) * g), _tripods(q, g))
+        for gi in g:
+            np.testing.assert_array_equal(
+                tripod_through_generator(q, math.ldexp(1.0, exp) * gi).legs,
+                tripod_through_generator(q, gi).legs,
+            )
         q, g = D(2, 1, -3), vec(1, 1, 1)
         legs = np.array(tripod_through_generator(q, g).legs)
         tp = tripod_through_generator(q, 10.0 ** math.copysign(200, exp) * g)
@@ -241,9 +272,9 @@ def test_tripod_at_extreme_generator_lengths(exp):
 
 
 def _restriction(q, p):
-    """2x2 matrix B M B^T of q on the plane p, with B the in-plane basis of
-    `_plane_bases`: the restriction that `section` and `_tripods` compute."""
-    b = _plane_bases(p.normal[None])[0]
+    """2x2 matrix B M B^T of q on the plane p, with B the in-plane basis of the
+    oracle's `plane_bases`: the restriction that `section` computes."""
+    b = plane_bases(p.normal[None])[0]
     return b @ q.matrix @ b.T
 
 

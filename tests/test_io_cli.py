@@ -299,9 +299,13 @@ def test_mesh_rejects_out_of_range_index():
     for bad in ((0, 1, 4), (-1, 1, 2)):
         with pytest.raises(InternalInvariantError):
             Mesh(verts, [(0, 1, 2), bad])
+    # vertices and triangles of the wrong shape
+    for v, t in ((verts, [(0, 1, 2, 3)]), (np.zeros((4, 2)), [(0, 1, 2)]), (verts, (0, 1, 2))):
+        with pytest.raises(InternalInvariantError):
+            Mesh(v, t)
 
 
-def test_mesh_skips_the_scan_only_for_the_cached_grid(t_gen):
+def test_mesh_scans_every_grid_and_leaves_the_cached_one(t_gen):
     grid = quadric_mesh(build(t_gen), 3.0, 8).triangles
     before = reporting._grid.cache_info()
     # hand-built triangles of another resolution (2 * 9^2 rows), writeable or

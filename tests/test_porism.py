@@ -7,6 +7,7 @@ import pytest
 from tetraquadric import (
     Plane3,
     QuadForm3,
+    Tripod,
     classify,
     ellipse_section,
     orthocenter2d,
@@ -23,6 +24,8 @@ from tetraquadric.errors import (
 )
 from tetraquadric.porism import _cut
 from tetraquadric.tetra import TetraKind, Tetrahedron
+
+from tripod_oracle import tripods
 
 D = QuadForm3
 
@@ -45,8 +48,6 @@ def test_trirect_from_tripod_cone():
 
 def test_trirect_recovers_axis_tetrahedron():
     # the cone through all three axes, cut by the unit-sum plane
-    from tetraquadric.forms import Tripod
-
     tp = Tripod((vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)))
     legs = cut_tripod(tp, Plane3(vec(1, 1, 1.0), 1.0))
     got = sorted(tuple(np.round(l, 9)) for l in legs)
@@ -244,7 +245,8 @@ def test_triangles_ccw_in_section_plane():
 
 
 def _reference_family(q, rho, count):
-    """Triangle by triangle: tripod, cut, counter-clockwise order, angles."""
+    """Triangle by triangle: the oracle's tripod, cut, counter-clockwise order,
+    angles."""
     frame = q.frame
     if (frame.values > 0).sum() == 1:
         q = QuadForm3.from_matrix(-q.matrix)
@@ -259,7 +261,7 @@ def _reference_family(q, rho, count):
             + math.sin(phi) / math.sqrt(v2) * e2
             + 1.0 / math.sqrt(-v3) * e3
         )
-        pts = list(cut_tripod(tripod_through_generator(q, g), cut))
+        pts = list(_cut(tripods(q, g[None]), cut, DEFAULT_TOL)[0])
         xy = [(np.dot(p, e1), np.dot(p, e2)) for p in pts]
         area2 = sum(xy[i][0] * xy[i - 2][1] - xy[i - 2][0] * xy[i][1] for i in range(3))
         if area2 < 0:
