@@ -65,16 +65,6 @@ def q_star(t: Tetrahedron) -> QuadForm3:
     return t.q_star
 
 
-def q_star_two_term(t: Tetrahedron) -> QuadForm3:
-    """The paper's two-term form -(l03 - l01) Q_0123 + (l02 - l03) Q_0231 on the
-    Monge point's lambda; against `q_star`, which reads the dots, it checks m."""
-    l01, l02, l03 = t.lambdas.tolist()
-    w = t.basic_forms
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = -(l03 - l01) * w[0] + (l02 - l03) * w[1]
-    return QuadForm3(m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2])
-
-
 def rhs(t: Tetrahedron) -> float:
     """Right-hand side d_1 d_2 d_3 / 8 of the altitude-quadric equation."""
     return t.rhs

@@ -110,8 +110,8 @@ class Tolerance:
     rel_eps: float = 1e-9
 
     def __post_init__(self):
-        if self.rel_eps <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.rel_eps < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
     def gate(self, *scales: float) -> float:
         s = 1.0

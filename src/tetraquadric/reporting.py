@@ -23,7 +23,7 @@ from .errors import (
     NotHyperboloid,
     ParseError,
 )
-from .forms import rank, trace
+from .forms import rank
 from .porism import Ellipse3, InscribedTriangle
 from .tetra import TetraKind, Tetrahedron
 
@@ -118,10 +118,11 @@ def altitude_level_residual(t: Tetrahedron) -> float:
 def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     """Aggregate every construction and its residuals into one report.
 
-    The midplane residual checks the Monge point against each of the six
-    distinct midplanes once; the altitude residual is one array expression
-    for Q*(p - M) at seven samples on each altitude (see
-    `altitude_level_residual`).
+    One residual per computed quantity, over the power of the longest edge L that
+    it carries: `pluecker` (sum of the opposite-edge dots, L^2), `monge_midplanes`
+    (the Monge point m's largest midplane distance, L), `euler_midpoint` (centroid
+    less the midpoint of m and the circumcenter c, L), `circumdistance_spread`
+    (spread of c's vertex distances, L), `altitude_incidence` (dimensionless).
     """
     cls = tetra.classify(t, tol)
     # `build` first: it rejects the scales where the Euler line would overflow
@@ -131,26 +132,19 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
 
     midplane_res = max(p.residual(points.monge) for p in tetra._midplanes(t))
     circum_d = [math.hypot(*d) for d in (t.vertices - points.circumcenter).tolist()]
-    two_term = altquadric.q_star_two_term(t)
     residuals = {
-        "pluecker": abs(tetra.pluecker_residual(t)),
-        "monge_midplanes": midplane_res,
-        "monge_identity": tetra.monge_identity_residual(t),
+        "pluecker": abs(tetra.pluecker_residual(t)) / s / s,
+        "monge_midplanes": midplane_res / s,
         "euler_midpoint": norm(
             points.centroid - 0.5 * (points.circumcenter + points.monge)
-        ),
-        "circumdistance_spread": max(circum_d) - min(circum_d),
-        "q_star_trace": abs(trace(qd.form)),
-        "q_star_two_term": max(
-            abs(a - b)
-            for a, b in zip(qd.form.coefficients, two_term.coefficients)
-        ),
+        ) / s,
+        "circumdistance_spread": (max(circum_d) - min(circum_d)) / s,
         "altitude_incidence": altitude_level_residual(t),
     }
     warnings = []
     if cls.warning:
         warnings.append(cls.warning)
-    if residuals["monge_midplanes"] > tol.gate(s) * 100:
+    if residuals["monge_midplanes"] > tol.gate(100.0):
         warnings.append("monge point residual above gate")
 
     return AnalysisReport(
@@ -180,7 +174,10 @@ class Mesh:
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
-        tris = np.asarray(self.triangles, dtype=np.int64)
+        tris = np.asarray(self.triangles)
+        if tris.size and tris.dtype.kind not in "iu":
+            raise InternalInvariantError("triangle indices must be integers")
+        tris = tris.astype(np.int64, copy=False)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
         if verts.shape[1:] != (3,) or tris.shape[1:] != (3,):

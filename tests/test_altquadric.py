@@ -39,7 +39,6 @@ from tetraquadric import (
     section,
     trace,
 )
-from tetraquadric.altquadric import q_star_two_term
 from tetraquadric.errors import (
     AmbiguousRegulus,
     BadPermutation,
@@ -133,29 +132,6 @@ def test_q_star_traceless_random():
     for t in random_mixed(30, seed0=10):
         qs = q_star(t)
         assert abs(trace(qs)) <= 1e-9 * max(1.0, qs.max_abs())
-
-
-def test_q_star_two_term_equivalent():
-    for t in random_mixed(30, seed0=40):
-        a = q_star(t)
-        b = q_star_two_term(t)
-        scale = max(1.0, a.max_abs())
-        assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-10 * scale
-
-
-def test_q_star_two_term_is_the_quad_form_arithmetic_to_the_bit():
-    # the cross-check reads the basic forms that Q* weights; it must keep every
-    # bit of the expression written elementwise on the forms' matrices
-    for t in random_mixed(60, seed0=200):
-        for s in (1e-6, 1.0, 1e6):
-            u = Tetrahedron(t.vertices * s)
-            l01, l02, l03 = u.lambdas.tolist()
-            ref = QuadForm3.from_matrix(
-                -(l03 - l01) * q_ijkl(u, (0, 1, 2, 3)).matrix
-                + (l02 - l03) * q_ijkl(u, (0, 2, 3, 1)).matrix
-            )
-            two = q_star_two_term(u)
-            assert np.array(two.coefficients).tobytes() == np.array(ref.coefficients).tobytes()
 
 
 def test_rhs_examples(t_gen, t_semi, t_orth):

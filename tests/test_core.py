@@ -225,8 +225,9 @@ def test_near_parallel_lines_are_decided():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rel_eps=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Tolerance(rel_eps=bad)
     assert Tolerance().gate(2.0, 3.0) == pytest.approx(6e-9, rel=1e-3)
 
 

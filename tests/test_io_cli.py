@@ -91,19 +91,87 @@ def test_analyze_fixtures(t_gen, t_orth, t_semi):
     assert rep.quadric_kind == "plane_pair"
 
 
+#: One residual per computed quantity: d, m, the centroid against m and c, c,
+#: and Q* with rhs and m.
+RESIDUAL_KEYS = [
+    "pluecker",
+    "monge_midplanes",
+    "euler_midpoint",
+    "circumdistance_spread",
+    "altitude_incidence",
+]
+
+
 def test_analyze_residuals_below_gates(t_gen, t_orth, t_semi, t_tri):
     for t in (t_gen, t_orth, t_semi, t_tri):
         rep = analyze(t)
-        s = t.edge_scale()
-        assert rep.residuals["pluecker"] <= 1e-9 * s**2
-        assert rep.residuals["monge_midplanes"] <= 1e-9 * s
-        assert rep.residuals["monge_identity"] <= 1e-9 * s**2
-        assert rep.residuals["euler_midpoint"] <= 1e-9 * s
+        assert list(rep.residuals) == RESIDUAL_KEYS
+        assert rep.residuals["pluecker"] <= 1e-9
+        assert rep.residuals["monge_midplanes"] <= 1e-9
+        assert rep.residuals["euler_midpoint"] <= 1e-9
         assert rep.residuals["altitude_incidence"] <= 1e-8
         assert all(v >= 0 for v in rep.residuals.values())
         assert not rep.warnings
         # serializable
         json.dumps(rep.to_dict())
+
+
+def planted(t: Tetrahedron, **stored) -> Tetrahedron:
+    """A fresh record of t's vertices whose named stored quantities are replaced."""
+    u = Tetrahedron(t.vertices)
+    vars(u).update(stored)
+    return u
+
+
+def faults(t: Tetrahedron) -> dict:
+    """Stored quantities of t moved off their values by about 1e-10 of their size."""
+    step = 1e-10 * t.edge_scale() * np.array([1.0, 2.0, 2.0]) / 3.0
+    q = t.q_star.matrix
+    off = np.zeros((3, 3))
+    off[0, 1] = off[1, 0] = 1e-10 * np.max(np.abs(q))
+    return {
+        "m": dict(monge=t.monge + step, monge_centered=t.monge_centered - step),
+        "c": dict(circumcenter=t.circumcenter + step),
+        "Q* scaled": dict(q_star=QuadForm3.from_matrix(q * (1 + 1e-10))),
+        "Q* (0,1)": dict(q_star=QuadForm3.from_matrix(q + off)),
+        "rhs": dict(rhs=t.rhs * (1 + 1e-10)),
+        "d_1": dict(opposite_dots=t.opposite_dots * [1 + 1e-10, 1.0, 1.0]),
+    }
+
+
+def test_each_residual_catches_a_planted_fault():
+    # a residual reacts to a fault when it reads above 10x its clean maximum:
+    # each fault is caught, and each key of the report catches some fault
+    ts = [random_tetra("generic", seed) for seed in range(1000, 1200)]
+    reads = [analyze(t).residuals for t in ts]
+    clean = {k: max(r[k] for r in reads) for k in reads[0]}
+    worst = {name: dict.fromkeys(clean, 0.0) for name in faults(ts[0])}
+    for t in ts:
+        for name, stored in faults(t).items():
+            for k, v in analyze(planted(t, **stored)).residuals.items():
+                worst[name][k] = max(worst[name][k], v)
+    reacts = {name: [k for k in clean if w[k] > 10 * clean[k]] for name, w in worst.items()}
+    assert {k for keys in reacts.values() for k in keys} == set(clean)
+    assert reacts == {
+        "m": ["monge_midplanes", "euler_midpoint", "altitude_incidence"],
+        "c": ["euler_midpoint", "circumdistance_spread"],
+        "Q* scaled": ["altitude_incidence"],
+        "Q* (0,1)": ["altitude_incidence"],
+        "rhs": ["altitude_incidence"],
+        "d_1": ["pluecker"],
+    }
+
+
+@pytest.mark.parametrize("kind", list(TetraKind))
+def test_monge_point_off_its_midplanes_warns(kind):
+    # the warning's gate is 100 rel_eps of the longest edge
+    for seed in range(1000, 1020):
+        t = random_tetra(kind, seed)
+        i, j = np.unravel_index(np.argmax(np.linalg.norm(t.edges, axis=-1)), (4, 4))
+        for k, warns in ((1e-6, True), (1e-10, False)):
+            step = k * t.edges[i, j]
+            u = planted(t, monge=t.monge + step, monge_centered=t.monge_centered - step)
+            assert ("monge point residual above gate" in analyze(u).warnings) is warns
 
 
 def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
@@ -224,13 +292,12 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
     eps = np.finfo(float).eps
     for seed in range(5):
         t = Tetrahedron(scale * random_tetra(kind, seed).vertices)
-        m, q, r = t.monge, t.q_star, t.rhs
+        m, q, r, s = t.monge, t.q_star, t.rhs, t.edge_scale()
         # the twelve ordered midplanes: each plane appears twice, so six give the same max
         planes = [midplane(t, i, j) for i in range(4) for j in range(4) if i != j]
         ref = max(p.residual(m) for p in planes)
-        assert analyze(t).residuals["monge_midplanes"] == ref
+        assert analyze(t).residuals["monge_midplanes"] == ref / s
         # the 28 altitude samples, each its own evaluate
-        s = t.edge_scale()
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
         ref = max(abs(evaluate(q, p - m) - r) for p in pts)
         level = np.linalg.norm(q.matrix) * max(norm(p - m) for p in pts) ** 2 + abs(r)
@@ -299,6 +366,14 @@ def test_mesh_rejects_out_of_range_index():
     for bad in ((0, 1, 4), (-1, 1, 2)):
         with pytest.raises(InternalInvariantError):
             Mesh(verts, [(0, 1, 2), bad])
+    # indices that are not integers are refused, not truncated or parsed
+    for bad in ([[0.5, 1.9, 2.7]], [[True, False, True]], [["0", "1", "2"]], [[math.nan, 1, 2]]):
+        with pytest.raises(InternalInvariantError):
+            Mesh(verts, bad)
+    # an int64 array is kept as it is, so the cached grid's face text is found
+    tris = np.array([(0, 1, 3)], dtype=np.int64)
+    assert Mesh(verts, tris).triangles is tris
+    assert Mesh(verts, tris.astype(np.uint8)).triangles.dtype == np.int64
     # vertices and triangles of the wrong shape
     for v, t in ((verts, [(0, 1, 2, 3)]), (np.zeros((4, 2)), [(0, 1, 2)]), (verts, (0, 1, 2))):
         with pytest.raises(InternalInvariantError):

@@ -52,6 +52,16 @@ def decisions(t: Tetrahedron) -> list:
     return out
 
 
+def test_analyze_residuals_are_fractions_of_the_figure():
+    # each residual is divided by its power of the longest edge, and a power-of-two
+    # scale is exact, so not one bit of a residual moves
+    for seed in range(1000, 1100):
+        for kind in TetraKind:
+            v = random_tetra(kind, seed).vertices
+            reads = [analyze(Tetrahedron(k * v)).residuals for k in (2.0**-20, 1.0, 2.0**20)]
+            assert reads[0] == reads[1] == reads[2], (seed, kind)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2999),
