@@ -78,11 +78,12 @@ class QuadricKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class AltitudeQuadric:
+    """Q*(x - center) = rhs, its kind, and for the plane pair its Monge-centered midplanes."""
+
     center: Vec3
     form: QuadForm3
     rhs: float
     kind: QuadricKind
-    #: Monge-centered orthogonal midplanes, present only for the plane-pair case
     planes: Optional[tuple[Plane3, Plane3]] = None
 
 
@@ -96,7 +97,7 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
     m = monge_point(t)
     form = q_star(t)
     r = rhs(t)
-    if not (np.isfinite(form.matrix).all() and math.isfinite(r)):
+    if not all(map(math.isfinite, (*form.coefficients, r))):
         raise DegenerateForm("Q* or rhs overflows at this scale")
     if cls.kind is TetraKind.GENERIC and abs(r) < TINY:
         raise DegenerateForm("rhs underflows at this scale")

@@ -76,20 +76,23 @@ def triple(u: Vec3, v: Vec3, w: Vec3) -> float:
     return dot(u, cross(v, w))
 
 
-def normalize(v: Vec3) -> Vec3:
-    n = norm(v)
-    if not 0.0 < n < math.inf:
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    return v / n
-
-
-def _leads_negative(u: Vec3) -> bool:
-    """True when the first component of the unit vector u above 1e-12 in
+def _leads_negative(u: list) -> bool:
+    """True when the first coordinate of the unit vector u above 1e-12 in
     magnitude is negative: the sign rule of `canonical_dir` and `Plane3`."""
-    for c in u.tolist():
+    for c in u:
         if abs(c) > 1e-12:
             return c < 0
     return False
+
+
+def _unit(v: list) -> tuple[list, float]:
+    """(v / s, s) for the coordinate list v and s = +-|v|, the sign passing `_leads_negative`."""
+    x, y, z = v
+    s = math.hypot(x, y, z)
+    if not 0.0 < s < math.inf:
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    u = [x / s, y / s, z / s]
+    return ([-x / s, -y / s, -z / s], -s) if _leads_negative(u) else (u, s)
 
 
 def canonical_dir(v: Vec3) -> Vec3:
@@ -98,8 +101,7 @@ def canonical_dir(v: Vec3) -> Vec3:
     Lines are sets, so a direction and its negative describe the same line;
     this picks one representative deterministically.
     """
-    u = normalize(v)
-    return -u if _leads_negative(u) else u
+    return np.array(_unit(v.tolist())[0])
 
 
 @dataclass(frozen=True)
@@ -131,10 +133,10 @@ class Line3:
     dir: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "base", as_vec(self.base))
-        if not all(map(math.isfinite, self.base.tolist())):
+        base = as_vec(self.base).tolist()
+        if not all(map(math.isfinite, base)):
             raise ValueError("a line needs a finite base point")
-        object.__setattr__(self, "dir", canonical_dir(as_vec(self.dir)))
+        vars(self).update(base=np.array(base), dir=canonical_dir(as_vec(self.dir)))
 
     def point_at(self, t: float) -> Vec3:
         return self.base + t * self.dir
@@ -154,18 +156,11 @@ class Plane3:
     offset: float
 
     def __post_init__(self):
-        n = as_vec(self.normal)
-        s = norm(n)
-        if not 0.0 < s < math.inf:
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        u = n / s
+        u, s = _unit(as_vec(self.normal).tolist())
         off = float(self.offset) / s
         if not math.isfinite(off):
             raise ValueError("a plane needs a finite offset")
-        if _leads_negative(u):
-            u, off = -u, -off
-        object.__setattr__(self, "normal", u)
-        object.__setattr__(self, "offset", off)
+        vars(self).update(normal=np.array(u), offset=off)
 
     @classmethod
     def from_point_normal(cls, point: Vec3, normal: Vec3) -> "Plane3":
@@ -221,6 +216,8 @@ class LineRelation(Enum):
 
 @dataclass(frozen=True, eq=False)
 class LineMeet:
+    """How two lines lie: their relation, the common point when they meet, and the gap."""
+
     relation: LineRelation
     point: Optional[Vec3]
     gap: float

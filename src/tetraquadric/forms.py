@@ -44,11 +44,11 @@ class QuadForm3:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "QuadForm3":
-        m = np.asarray(m, dtype=float)
-        sym = 0.5 * (m + m.T)
-        q = cls(sym[0, 0], sym[1, 1], sym[2, 2], sym[0, 1], sym[0, 2], sym[1, 2])
-        vars(q)["matrix"] = _frozen(sym)  # the same bits as `matrix` would build
-        return q
+        """The form of (m + m^T) / 2 of a 3x3 matrix m, with Python-float coefficients."""
+        (a, b, c), (d, e, f), (g, h, i) = np.asarray(m, dtype=float).tolist()
+        return cls(
+            0.5 * (a + a), 0.5 * (e + e), 0.5 * (i + i), 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + h)
+        )
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -119,6 +119,8 @@ class TracelessKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class TracelessClass:
+    """Kind of a traceless form, with its two zero planes for the plane pair."""
+
     kind: TracelessKind
     planes: Optional[tuple[Plane3, Plane3]] = None
 

@@ -19,6 +19,8 @@ from .forms import QuadForm3, evaluate, not_traceless, rank
 
 @dataclass(frozen=True, eq=False)
 class Ellipse3:
+    """Ellipse in space: center + cos t a + sin t b, (a, b) the semi-axes, in its plane."""
+
     center: Vec3
     semi_axes: tuple[Vec3, Vec3]
     plane: Plane3
@@ -33,7 +35,8 @@ class Tripod:
 
 @dataclass(frozen=True, eq=False)
 class InscribedTriangle:
-    #: read-only (3, 3), one row per vertex
+    """Porism triangle in the section ellipse: read-only (3, 3) vertex rows, and angles."""
+
     vertices: np.ndarray
     angles: tuple[float, float, float]
 

@@ -57,6 +57,8 @@ def serialize_tetrahedron(t: Tetrahedron) -> str:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """Every construction of `analyze` and its residuals, as JSON-ready fields."""
+
     vertices: list
     tetra_class: str
     orthogonal_pair: Optional[list]
@@ -107,12 +109,12 @@ def altitude_level_residual(t: Tetrahedron) -> float:
     # an overflow shows up below as a non-finite value and is raised there
     with np.errstate(over="ignore", invalid="ignore"):
         denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
-        devs = np.abs(np.einsum("lki,ij,lkj->lk", d, t.q_star.matrix, d) - r)
-    if not math.isfinite(denom) or not np.isfinite(devs).all():
+        dev = float(np.abs(np.einsum("lki,ij,lkj->lk", d, t.q_star.matrix, d) - r).max())
+    if not (math.isfinite(denom) and math.isfinite(dev)):
         raise DegenerateForm("the altitude residual overflows at this scale")
-    if denom < TINY and t.lambdas.any():
+    if denom < TINY and any(t.lambdas.tolist()):
         raise DegenerateForm("the altitude residual underflows at this scale")
-    return float(devs.max()) / denom if denom else 0.0
+    return dev / denom if denom else 0.0
 
 
 def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
@@ -131,13 +133,13 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     s = t.edge_scale()
 
     midplane_res = max(p.residual(points.monge) for p in tetra._midplanes(t))
-    circum_d = [math.hypot(*d) for d in (t.vertices - points.circumcenter).tolist()]
+    m, g, c = points.monge.tolist(), points.centroid.tolist(), points.circumcenter.tolist()
+    c0, c1, c2 = c
+    circum_d = [math.hypot(x - c0, y - c1, z - c2) for x, y, z in t.vertices.tolist()]
     residuals = {
         "pluecker": abs(tetra.pluecker_residual(t)) / s / s,
         "monge_midplanes": midplane_res / s,
-        "euler_midpoint": norm(
-            points.centroid - 0.5 * (points.circumcenter + points.monge)
-        ) / s,
+        "euler_midpoint": math.hypot(*[x - 0.5 * (y + z) for x, y, z in zip(g, c, m)]) / s,
         "circumdistance_spread": (max(circum_d) - min(circum_d)) / s,
         "altitude_incidence": altitude_level_residual(t),
     }
@@ -150,9 +152,9 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     return AnalysisReport(
         vertices=t.vertices.tolist(),
         **class_fields(cls),
-        monge=points.monge.tolist(),
-        centroid=points.centroid.tolist(),
-        circumcenter=points.circumcenter.tolist(),
+        monge=m,
+        centroid=g,
+        circumcenter=c,
         orthocenter=points.orthocenter.tolist() if points.orthocenter is not None else None,
         euler_direction=points.euler.dir.tolist() if points.euler is not None else None,
         lambdas=t.lambdas.tolist(),
@@ -336,8 +338,8 @@ def _draw_tetra(kind: TetraKind, rng: np.random.Generator) -> Optional[Tetrahedr
             return None
         t = Tetrahedron(verts)
         # generic with a margin: every opposite-edge dot above ten times its gate
-        gates = tetra._opposite_gates(t, DEFAULT_TOL)
-        return t if np.all(np.abs(t.opposite_dots) > 10.0 * gates) else None
+        dots, gates = t.opposite_dots.tolist(), tetra._opposite_gates(t, DEFAULT_TOL)
+        return t if all(abs(d) > 10.0 * g for d, g in zip(dots, gates)) else None
 
     base = _random_base_triangle(rng)
     ortho = orthocenter2d(tuple(np.column_stack((base, np.zeros(3)))))[:2]

@@ -28,9 +28,7 @@ from .core import (
     _cross,
     _frozen,
     dot,
-    norm,
     orthocenter2d,
-    triple,
 )
 from .errors import BadIndex, DegenerateTetrahedron
 from .forms import QuadForm3
@@ -89,24 +87,24 @@ class Tetrahedron:
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        if v.shape != (4, 3) or not np.isfinite(v).all():
+        if v.shape != (4, 3) or not all(map(math.isfinite, v.ravel().tolist())):
             raise DegenerateTetrahedron("need four finite 3-vectors")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             e = v[:, None] - v[None]
             lengths = np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2])
-        s = float(lengths.max())
-        if not math.isfinite(s):
-            raise DegenerateTetrahedron("an edge leaves the double range")
-        b = e[0, 1:]
-        # in units of the power of two just above the longest edge, as in
-        # `orthocenter2d`: exact, so the cube neither overflows nor underflows
-        frac, exp = math.frexp(s)
-        if abs(triple(*np.ldexp(b, -exp))) <= DEFAULT_TOL.gate(frac, frac, frac):
-            raise DegenerateTetrahedron("vertices are coplanar")
-        el, nl = e.tolist(), lengths.tolist()
-        pairs = OPPOSITE_EDGE_PAIRS
-        scales = [nl[i][j] * nl[k][l] for (i, j), (k, l) in pairs]
-        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(lengths.max())
+            if not math.isfinite(s):
+                raise DegenerateTetrahedron("an edge leaves the double range")
+            el, nl = e.tolist(), lengths.tolist()
+            # in units of the power of two just above the longest edge, as in
+            # `orthocenter2d`: exact, so the cube neither overflows nor underflows
+            frac, exp = math.frexp(s)
+            ld, shift = math.ldexp, -exp
+            u, v1, v2 = ([ld(x, shift), ld(y, shift), ld(z, shift)] for x, y, z in el[0][1:])
+            if abs(dot(u, _cross(v1, v2))) <= DEFAULT_TOL.gate(frac, frac, frac):
+                raise DegenerateTetrahedron("vertices are coplanar")
+            pairs = OPPOSITE_EDGE_PAIRS
+            scales = [nl[i][j] * nl[k][l] for (i, j), (k, l) in pairs]
             dots = [dot(e[e1], e[e2]) for e1, e2 in pairs]
             finite = all(map(math.isfinite, dots))
             if not (finite and TINY <= min(scales) and max(scales) < math.inf):
@@ -114,7 +112,7 @@ class Tetrahedron:
             normals = [_cross(el[j][i], el[k][i]) for i, j, k in _FACES]
             face_normals = np.array(normals)
             # midpoints less a_0: of the edge opposite 0j (Monge), of the edge 0j (circumcenter)
-            r = e[:, 0]
+            r, b = e[:, 0], e[0, 1:]
             mids = 0.5 * np.array([[r[2] + r[3], r[3] + r[1], r[1] + r[2]], r[1:]])
             x = np.linalg.solve(b, np.sum(b * mids, axis=2).T)
             centered = r - x[:, 0]
@@ -221,7 +219,8 @@ def monge_identity_residual(t: Tetrahedron) -> float:
 
 
 def centroid(t: Tetrahedron) -> Vec3:
-    return t.vertices.sum(axis=0) / 4.0
+    """Mean of the four vertices, summed in vertex order."""
+    return np.array([(a + b + c + d) / 4.0 for a, b, c, d in zip(*t.vertices.tolist())])
 
 
 def circumcenter(t: Tetrahedron) -> Vec3:
@@ -234,21 +233,21 @@ def opposite_edge_dots(t: Tetrahedron) -> np.ndarray:
     return t.opposite_dots
 
 
-def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
+def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> list:
     """Zero gate of each opposite-edge dot product, tol.gate(|b_ij|, |b_kl|)."""
-    return tol.rel_eps * t.opposite_scales
+    return [tol.rel_eps * s for s in t.opposite_scales.tolist()]
 
 
-def _orthogonal(t: Tetrahedron, tol: Tolerance) -> np.ndarray:
-    """(3,) bool: which opposite-edge pairs are orthogonal, in OPPOSITE_EDGE_PAIRS
-    order; the one test behind both `classify` and `altitudes_meet`."""
-    return np.abs(t.opposite_dots) <= _opposite_gates(t, tol)
+def _orthogonal(t: Tetrahedron, tol: Tolerance) -> list:
+    """Which opposite-edge pairs are orthogonal, in OPPOSITE_EDGE_PAIRS order; the
+    one test behind both `classify` and `altitudes_meet`."""
+    return [abs(d) <= g for d, g in zip(t.opposite_dots.tolist(), _opposite_gates(t, tol))]
 
 
 def altitudes_meet(t: Tetrahedron, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff altitudes h_i and h_j intersect, i.e. edge kl is orthogonal to edge ij."""
     _check_edge(i, j)
-    return bool(_orthogonal(t, tol)[_pair_of(i, j)])
+    return _orthogonal(t, tol)[_pair_of(i, j)]
 
 
 class TetraKind(Enum):
@@ -259,6 +258,8 @@ class TetraKind(Enum):
 
 @dataclass(frozen=True)
 class TetraClass:
+    """Class of a tetrahedron, with the orthogonal pair of a semi-orthocentric one."""
+
     kind: TetraKind
     #: for the semi-orthocentric case, the orthogonal opposite-edge pair
     orthogonal_pair: Optional[tuple[tuple[int, int], tuple[int, int]]] = None
@@ -287,17 +288,16 @@ def classify(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> TetraClass:
 def _classify(t: Tetrahedron, tol: Tolerance) -> TetraClass:
     """The decision behind `classify`, made afresh."""
     zero = _orthogonal(t, tol)
-    n_zero = int(zero.sum())
+    n_zero = sum(zero)
     if n_zero == 0:
         return TetraClass(TetraKind.GENERIC)
     if n_zero == 1:
-        idx = int(np.argmax(zero))
-        return TetraClass(TetraKind.SEMI_ORTHOCENTRIC, OPPOSITE_EDGE_PAIRS[idx])
+        return TetraClass(TetraKind.SEMI_ORTHOCENTRIC, OPPOSITE_EDGE_PAIRS[zero.index(True)])
     if n_zero == 3:
         return TetraClass(TetraKind.ORTHOCENTRIC)
     # exactly two zeros: numerically inconsistent
-    idx = int(np.argmin(zero))
-    if abs(t.opposite_dots[idx]) <= 10.0 * _opposite_gates(t, tol)[idx]:
+    idx = zero.index(False)
+    if abs(t.opposite_dots.tolist()[idx]) <= 10.0 * _opposite_gates(t, tol)[idx]:
         return TetraClass(TetraKind.ORTHOCENTRIC)
     return TetraClass(
         TetraKind.GENERIC,
@@ -307,6 +307,8 @@ def _classify(t: Tetrahedron, tol: Tolerance) -> TetraClass:
 
 @dataclass(frozen=True, eq=False)
 class NoteworthyPoints:
+    """Monge point, centroid and circumcenter, with the orthocenter and Euler line if any."""
+
     monge: Vec3
     centroid: Vec3
     circumcenter: Vec3
@@ -323,5 +325,6 @@ def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints
     """
     m, g, c = t.monge, centroid(t), t.circumcenter
     h = m if classify(t, tol).kind is TetraKind.ORTHOCENTRIC else None
-    euler = Line3(g, c - m) if norm(c - m) > tol.gate(t.edge_scale()) else None
+    cm = [y - x for x, y in zip(m.tolist(), c.tolist())]
+    euler = Line3(g, cm) if math.hypot(*cm) > tol.gate(t.edge_scale()) else None
     return NoteworthyPoints(m, g, c, h, euler)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from tetraquadric import DEFAULT_TOL, Line3, Plane3, Tetrahedron, Tolerance, edge_vector
-from tetraquadric.core import Vec3, cross, norm, normalize
+from tetraquadric.core import Vec3, cross, norm
 from tetraquadric.errors import GeometryError
 
 
@@ -39,7 +39,7 @@ def line_from_two_planes(p1: Plane3, p2: Plane3, tol: Tolerance = DEFAULT_TOL) -
     d = cross(p1.normal, p2.normal)
     if norm(d) <= tol.gate(1.0):
         raise ParallelPlanes("plane normals are parallel")
-    d = normalize(d)
+    d = d / norm(d)
     a = np.array([p1.normal, p2.normal, d])
     base = np.linalg.solve(a, np.array([p1.offset, p2.offset, 0.0]))
     return Line3(base, d)

@@ -128,6 +128,16 @@ def test_q_star_examples(t_gen, t_orth, t_semi):
     assert rank(q_star(t_semi)) == 2
 
 
+def test_forms_hold_python_floats(t_gen, t_semi):
+    # as the CLI's forms do, so a coefficient reads 1.5, not np.float64(1.5)
+    for t in (t_gen, t_semi):
+        forms = [t.q_star, build(t).form]
+        forms += [q_ijkl(t, p) for p in itertools.permutations(range(4))]
+        for q in forms:
+            assert all(type(c) is float for c in q.coefficients), q
+            assert "np.float64" not in repr(q)
+
+
 def test_q_star_traceless_random():
     for t in random_mixed(30, seed0=10):
         qs = q_star(t)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from tetraquadric import (
     triple,
     vec,
 )
-from tetraquadric.core import norm, normalize
+from tetraquadric.core import canonical_dir, norm
 
 from line_oracle import reference_line_meet
 from test_exact_oracle import _cross, _dot, _sub
@@ -235,7 +236,7 @@ def test_tolerance_validation():
 def test_norm_free_of_overflow_and_underflow(mag):
     v = vec(mag, mag, 0)
     assert norm(v) == pytest.approx(mag * np.sqrt(2), rel=1e-15)
-    np.testing.assert_allclose(normalize(v), [np.sqrt(0.5), np.sqrt(0.5), 0], rtol=1e-15)
+    np.testing.assert_allclose(canonical_dir(v), [np.sqrt(0.5), np.sqrt(0.5), 0], rtol=1e-15)
     np.testing.assert_array_equal(Line3(vec(0, 0, 0), vec(-mag, 0, 0)).dir, [1, 0, 0])
 
 
@@ -295,6 +296,43 @@ def test_a_nan_plane_cuts_no_section_of_the_hyperboloid(t_gen):
 def test_line_rejects_a_non_finite_base_or_direction(base, direction):
     with pytest.raises(ValueError, match="finite"):
         Line3(np.array(base, dtype=float), np.array(direction, dtype=float))
+
+
+def _unit_and_finite(u, v):
+    """u is finite, and unit to 2 ulps unless |v| is subnormal, where its digits are lost."""
+    return np.isfinite(u).all() and (
+        math.hypot(*v) < np.finfo(float).tiny or abs(math.hypot(*u) - 1.0) <= 2 * EPS
+    )
+
+
+@pytest.mark.parametrize("c", [1e308, -1e308, 1e-320, -1e-320, NAN, INF, -INF])
+def test_records_at_the_ends_of_the_double_range(c):
+    # each is built with finite fields or refused with ValueError, never an
+    # OverflowError, ZeroDivisionError or numpy warning
+    finite, w = math.isfinite(c), vec(1.0, -2.0, 0.5)
+    vectors = [vec(c, c, c), vec(0.0, c, 0.0)]
+    for i in range(3):
+        vectors.append(w.copy())
+        vectors[-1][i] = c
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in vectors:
+            if not finite:
+                for make, args in ((canonical_dir, (v,)), (Line3, (v, w)), (Line3, (w, v)),
+                                   (Plane3, (v, 1.0)), (Plane3, (w, c))):
+                    with pytest.raises(ValueError, match="finite"):
+                        make(*args)
+                continue
+            assert _unit_and_finite(canonical_dir(v), v)
+            assert Line3(v, w).base.tolist() == v.tolist()
+            assert _unit_and_finite(Line3(w, v).dir, v)
+            assert Plane3(w, c).offset == c / math.hypot(*w)
+            if 1.0 / math.hypot(*v) < INF:
+                p = Plane3(v, 1.0)
+                assert _unit_and_finite(p.normal, v) and math.isfinite(p.offset)
+            else:  # the unit offset 1 / |v| overflows
+                with pytest.raises(ValueError, match="finite"):
+                    Plane3(v, 1.0)
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -22,6 +23,7 @@ from tetraquadric import (
     evaluate,
     mesh_to_obj,
     midplane,
+    noteworthy,
     parse_tetrahedron,
     porism_family,
     quadric_mesh,
@@ -29,6 +31,7 @@ from tetraquadric import (
     reporting,
     serialize_tetrahedron,
 )
+import tetraquadric
 from tetraquadric.cli import _build_parser, main
 from tetraquadric.core import norm
 from tetraquadric.errors import (
@@ -89,6 +92,15 @@ def test_analyze_fixtures(t_gen, t_orth, t_semi):
     rep = analyze(t_semi)
     assert rep.tetra_class == "semi_orthocentric"
     assert rep.quadric_kind == "plane_pair"
+
+
+def test_every_exported_record_has_a_docstring():
+    # without one, a dataclass's __doc__ is its signature, built at every import
+    exported = vars(tetraquadric).values()
+    records = [o for o in exported if isinstance(o, type) and dataclasses.is_dataclass(o)]
+    assert len(records) == 17
+    for r in records:
+        assert r.__doc__ and not r.__doc__.startswith(r.__name__ + "("), r.__name__
 
 
 #: One residual per computed quantity: d, m, the centroid against m and c, c,
@@ -786,6 +798,21 @@ def test_construction_warns_nothing_at_overflowing_scales(scale, raises):
                     step(t)
             else:
                 step(t)
+
+
+@pytest.mark.parametrize("scale, message", [(1e52, "overflows"), (1e-60, "underflows")])
+def test_noteworthy_and_analyze_raise_only_degenerate_form_at_extreme_scales(scale, message):
+    # the orthocentric rhs is 0, so only the altitude residual's lambda**3 scale leaves
+    # the double range; no OverflowError from Python-float arithmetic, no numpy warning
+    t = Tetrahedron(scale * random_tetra("orthocentric", 3).vertices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = noteworthy(t)
+        assert points.orthocenter is not None and points.euler is not None
+        for p in (points.monge, points.centroid, points.circumcenter, points.euler.dir):
+            assert np.isfinite(p).all()
+        with pytest.raises(DegenerateForm, match=message):
+            analyze(t)
 
 
 @pytest.mark.parametrize("cmd", ["classify", "analyze"])

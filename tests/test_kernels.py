@@ -1,14 +1,19 @@
-"""The figure path's Python-float kernels against their numpy oracles.
+"""The Python-float kernels of the figure and analyze paths against their numpy oracles.
 
 `core._meet_rule`, `core.orthocenter2d`, `altquadric.contains_line`,
-`altquadric.regulus_of` and `altquadric.section` must return the values of the
-numpy expressions in `kernel_oracle` to the bit, on random tetrahedra of every
-class at scales 2**-20, 1 and 2**20, at the origin and shifted by 1e6 edge
-lengths, and on the sliver of `test_tetra`.  The only freedom is the sign of the
-NaN gap of an exactly parallel pair.
+`altquadric.regulus_of` and `altquadric.section`, and on the analyze path
+`Line3`, `Plane3`, `canonical_dir`, `QuadForm3.from_matrix`, the class
+decision, the coplanarity test, the centroid, the Euler line and the residuals
+of `analyze` must return the values of the numpy expressions in `kernel_oracle`
+to the bit, on random tetrahedra of every class at scales 2**-20, 1 and 2**20,
+at the origin and shifted by 1e6 edge lengths, and on the sliver of
+`test_tetra`.  Each decision is also probed at tolerances or inputs within a
+few ulps of its gate, so that a value off by one ulp changes it.  The only
+freedom is the sign of the NaN gap of an exactly parallel pair.
 """
 
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -16,14 +21,20 @@ import pytest
 
 from tetraquadric import (
     DEFAULT_TOL,
+    Line3,
     Plane3,
+    QuadForm3,
     QuadricKind,
     TetraKind,
     Tetrahedron,
     Tolerance,
     altitude,
+    altitudes_meet,
+    analyze,
     build,
+    centroid,
     contains_line,
+    noteworthy,
     ortho_perpendicular,
     orthocenter2d,
     random_tetra,
@@ -31,9 +42,15 @@ from tetraquadric import (
     section,
     vec,
 )
-from tetraquadric.core import _meet_rule
-from tetraquadric.errors import AmbiguousRegulus, CollinearPoints
-from tetraquadric.tetra import _FACES
+from tetraquadric.core import _meet_rule, canonical_dir, dot, norm
+from tetraquadric.errors import (
+    AmbiguousRegulus,
+    CollinearPoints,
+    DegenerateTetrahedron,
+    GeometryError,
+)
+from tetraquadric.reporting import altitude_level_residual
+from tetraquadric.tetra import _FACES, _classify
 
 import kernel_oracle as oracle
 from test_tetra import SLIVER
@@ -81,7 +98,7 @@ def _either(f, *args):
     """f(*args), or the type of the exception it raised."""
     try:
         return f(*args)
-    except (CollinearPoints, AmbiguousRegulus) as exc:
+    except (ValueError, GeometryError) as exc:
         return type(exc)
 
 
@@ -197,3 +214,122 @@ def test_orthocenter_of_a_right_triangle_with_edges_far_below_its_coordinates():
         warnings.simplefilter("error")
         h = orthocenter2d(tuple(np.array(p, float) for p in tri))
     assert h.tolist() == [1.0, 0.0, 0.0]
+
+
+# -- the analyze path ----------------------------------------------------------
+
+#: vectors at the ends of the double range and next to the sign rule's 1e-12
+EXTREME = [
+    vec(*c)
+    for c in (
+        (1e308, -1e308, 1e308), (-1e308, 1e-320, 0.0), (1e-320, -1e-320, 1e-320),
+        (0.0, 0.0, -1e-320), (-0.0, 0.0, -1.0), (1e-13, -1.0, 2.0), (-1e-13, 1.0, 2.0),
+        (-3e-13, 1e-13, -1.0), (2e-12, -5.0, 1.0), (-2e-12, 5.0, 1.0), (0.0, 0.0, 0.0),
+    )
+]
+OFFSETS = (0.0, -0.0, 1.5, -2.5e-7, 1e300, -1e-300)
+
+
+def _same_record(got, want, fields):
+    """A record and the oracle's tuple of its fields are equal to the bit, or
+    both raised the same exception type."""
+    if isinstance(want, type) or isinstance(got, type):
+        return got is want
+    return all(_same(getattr(got, f), w) for f, w in zip(fields, want))
+
+
+def _vectors(t):
+    """The records' inputs on the analyze path of t, each with the offset of its
+    plane through m, and `EXTREME` with none."""
+    edges = [t.edges[i, j] for i in range(4) for j in range(4) if i != j]
+    own = [*t.face_normals, *edges, t.circumcenter - t.monge, *t.monge_centered]
+    return [(v, (dot(v, t.monge),)) for v in own] + [(v, ()) for v in EXTREME]
+
+
+def test_line_plane_and_direction_match_their_oracles(figures):
+    for name, t, _, _ in figures:
+        for v, own_offset in _vectors(t):
+            got, want = _either(canonical_dir, v), _either(oracle.canonical_dir, v)
+            assert got is want if isinstance(want, type) else _same(got, want), name
+            for base in (t.vertices[0], t.monge, v):
+                line = _either(Line3, base, v)
+                assert _same_record(line, _either(oracle.line3, base, v), ("base", "dir")), name
+            for off in OFFSETS + own_offset:
+                plane = _either(Plane3, v, off)
+                assert _same_record(plane, _either(oracle.plane3, v, off), ("normal", "offset"))
+                assert isinstance(plane, type) or type(plane.offset) is float
+
+
+def test_from_matrix_matches_its_oracle(figures):
+    rng = np.random.default_rng(5)
+    for name, t, _, _ in figures:
+        (d1, d2, _), f = t.opposite_dots, t.basic_forms
+        q_star = 0.5 * (d1 * f[1] - d2 * f[0])
+        for m in (q_star, *f, *-f, t.edge_scale() ** 2 * rng.normal(size=(3, 3))):
+            coefficients, sym = oracle.from_matrix(m)
+            q = QuadForm3.from_matrix(m)
+            assert all(type(c) is float for c in q.coefficients), name
+            assert _same(q.coefficients, coefficients) and _same(q.matrix, sym), name
+        assert _same(t.q_star.coefficients, oracle.from_matrix(q_star)[0]), name
+    # sums past the double range, and a subnormal one
+    m = np.array([[1e308, 1e308, -1e308], [1e308, -1e308, 2.0], [-1e308, 3.0, 1e-320]])
+    coefficients, sym = oracle.from_matrix(m)
+    assert _same(QuadForm3.from_matrix(m).coefficients, coefficients)
+
+
+def test_class_decision_matches_its_oracle(figures):
+    for name, t, _, _ in figures:
+        rel = [abs(d) / s for d, s in zip(t.opposite_dots.tolist(), t.opposite_scales.tolist())]
+        # gates on each dot to the ulp, and at a tenth of it for two-zero patterns
+        near = [_ulps(r / div, k) for r in rel if r > 0 for div in (1, 10) for k in range(-2, 3)]
+        tols = [DEFAULT_TOL] + [Tolerance(x) for x in near]
+        for tol in tols:
+            c = _classify(t, tol)
+            assert (c.kind, c.orthogonal_pair, c.warning) == oracle.classify(t, tol), name
+            zero = np.abs(t.opposite_dots) <= tol.rel_eps * t.opposite_scales
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3)):
+                assert altitudes_meet(t, i, j, tol) is altitudes_meet(t, j, i, tol)
+            met = [altitudes_meet(t, i, j, tol) for i, j in ((2, 3), (3, 1), (1, 2))]
+            assert met == zero.tolist(), name
+
+
+def test_coplanarity_decision_matches_its_oracle():
+    raised = built = 0
+    for name, v in list(CASES.items())[::3]:
+        c = v[:3].mean(axis=0)
+        # v_3 moved toward the plane of its face, to where the oracle's decision flips
+        w = lambda h: np.vstack([v[:3], c + h * (v[3] - c)])
+        coplanar = lambda h: operator.le(*oracle.coplanarity(w(h)))
+        value, gate = oracle.coplanarity(v)
+        lo, hi = 0.25 * gate / value, 4.0 * gate / value
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if coplanar(mid) else (lo, mid)
+        for k in range(-16, 17):
+            h = _ulps(hi, k)
+            got = _either(Tetrahedron, w(h))
+            assert (got is DegenerateTetrahedron) == coplanar(h), (name, k)
+            raised += got is DegenerateTetrahedron
+            built += got is not DegenerateTetrahedron
+    assert raised and built
+
+
+def test_noteworthy_and_analyze_residuals_match_their_oracles(figures):
+    for name, t, _, _ in figures:
+        assert _same(centroid(t), oracle.centroid(t)), name
+        # gates on |c - m| to the ulp, so that a gap off by one ulp changes the Euler line
+        gap = norm(t.circumcenter - t.monge) / t.edge_scale()
+        for tol in [DEFAULT_TOL] + [Tolerance(_ulps(gap, k)) for k in range(-2, 3)]:
+            want = oracle.euler_line(t, tol)
+            euler = noteworthy(t, tol).euler
+            assert (euler is None) == (want is None), name
+            assert euler is None or _same_record(euler, want, ("base", "dir")), name
+        points, report = noteworthy(t), analyze(t)
+        euler_midpoint, spread = oracle.analyze_residuals(t, points)
+        assert _same(report.residuals["euler_midpoint"], euler_midpoint), name
+        assert _same(report.residuals["circumdistance_spread"], spread), name
+        incidence = oracle.altitude_level_residual(t)
+        assert _same(altitude_level_residual(t), incidence), name
+        assert _same(report.residuals["altitude_incidence"], incidence), name
+        for f in ("monge", "centroid", "circumcenter"):
+            assert _same(getattr(report, f), getattr(points, f)), name
