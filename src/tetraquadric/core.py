@@ -50,6 +50,11 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
     return np.array(_cross(u.tolist(), v.tolist()))
 
 
+def _dot(u: list, v: list) -> float:
+    """Inner product of two coordinate lists, summed in coordinate order."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _cross(u: list, v: list) -> list:
     """The closed form of `cross` on coordinate lists."""
     (a, b, c), (d, e, f) = u, v
@@ -86,13 +91,21 @@ def _leads_negative(u: list) -> bool:
 
 
 def _unit(v: list) -> tuple[list, float]:
-    """(v / s, s) for the coordinate list v and s = +-|v|, the sign passing `_leads_negative`."""
+    """(v / s, s) for the coordinate list v and s = +-|v|, the sign passing
+    `_leads_negative`.  A subnormal |v| has lost bits, so v is then divided by
+    its length in the unit of the power of two just above it, as in
+    `orthocenter2d`: exact, and u is unit to the last bits."""
     x, y, z = v
     s = math.hypot(x, y, z)
     if not 0.0 < s < math.inf:
         raise ValueError("cannot normalize a zero or non-finite vector")
-    u = [x / s, y / s, z / s]
-    return ([-x / s, -y / s, -z / s], -s) if _leads_negative(u) else (u, s)
+    if s < TINY:
+        x, y, z = (math.ldexp(c, -math.frexp(s)[1]) for c in v)
+        h = math.hypot(x, y, z)
+    else:
+        h = s
+    u = [x / h, y / h, z / h]
+    return ([-x / h, -y / h, -z / h], -s) if _leads_negative(u) else (u, s)
 
 
 def canonical_dir(v: Vec3) -> Vec3:

@@ -89,32 +89,45 @@ def class_fields(cls: tetra.TetraClass) -> dict:
 
 
 #: Sample steps along each altitude, in longest edges.
-_ALTITUDE_STEPS = np.arange(-3.0, 4.0)
+_ALTITUDE_STEPS = tuple(float(k) for k in range(-3, 4))
 
 
 def altitude_level_residual(t: Tetrahedron) -> float:
     """Max relative deviation of altitude points from Q*(p - M) = rhs.
 
     Each altitude l is sampled at the seven points a_l + k s n_l, k = -3..3,
-    with s the longest edge and n_l the unit normal of the opposite face; the
-    28 samples less M are one (4, 7, 3) array, evaluated with one `einsum`.
-    Because k runs symmetrically these are the points `altitude(t, l).point_at(k s)`.
+    with s the longest edge and n_l the unit normal of the opposite face.  With
+    c_l = a_l - M, the deviation along the altitude is the quadratic in k
+    (Q*(c_l) - rhs) + k 2s Q*(c_l, n_l) + k^2 s^2 Q*(n_l), so each altitude
+    costs three form evaluations on Python floats.  Because k runs
+    symmetrically these are the points `altitude(t, l).point_at(k s)`.
     The residual is normalized by max(|rhs|, max |lambda_0j|^3), the natural
     sixth-power length scale of the equation.  It is 0 when every lambda_0j is 0
     (a right-angled corner at a_0); a scale that underflows is raised.
     """
-    r = t.rhs
-    steps = _ALTITUDE_STEPS * t.edge_scale()
-    d = t.monge_centered[:, None] + steps[:, None] * t.unit_normals[:, None]
-    # an overflow shows up below as a non-finite value and is raised there
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
-        dev = float(np.abs(np.einsum("lki,ij,lkj->lk", d, t.q_star.matrix, d) - r).max())
-    if not (math.isfinite(denom) and math.isfinite(dev)):
+    r, s = t.rhs, t.edge_scale()
+    s11, s22, s33, s12, s13, s23 = t.q_star.coefficients
+
+    def form(x: list, y: list) -> float:
+        (x1, x2, x3), (y1, y2, y3) = x, y
+        return (
+            x1 * (s11 * y1 + s12 * y2 + s13 * y3)
+            + x2 * (s12 * y1 + s22 * y2 + s23 * y3)
+            + x3 * (s13 * y1 + s23 * y2 + s33 * y3)
+        )
+
+    devs = []
+    for c, n in zip(t._centered, t._unit_normals):
+        level, slope, curve = form(c, c) - r, 2.0 * s * form(c, n), s * s * form(n, n)
+        devs += [abs(level + k * slope + k * k * curve) for k in _ALTITUDE_STEPS]
+    lam = max(map(abs, t._lambdas))
+    denom = max(abs(r), lam * lam * lam)
+    # an overflow shows up as a non-finite value, which max() alone could skip
+    if not (math.isfinite(denom) and all(map(math.isfinite, devs))):
         raise DegenerateForm("the altitude residual overflows at this scale")
-    if denom < TINY and any(t.lambdas.tolist()):
+    if denom < TINY and any(t._lambdas):
         raise DegenerateForm("the altitude residual underflows at this scale")
-    return dev / denom if denom else 0.0
+    return max(devs) / denom if denom else 0.0
 
 
 def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
@@ -132,7 +145,8 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     points = tetra.noteworthy(t, tol)
     s = t.edge_scale()
 
-    midplane_res = max(p.residual(points.monge) for p in tetra._midplanes(t))
+    # m is the origin of the Monge frame, so its distance from each plane is |offset|
+    midplane_res = max(abs(p.offset) for p in tetra._midplanes(t))
     m, g, c = points.monge.tolist(), points.centroid.tolist(), points.circumcenter.tolist()
     c0, c1, c2 = c
     circum_d = [math.hypot(x - c0, y - c1, z - c2) for x, y, z in t.vertices.tolist()]
@@ -157,8 +171,8 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
         circumcenter=c,
         orthocenter=points.orthocenter.tolist() if points.orthocenter is not None else None,
         euler_direction=points.euler.dir.tolist() if points.euler is not None else None,
-        lambdas=t.lambdas.tolist(),
-        opposite_edge_dots=t.opposite_dots.tolist(),
+        lambdas=list(t._lambdas),
+        opposite_edge_dots=list(t._dots),
         q_star=list(qd.form.coefficients),
         rhs=qd.rhs,
         quadric_kind=qd.kind.value,
@@ -338,8 +352,8 @@ def _draw_tetra(kind: TetraKind, rng: np.random.Generator) -> Optional[Tetrahedr
             return None
         t = Tetrahedron(verts)
         # generic with a margin: every opposite-edge dot above ten times its gate
-        dots, gates = t.opposite_dots.tolist(), tetra._opposite_gates(t, DEFAULT_TOL)
-        return t if all(abs(d) > 10.0 * g for d, g in zip(dots, gates)) else None
+        gates = tetra._opposite_gates(t, DEFAULT_TOL)
+        return t if all(abs(d) > 10.0 * g for d, g in zip(t._dots, gates)) else None
 
     base = _random_base_triangle(rng)
     ortho = orthocenter2d(tuple(np.column_stack((base, np.zeros(3)))))[:2]

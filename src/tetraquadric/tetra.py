@@ -3,10 +3,12 @@
 Edge vectors, altitudes and orthocentric perpendiculars, midplanes, the Monge
 point, centroid, circumcenter, Euler line, and the generic /
 semi-orthocentric / orthocentric classification.  A `Tetrahedron` computes
-every tolerance-free quantity at construction, in one pass, and keeps it
-read-only; one factorization of the edge matrix serves the Monge point and the
-circumcenter.  The public functions below read the record.  `classify` keeps
-its decision per tolerance.
+its tolerance-free record at construction, in one straight-line pass on Python
+floats relative to a_0, and builds the read-only arrays of its public fields
+from those floats on first read.  The Monge point and the circumcenter are
+closed forms on the volume, which is summed with error-free transformations.
+The public functions below read the record.  `classify` keeps its decision
+per tolerance.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,8 +29,8 @@ from .core import (
     Tolerance,
     Vec3,
     _cross,
+    _dot,
     _frozen,
-    dot,
     orthocenter2d,
 )
 from .errors import BadIndex, DegenerateTetrahedron
@@ -39,15 +42,59 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
     ((0, 2), (3, 1)),
     ((0, 3), (1, 2)),
 )
-#: The edges kl of the pairs as index arrays (k, l); the edges 0j are 01, 02, 03.
-_KL_INDEX = np.array([kl for _, kl in OPPOSITE_EDGE_PAIRS]).T
-#: Edge ij and its opposite edge kl, k < l, of each pair in both orders, as
-#: index arrays (i, j, k, l).
-_MIDPLANE_INDEX = np.array(
-    [(*e, *sorted(kl)) for pair in OPPOSITE_EDGE_PAIRS for e, kl in (pair, pair[::-1])]
-).T
 #: Vertices (i, j, k), i < j < k, of the face opposite each vertex l.
 _FACES = tuple(tuple(i for i in range(4) if i != l) for l in range(4))
+#: Index pairs (r, s) of the six coefficients of a `QuadForm3`, in its order.
+_COEFFICIENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+#: The six terms (a, b, c, sign) of det(u_1, u_2, u_3) = sum sign u_1[a] u_2[b] u_3[c].
+_DET_TERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
+              (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0))
+#: Veltkamp's splitter 2^27 + 1.
+_SPLITTER = 134217729.0
+
+
+def _sub(u: list, v: list) -> list:
+    return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's TwoProduct on
+    Veltkamp's split), for |a|, |b| <= 1 far from underflow."""
+    p = a * b
+    c, d = _SPLITTER * a, _SPLITTER * b
+    a1, b1 = c - (c - a), d - (d - b)
+    a2, b2 = a - a1, b - b1
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _volume(u: list, r: list, n: list) -> float:
+    """det(u_1 + r_1, u_2 + r_2, u_3 + r_3), with n_j = u_k x u_l, (j, k, l) cyclic.
+
+    `Dot2` of Ogita, Rump and Oishi ("Accurate Sum and Dot Product", SIAM J.
+    Sci. Comput. 26(6), 2005) over the six triple products of det(u), each
+    from two TwoProducts, with the terms r_j . n_j of first order in the r_j
+    added to the error sum: as accurate as the volume of the exact edges u + r
+    summed in twice the working precision."""
+    u1, u2, u3 = u
+    p = e = 0.0
+    for a, b, c, sign in _DET_TERMS:
+        h, f = _two_product(u2[b], u3[c])
+        g, k = _two_product(u1[a], h)
+        p, s = _two_sum(p, sign * g)
+        e += s + sign * (k + u1[a] * f)
+    return p + (e + (_dot(r[0], n[0]) + _dot(r[1], n[1]) + _dot(r[2], n[2])))
+
+
+def _array_of(field: str) -> cached_property:
+    """A read-only array built on first read from the record's float field."""
+    return cached_property(lambda self: _frozen(np.array(getattr(self, field))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +104,9 @@ class Tetrahedron:
     products b_ij . b_kl or |b_ij| |b_kl| leave the normal double range, where
     `classify` could no longer read them.
 
-    Construction computes the whole tolerance-free record in one pass, with
-    b_ij = a_i - a_j and m the Monge point, and keeps every array read-only:
+    Construction computes the tolerance-free record in one straight-line pass
+    on Python floats, with b_ij = a_i - a_j, e_j = a_j - a_0 and m the Monge
+    point.  These read-only arrays are built from it on first read:
 
     - `edges` (4, 4, 3), edges[i, j] = b_ij;
     - `face_normals` (4, 3), (a_j - a_i) x (a_k - a_i) for the face i < j < k
@@ -66,17 +114,23 @@ class Tetrahedron:
       sign, the directions of the altitudes;
     - `opposite_dots` and `opposite_scales` (3,), b_ij . b_kl and |b_ij| |b_kl|
       in OPPOSITE_EDGE_PAIRS order;
-    - `monge_centered` (4, 3), a_i - m; `monge`, m on the midplanes
-      b_0j . m = b_0j . mid(opposite edge); `circumcenter`, on the planes
-      b_0j . c = b_0j . mid(edge 0j).  Both are solved relative to a_0, so that
-      a translation far from the origin costs no digits, with one factorization
-      of B = (b_01, b_02, b_03);
-    - `gram` (4, 4), (a_i - m) . (a_j - m), and `lambdas` (3,), its row 0 for j = 1, 2, 3;
+    - `circumcenter`, c = a_0 + (|e_1|^2 e_2 x e_3 + |e_2|^2 e_3 x e_1 +
+      |e_3|^2 e_1 x e_2) / (2V) with V = e_1 . (e_2 x e_3); `monge`,
+      m = a_0 + (e_1 + e_2 + e_3) / 2 - (c - a_0), as the centroid is the
+      midpoint of m and c; `monge_centered` (4, 3), a_i - m.  All three are
+      formed relative to a_0, so that a translation far from the origin costs
+      no digits, and in units of the power of two just above the longest edge,
+      so that squares and cubes neither overflow nor underflow.  V is summed
+      from the exact edges (`_volume`): on a sliver it is the one
+      ill-conditioned quantity, and the same sum decides coplanarity;
+    - `gram` (4, 4), (a_i - m) . (a_j - m), and `lambdas` (3,), its row 0 for
+      j = 1, 2, 3;
     - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
-      (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order;
-    - `q_star`, (d_1 F_2 - d_2 F_1) / 2, and `rhs`, d_1 d_2 d_3 / 8, with d_p the
-      `opposite_dots` and F_p the `basic_forms`: the paper's sum_j l0j F_j and
-      (l01 - l02)(l02 - l03)(l03 - l01), as 2 (l0i - l0j) is a d_p and sum F_p = 0.
+      (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order.
+
+    `q_star`, (d_1 F_2 - d_2 F_1) / 2, and `rhs`, d_1 d_2 d_3 / 8, with d_p the
+    `opposite_dots` and F_p the `basic_forms`, are the paper's sum_j l0j F_j and
+    (l01 - l02)(l02 - l03)(l03 - l01), as 2 (l0i - l0j) is a d_p and sum F_p = 0.
 
     An overflow in `unit_normals`, `lambdas`, `q_star` or `rhs` leaves
     non-finite values, which `altquadric.build` rejects, instead of a numpy
@@ -87,61 +141,92 @@ class Tetrahedron:
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
-        if v.shape != (4, 3) or not all(map(math.isfinite, v.ravel().tolist())):
+        a = v.tolist()
+        if v.shape != (4, 3) or not all(math.isfinite(x) for p in a for x in p):
             raise DegenerateTetrahedron("need four finite 3-vectors")
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = v[:, None] - v[None]
-            lengths = np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2])
-            s = float(lengths.max())
-            if not math.isfinite(s):
-                raise DegenerateTetrahedron("an edge leaves the double range")
-            el, nl = e.tolist(), lengths.tolist()
-            # in units of the power of two just above the longest edge, as in
-            # `orthocenter2d`: exact, so the cube neither overflows nor underflows
-            frac, exp = math.frexp(s)
-            ld, shift = math.ldexp, -exp
-            u, v1, v2 = ([ld(x, shift), ld(y, shift), ld(z, shift)] for x, y, z in el[0][1:])
-            if abs(dot(u, _cross(v1, v2))) <= DEFAULT_TOL.gate(frac, frac, frac):
-                raise DegenerateTetrahedron("vertices are coplanar")
-            pairs = OPPOSITE_EDGE_PAIRS
-            scales = [nl[i][j] * nl[k][l] for (i, j), (k, l) in pairs]
-            dots = [dot(e[e1], e[e2]) for e1, e2 in pairs]
-            finite = all(map(math.isfinite, dots))
-            if not (finite and TINY <= min(scales) and max(scales) < math.inf):
-                raise DegenerateTetrahedron("opposite-edge products leave the double range")
-            normals = [_cross(el[j][i], el[k][i]) for i, j, k in _FACES]
-            face_normals = np.array(normals)
-            # midpoints less a_0: of the edge opposite 0j (Monge), of the edge 0j (circumcenter)
-            r, b = e[:, 0], e[0, 1:]
-            mids = 0.5 * np.array([[r[2] + r[3], r[3] + r[1], r[1] + r[2]], r[1:]])
-            x = np.linalg.solve(b, np.sum(b * mids, axis=2).T)
-            centered = r - x[:, 0]
-            b_kl = e[_KL_INDEX[0], _KL_INDEX[1]]
-            unit_normals = face_normals / np.array([[math.hypot(*n)] for n in normals])
-            gram = _frozen(centered @ centered.T)
-            o = b[:, :, None] * b_kl[:, None, :]
-            forms = 0.5 * (o + o.transpose(0, 2, 1))
-            d1, d2, d3 = dots
-            q_star = QuadForm3.from_matrix(0.5 * (d1 * forms[1] - d2 * forms[0]))
+        pairs = [(_sub(a[i], a[j]), _sub(a[k], a[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS]
+        x, y, z = zip(*(b for pair in pairs for b in pair))
+        with np.errstate(over="ignore"):
+            lengths = np.hypot(np.hypot(x, y), z).tolist()
+        s = max(lengths)
+        if not math.isfinite(s):
+            raise DegenerateTetrahedron("an edge leaves the double range")
+        # e_j = a_j - a_0, rounded, and in units of the power of two just above
+        # the longest edge, as in `orthocenter2d`, u_j and its rounding error r_j
+        # (so u_j + r_j is exact): no square or cube there overflows or underflows
+        frac, exp = math.frexp(s)
+        a0 = a[0]
+        split = [[_two_sum(x, -y) for x, y in zip(p, a0)] for p in a[1:]]
+        e = [[h for h, _ in ej] for ej in split]
+        u, r = ([[math.ldexp(t[i], -exp) for t in ej] for ej in split] for i in (0, 1))
+        n = [_cross(u[1], u[2]), _cross(u[2], u[0]), _cross(u[0], u[1])]
+        vol = _volume(u, r, n)
+        if abs(vol) <= DEFAULT_TOL.gate(frac, frac, frac):
+            raise DegenerateTetrahedron("vertices are coplanar")
+        scales = [lengths[p] * lengths[p + 1] for p in (0, 2, 4)]
+        dots = [_dot(b, c) for b, c in pairs]
+        finite = all(map(math.isfinite, dots))
+        if not (finite and TINY <= min(scales) and max(scales) < math.inf):
+            raise DegenerateTetrahedron("opposite-edge products leave the double range")
+        # c - a_0 and m - a_0 in closed form: |V| is above the gate, so they lie
+        # within about 1e10 longest edges of a_0, and the change back to world
+        # units neither overflows nor underflows
+        sq = [_dot(x, x) for x in u]
+        w = 2.0 * vol
+        c_unit = [(sq[0] * x + sq[1] * y + sq[2] * z) / w for x, y, z in zip(*n)]
+        m_unit = [0.5 * (x + y + z) - c for x, y, z, c in zip(*u, c_unit)]
+        c_rel, m_rel = ([math.ldexp(x, exp) for x in p] for p in (c_unit, m_unit))
+        centered = [[-x for x in m_rel]] + [_sub(ej, m_rel) for ej in e]
+        # (a_j - a_i) x (a_k - a_i) for the faces ijk of _FACES; a_j - a_0 = e_j
+        face_0 = _cross(_sub(a[2], a[1]), _sub(a[3], a[1]))
+        normals = [face_0, _cross(e[1], e[2]), _cross(e[0], e[2]), _cross(e[0], e[1])]
+        f1, f2 = ([0.5 * (b[i] * c[j] + b[j] * c[i]) for i, j in _COEFFICIENTS] for b, c in pairs[:2])
+        d1, d2, d3 = dots
         vars(self).update(
             vertices=_frozen(v),
-            edges=_frozen(e),
-            face_normals=_frozen(face_normals),
-            unit_normals=_frozen(unit_normals),
-            opposite_dots=_frozen(np.array(dots)),
-            opposite_scales=_frozen(np.array(scales)),
-            monge_centered=_frozen(centered),
-            monge=_frozen(v[0] - centered[0]),
-            circumcenter=_frozen(v[0] + x[:, 1]),
-            gram=gram,
-            lambdas=gram[0, 1:],
-            basic_forms=_frozen(forms),
-            q_star=q_star,
+            q_star=QuadForm3(*(0.5 * (d1 * y - d2 * x) for x, y in zip(f1, f2))),
             rhs=0.125 * d1 * d2 * d3,
+            # the float record that the arrays below are built from
+            _pairs=pairs,
+            _dots=dots,
+            _scales=scales,
+            _normals=normals,
+            _unit_normals=[[x / h for x in p] for p in normals for h in (math.hypot(*p),)],
+            _c_rel=c_rel,
+            _m_rel=m_rel,
+            _centered=centered,
+            _lambdas=[_dot(centered[0], p) for p in centered[1:]],
             _edge_scale=s,
             # `classify`'s decision for each tolerance asked so far
             _classes={},
         )
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        v = self.vertices
+        return _frozen(v[:, None] - v[None])
+
+    face_normals = _array_of("_normals")
+    unit_normals = _array_of("_unit_normals")
+    opposite_dots = _array_of("_dots")
+    opposite_scales = _array_of("_scales")
+    monge_centered = _array_of("_centered")
+    lambdas = _array_of("_lambdas")
+    monge = cached_property(lambda self: _frozen(self.vertices[0] + self._m_rel))
+    circumcenter = cached_property(lambda self: _frozen(self.vertices[0] + self._c_rel))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        c = self.monge_centered
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _frozen(c @ c.T)
+
+    @cached_property
+    def basic_forms(self) -> np.ndarray:
+        b, c = (np.array(p) for p in zip(*self._pairs))
+        with np.errstate(over="ignore", invalid="ignore"):
+            o = b[:, :, None] * c[:, None, :]
+            return _frozen(0.5 * (o + o.transpose(0, 2, 1)))
 
     def edge_scale(self) -> float:
         """Length of the longest edge."""
@@ -161,7 +246,8 @@ def edge_vector(t: Tetrahedron, i: int, j: int) -> Vec3:
 
 def pluecker_residual(t: Tetrahedron) -> float:
     """b01.b23 + b02.b31 + b03.b12; vanishes identically for every tetrahedron."""
-    return float(t.opposite_dots.sum())
+    d1, d2, d3 = t._dots
+    return d1 + d2 + d3
 
 
 def _pair_of(i: int, j: int) -> int:
@@ -200,11 +286,15 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
 
 def _midplanes(t: Tetrahedron) -> list[Plane3]:
     """The six distinct planes of `midplane` (midplane(t, i, j) and
-    midplane(t, j, i) are one plane), each built as `midplane` builds it, from
-    one gather of normals and midpoints."""
-    i, j, k, l = _MIDPLANE_INDEX
-    mids = 0.5 * (t.vertices[k] + t.vertices[l])
-    return [Plane3(n, dot(n, p)) for n, p in zip(t.edges[i, j], mids)]
+    midplane(t, j, i) are one plane) in the Monge frame, where m is the origin:
+    b_ij . x = b_ij . ((a_k - m) + (a_l - m)) / 2, so that each |offset| is m's
+    distance from the plane, free of the rounding of world coordinates."""
+    c = t._centered
+    return [
+        Plane3(b, 0.5 * _dot(b, [x + y for x, y in zip(c[k], c[l])]))
+        for pair, edges in zip(OPPOSITE_EDGE_PAIRS, t._pairs)
+        for b, (k, l) in zip(edges, pair[::-1])
+    ]
 
 
 def monge_point(t: Tetrahedron) -> Vec3:
@@ -235,13 +325,13 @@ def opposite_edge_dots(t: Tetrahedron) -> np.ndarray:
 
 def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> list:
     """Zero gate of each opposite-edge dot product, tol.gate(|b_ij|, |b_kl|)."""
-    return [tol.rel_eps * s for s in t.opposite_scales.tolist()]
+    return [tol.rel_eps * s for s in t._scales]
 
 
 def _orthogonal(t: Tetrahedron, tol: Tolerance) -> list:
     """Which opposite-edge pairs are orthogonal, in OPPOSITE_EDGE_PAIRS order; the
     one test behind both `classify` and `altitudes_meet`."""
-    return [abs(d) <= g for d, g in zip(t.opposite_dots.tolist(), _opposite_gates(t, tol))]
+    return [abs(d) <= g for d, g in zip(t._dots, _opposite_gates(t, tol))]
 
 
 def altitudes_meet(t: Tetrahedron, i: int, j: int, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -297,7 +387,7 @@ def _classify(t: Tetrahedron, tol: Tolerance) -> TetraClass:
         return TetraClass(TetraKind.ORTHOCENTRIC)
     # exactly two zeros: numerically inconsistent
     idx = zero.index(False)
-    if abs(t.opposite_dots.tolist()[idx]) <= 10.0 * _opposite_gates(t, tol)[idx]:
+    if abs(t._dots[idx]) <= 10.0 * _opposite_gates(t, tol)[idx]:
         return TetraClass(TetraKind.ORTHOCENTRIC)
     return TetraClass(
         TetraKind.GENERIC,

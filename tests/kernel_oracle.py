@@ -4,21 +4,27 @@ The library runs the per-call primitives of the figure path on Python floats:
 `core._meet_rule`, `core.orthocenter2d`, `altquadric.contains_line` and the
 in-plane basis of `altquadric.section`.  So does the analyze path: the records
 `Line3`, `Plane3` and `QuadForm3.from_matrix`, `canonical_dir`, the class
-decision, the coplanarity test of `Tetrahedron`, the centroid and Euler line of
-`noteworthy`, and the guards and residuals of `reporting`.  Each was written
-before as the numpy expression below, with the same operations in the same
-order, so the tests can require the library's results to equal these bit for
-bit.  `dot` is the library's own (BLAS) inner product in both forms.
+decision, the centroid and Euler line of `noteworthy`, and the guards and
+residuals of `reporting`.  Each was written before as the numpy expression
+below, with the same operations in the same order, so the tests can require
+the library's results to equal these bit for bit.  `dot` is the library's own
+(BLAS) inner product in both forms.
+
+Two are exact instead: the coplanarity test of `Tetrahedron`, which decides on
+a compensated volume, reads the sign of the exact volume in `Fraction`; and
+the altitude residual, a quadratic in the step along each altitude, is the
+exact value of the samples' deviations with a bound on its rounding.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from tetraquadric import DEFAULT_TOL, ConicSection, QuadricKind, RegulusTag, TetraKind
 from tetraquadric.altquadric import _classify_conic
-from tetraquadric.core import as_vec, cross, cross_rows, dot, norm, triple
-from tetraquadric.errors import CollinearPoints, DegenerateForm
+from tetraquadric.core import as_vec, cross, cross_rows, dot, norm
+from tetraquadric.errors import CollinearPoints
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
 
 from tripod_oracle import plane_bases
@@ -103,11 +109,20 @@ def _leads_negative(u):
     return False
 
 
-def canonical_dir(v):
+def _direction(v):
+    """(v / |v|, |v|); a subnormal |v| is divided in the exact unit of the power
+    of two above it."""
     n = norm(v)
     if not 0.0 < n < math.inf:
         raise ValueError("cannot normalize a zero or non-finite vector")
-    u = v / n
+    if n < np.finfo(float).tiny:
+        w = np.ldexp(v, -math.frexp(n)[1])
+        return w / norm(w), n
+    return v / n, n
+
+
+def canonical_dir(v):
+    u, _ = _direction(v)
     return -u if _leads_negative(u) else u
 
 
@@ -121,11 +136,7 @@ def line3(base, direction):
 
 def plane3(normal, offset):
     """(normal, offset) of `Plane3(normal, offset)`."""
-    n = as_vec(normal)
-    s = norm(n)
-    if not 0.0 < s < math.inf:
-        raise ValueError("cannot normalize a zero or non-finite vector")
-    u = n / s
+    u, s = _direction(as_vec(normal))
     off = float(offset) / s
     if not math.isfinite(off):
         raise ValueError("a plane needs a finite offset")
@@ -143,13 +154,18 @@ def from_matrix(m):
 
 
 def coplanarity(v):
-    """(|triple| in the unit of the longest edge, its gate): `Tetrahedron` raises
-    "coplanar" when the first is at most the second."""
+    """(|V|, gate): the exact volume V = e_1 . (e_2 x e_3) of the binary input,
+    e_j = a_j - a_0, in the unit of the power of two just above the longest
+    edge, as a `Fraction`, and the gate; `Tetrahedron` raises "coplanar"
+    exactly when the first is at most the second."""
     v = np.asarray(v, dtype=float)
     e = v[:, None] - v[None]
     s = float(np.hypot(np.hypot(e[..., 0], e[..., 1]), e[..., 2]).max())
     frac, exp = math.frexp(s)
-    return abs(triple(*np.ldexp(e[0, 1:], -exp))), DEFAULT_TOL.gate(frac, frac, frac)
+    a = [[Fraction(x) / Fraction(2) ** exp for x in p] for p in v.tolist()]
+    e1, e2, e3 = ([x - y for x, y in zip(p, a[0])] for p in a[1:])
+    n = [e2[1] * e3[2] - e2[2] * e3[1], e2[2] * e3[0] - e2[0] * e3[2], e2[0] * e3[1] - e2[1] * e3[0]]
+    return abs(sum(x * y for x, y in zip(e1, n))), DEFAULT_TOL.gate(frac, frac, frac)
 
 
 def classify(t, tol=DEFAULT_TOL):
@@ -188,15 +204,25 @@ def analyze_residuals(t, points):
 
 
 def altitude_level_residual(t):
-    """`reporting.altitude_level_residual(t)`."""
-    r = t.rhs
-    steps = np.arange(-3.0, 4.0) * t.edge_scale()
-    d = t.monge_centered[:, None] + steps[:, None] * t.unit_normals[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
-        devs = np.abs(np.einsum("lki,ij,lkj->lk", d, t.q_star.matrix, d) - r)
-    if not math.isfinite(denom) or not np.isfinite(devs).all():
-        raise DegenerateForm("the altitude residual overflows at this scale")
-    if denom < np.finfo(float).tiny and t.lambdas.any():
-        raise DegenerateForm("the altitude residual underflows at this scale")
-    return float(devs.max()) / denom if denom else 0.0
+    """(value, bound): `reporting.altitude_level_residual(t)` evaluated exactly
+    in `Fraction` on the record's floats (a_l - M, the unit normals, Q*, rhs,
+    the longest edge L and lambda), and a bound on the float evaluation's
+    rounding: 32 eps of Q*'s absolute terms at |a_l - M| + 3 L |n_l| plus
+    |rhs|, over the scale, and 4 eps of the value."""
+    eps = np.finfo(float).eps
+    r, s = Fraction(t.rhs), Fraction(t.edge_scale())
+    q = [[Fraction(x) for x in row] for row in t.q_star.matrix.tolist()]
+    dev = size = Fraction(0)
+    for c, n in zip(t.monge_centered.tolist(), t.unit_normals.tolist()):
+        c, n = [Fraction(x) for x in c], [Fraction(x) for x in n]
+        for k in range(-3, 4):
+            d = [x + k * s * y for x, y in zip(c, n)]
+            dev = max(dev, abs(sum(q[i][j] * d[i] * d[j] for i in range(3) for j in range(3)) - r))
+        w = [abs(x) + 3 * s * abs(y) for x, y in zip(c, n)]
+        size = max(size, sum(abs(q[i][j]) * w[i] * w[j] for i in range(3) for j in range(3)) + abs(r))
+    lam = max(abs(Fraction(x)) for x in t.lambdas.tolist())
+    denom = max(abs(r), lam**3)
+    if not denom:
+        return 0.0, 0.0
+    value = dev / denom
+    return float(value), float(32 * eps * size / denom + 4 * eps * value)

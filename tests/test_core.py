@@ -299,10 +299,8 @@ def test_line_rejects_a_non_finite_base_or_direction(base, direction):
 
 
 def _unit_and_finite(u, v):
-    """u is finite, and unit to 2 ulps unless |v| is subnormal, where its digits are lost."""
-    return np.isfinite(u).all() and (
-        math.hypot(*v) < np.finfo(float).tiny or abs(math.hypot(*u) - 1.0) <= 2 * EPS
-    )
+    """u is finite and unit to 2 ulps, also where |v| is subnormal."""
+    return np.isfinite(u).all() and abs(math.hypot(*u) - 1.0) <= 2 * EPS
 
 
 @pytest.mark.parametrize("c", [1e308, -1e308, 1e-320, -1e-320, NAN, INF, -INF])

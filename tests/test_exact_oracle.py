@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tetraquadric import TetraKind, Tetrahedron, classify, orthocenter2d
+from tetraquadric import TetraKind, Tetrahedron, classify, orthocenter2d, random_tetra
+from tetraquadric.errors import DegenerateTetrahedron
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
 
 #: bound on every error, in ulps of the quantity's natural scale
@@ -180,6 +181,63 @@ def test_library_matches_oracle_on_lattice(unit_exp):
         # products of lattice dots and half-integers, times powers of two: exact
         assert t.q_star.matrix.tolist() == [[float(x) for x in row] for row in q], v
         assert t.rhs == float(rhs), v
+
+
+def sliver_probe(draws=1500):
+    """The sliver probe: draw n is `random_tetra` of class n mod 3 and a random
+    seed, with vertex 3 moved to the centroid of vertices 0-2 plus a random
+    vector of length about 1e-10..1e-1, in that call order."""
+    rng = np.random.default_rng(7)
+    for n in range(draws):
+        v = random_tetra(list(TetraKind)[n % 3], rng.integers(5000)).vertices.copy()
+        v[3] = v[:3].mean(axis=0) + 10 ** rng.uniform(-10, -1) * rng.normal(size=3)
+        yield v
+
+
+def exact_centers(v):
+    """Monge point and circumcenter of the binary input v, each solved exactly from
+    its three planes b_0j . x = b_0j . mid (the edge opposite 0j, and 0j itself)."""
+    a = [[Fraction(x) for x in p] for p in v.tolist()]
+    b = [_sub(a[0], a[j]) for j in (1, 2, 3)]
+    mid = lambda i, j: [(p + q) / 2 for p, q in zip(a[i], a[j])]
+    m = _solve(b, [_dot(bj, mid(*kl)) for bj, (_, kl) in zip(b, OPPOSITE_EDGE_PAIRS)])
+    c = _solve(b, [_dot(bj, mid(0, j)) for bj, j in zip(b, (1, 2, 3))])
+    return a[0], m, c
+
+
+def center_errors(t):
+    """Errors of `t.monge` and `t.circumcenter` in eps of max(|m - a_0|, L) and of
+    max(|c - a_0|, L), against the exact values."""
+    eps, length = np.finfo(float).eps, t.edge_scale()
+    a0, *exact = exact_centers(t.vertices)
+    errors = []
+    for got, x in zip((t.monge, t.circumcenter), exact):
+        scale = max(length, math.hypot(*(float(p - q) for p, q in zip(x, a0))))
+        errors.append(float(max(abs(Fraction(g) - p) for g, p in zip(got.tolist(), x))) / (eps * scale))
+    return errors
+
+
+def test_monge_point_and_circumcenter_are_accurate_on_slivers():
+    # m and c are closed forms on the volume V, which is summed from the exact
+    # edges: V is the one ill-conditioned quantity, so m and c keep their digits
+    # however flat the tetrahedron, here up to about 3e7 edge lengths from a_0
+    built = 0
+    for v in sliver_probe():
+        try:
+            t = Tetrahedron(v)
+        except DegenerateTetrahedron:
+            continue
+        built += 1
+        assert max(center_errors(t)) <= 32, v.tolist()
+    assert built > 1000
+
+
+@pytest.mark.parametrize("unit_exp", [-20, 0, 20])
+def test_monge_point_and_circumcenter_are_accurate(unit_exp):
+    for kind in TetraKind:
+        for seed in range(300):
+            t = Tetrahedron(np.ldexp(random_tetra(kind, seed).vertices, unit_exp))
+            assert max(center_errors(t)) <= 32, (kind, seed)
 
 
 @pytest.mark.parametrize("k", [0, 20, 40])

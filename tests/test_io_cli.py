@@ -129,10 +129,20 @@ def test_analyze_residuals_below_gates(t_gen, t_orth, t_semi, t_tri):
 
 
 def planted(t: Tetrahedron, **stored) -> Tetrahedron:
-    """A fresh record of t's vertices whose named stored quantities are replaced."""
+    """A fresh record of t's vertices whose named stored quantities are replaced;
+    the arrays built on first read are then built from the planted floats."""
     u = Tetrahedron(t.vertices)
     vars(u).update(stored)
     return u
+
+
+def moved_monge(t: Tetrahedron, step) -> dict:
+    """The float record of the Monge point moved by the vector step: m - a_0 and
+    every a_i - m."""
+    return dict(
+        _m_rel=(np.array(t._m_rel) + step).tolist(),
+        _centered=(np.array(t._centered) - step).tolist(),
+    )
 
 
 def faults(t: Tetrahedron) -> dict:
@@ -142,12 +152,12 @@ def faults(t: Tetrahedron) -> dict:
     off = np.zeros((3, 3))
     off[0, 1] = off[1, 0] = 1e-10 * np.max(np.abs(q))
     return {
-        "m": dict(monge=t.monge + step, monge_centered=t.monge_centered - step),
-        "c": dict(circumcenter=t.circumcenter + step),
+        "m": moved_monge(t, step),
+        "c": dict(_c_rel=(np.array(t._c_rel) + step).tolist()),
         "Q* scaled": dict(q_star=QuadForm3.from_matrix(q * (1 + 1e-10))),
         "Q* (0,1)": dict(q_star=QuadForm3.from_matrix(q + off)),
         "rhs": dict(rhs=t.rhs * (1 + 1e-10)),
-        "d_1": dict(opposite_dots=t.opposite_dots * [1 + 1e-10, 1.0, 1.0]),
+        "d_1": dict(_dots=[t._dots[0] * (1 + 1e-10), *t._dots[1:]]),
     }
 
 
@@ -182,8 +192,19 @@ def test_monge_point_off_its_midplanes_warns(kind):
         i, j = np.unravel_index(np.argmax(np.linalg.norm(t.edges, axis=-1)), (4, 4))
         for k, warns in ((1e-6, True), (1e-10, False)):
             step = k * t.edges[i, j]
-            u = planted(t, monge=t.monge + step, monge_centered=t.monge_centered - step)
+            u = planted(t, **moved_monge(t, step))
             assert ("monge point residual above gate" in analyze(u).warnings) is warns
+
+
+def test_far_from_the_origin_the_monge_point_stays_on_its_midplanes():
+    # the midplanes are read in the Monge frame, so the shift's rounding of
+    # world coordinates does not enter the residual
+    for kind in TetraKind:
+        for seed in range(1000, 1150):
+            t = random_tetra(kind, seed)
+            report = analyze(Tetrahedron(t.vertices + 1e9 * t.edge_scale()))
+            assert "monge point residual above gate" not in report.warnings, (kind, seed)
+            assert report.residuals["monge_midplanes"] <= 1e-12, (kind, seed)
 
 
 def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
@@ -202,11 +223,11 @@ def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     assert analyze(Tetrahedron(t_gen.vertices)).tetra_class == "generic"
-    # construction solves once for the Monge point and the circumcenter together,
-    # and no eigh: the quadric kind is the class's kind; one plane per distinct
-    # midplane, and the altitude residual builds no line, so the only line is the
-    # Euler line
-    assert calls["solve"] == 1 and calls["eigh"] == 0
+    # construction solves no system: the Monge point and the circumcenter are
+    # closed forms; no eigh: the quadric kind is the class's kind; one plane per
+    # distinct midplane, and the altitude residual builds no line, so the only
+    # line is the Euler line
+    assert calls["solve"] == 0 and calls["eigh"] == 0
     assert calls["Plane3"] == 6 and calls["Line3"] <= 1
 
 
@@ -305,10 +326,13 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
     for seed in range(5):
         t = Tetrahedron(scale * random_tetra(kind, seed).vertices)
         m, q, r, s = t.monge, t.q_star, t.rhs, t.edge_scale()
-        # the twelve ordered midplanes: each plane appears twice, so six give the same max
+        # the twelve ordered midplanes: each plane appears twice, so six give the
+        # same max; these are world planes, the report's are in the Monge frame,
+        # so the two agree to the rounding of world coordinates
         planes = [midplane(t, i, j) for i in range(4) for j in range(4) if i != j]
         ref = max(p.residual(m) for p in planes)
-        assert analyze(t).residuals["monge_midplanes"] == ref / s
+        reach = max(norm(m), *map(norm, t.vertices))
+        assert abs(analyze(t).residuals["monge_midplanes"] - ref / s) <= 16 * eps * reach / s
         # the 28 altitude samples, each its own evaluate
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
         ref = max(abs(evaluate(q, p - m) - r) for p in pts)
