@@ -123,8 +123,8 @@ class Tetrahedron:
       so that squares and cubes neither overflow nor underflow.  V is summed
       from the exact edges (`_volume`): on a sliver it is the one
       ill-conditioned quantity, and the same sum decides coplanarity;
-    - `gram` (4, 4), (a_i - m) . (a_j - m), and `lambdas` (3,), its row 0 for
-      j = 1, 2, 3;
+    - `gram` (4, 4), (a_i - m) . (a_j - m), summed in coordinate order, and
+      `lambdas` (3,), its row 0 for j = 1, 2, 3, bit for bit;
     - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
       (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order.
 
@@ -217,9 +217,8 @@ class Tetrahedron:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        c = self.monge_centered
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _frozen(c @ c.T)
+        c = self._centered
+        return _frozen(np.array([[_dot(x, y) for y in c] for x in c]))
 
     @cached_property
     def basic_forms(self) -> np.ndarray:

@@ -326,13 +326,22 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
     for seed in range(5):
         t = Tetrahedron(scale * random_tetra(kind, seed).vertices)
         m, q, r, s = t.monge, t.q_star, t.rhs, t.edge_scale()
-        # the twelve ordered midplanes: each plane appears twice, so six give the
-        # same max; these are world planes, the report's are in the Monge frame,
-        # so the two agree to the rounding of world coordinates
-        planes = [midplane(t, i, j) for i in range(4) for j in range(4) if i != j]
-        ref = max(p.residual(m) for p in planes)
+        res = analyze(t).residuals["monge_midplanes"]
+        # the twelve ordered midplanes in the Monge frame, where m is the origin:
+        # b_ij . x = b_ij . ((a_k - m) + (a_l - m)) / 2, summed in coordinate order;
+        # each plane appears twice, so six give the same max
+        c = t.monge_centered.tolist()
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        planes = []
+        for i, j in pairs:
+            k, l = (x for x in range(4) if x not in (i, j))
+            b = t.edges[i, j].tolist()
+            planes.append(Plane3(b, 0.5 * sum(u * (y + z) for u, y, z in zip(b, c[k], c[l]))))
+        assert max(abs(p.offset) for p in planes) / s == res
+        # the world midplanes agree to the rounding of world coordinates
+        ref = max(midplane(t, i, j).residual(m) for i, j in pairs)
         reach = max(norm(m), *map(norm, t.vertices))
-        assert abs(analyze(t).residuals["monge_midplanes"] - ref / s) <= 16 * eps * reach / s
+        assert abs(res - ref / s) <= 16 * eps * reach / s
         # the 28 altitude samples, each its own evaluate
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
         ref = max(abs(evaluate(q, p - m) - r) for p in pts)

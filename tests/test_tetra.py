@@ -112,6 +112,16 @@ def test_face_normals_equal_np_cross_to_the_bit(scale):
             )
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_gram_is_the_coordinate_order_sum_and_lambdas_its_row_0(scale):
+    for t in random_mixed(60):
+        t = Tetrahedron(t.vertices * scale)
+        c = t.monge_centered
+        ref = c[:, None, 0] * c[None, :, 0] + c[:, None, 1] * c[None, :, 1] + c[:, None, 2] * c[None, :, 2]
+        np.testing.assert_array_equal(t.gram, ref)
+        np.testing.assert_array_equal(t.lambdas, t.gram[0, 1:])
+
+
 def test_pluecker_examples(t_tri, t_gen, t_semi):
     assert pluecker_residual(t_gen) == pytest.approx(0, abs=1e-12)
     assert pluecker_residual(t_tri) == pytest.approx(0, abs=1e-12)
