@@ -38,6 +38,7 @@ from .tetra import (
     OPPOSITE_EDGE_PAIRS,
     Tetrahedron,
     TetraKind,
+    _basic_form,
     _pair_of,
     classify,
     edge_vector,
@@ -55,19 +56,19 @@ def q_ijkl(t: Tetrahedron, perm: tuple[int, int, int, int]) -> QuadForm3:
         raise BadPermutation(f"{perm} is not a permutation of (0, 1, 2, 3)")
     i, j, k, l = perm
     pair = _pair_of(i, j)
-    edges, w = OPPOSITE_EDGE_PAIRS[pair], t.basic_forms[pair]
+    edges, f = OPPOSITE_EDGE_PAIRS[pair], _basic_form(*t._pairs[pair])
     # the pair's basic form, negated when just one of ij, kl runs against its order
-    return QuadForm3.from_matrix(w if ((i, j) in edges) == ((k, l) in edges) else -w)
+    return QuadForm3(*(f if ((i, j) in edges) == ((k, l) in edges) else [-x for x in f]))
 
 
 def q_star(t: Tetrahedron) -> QuadForm3:
     """The traceless form (d_1 F_2 - d_2 F_1) / 2 on the opposite-edge dots d_p."""
-    return t.q_star
+    return t._q_star
 
 
 def rhs(t: Tetrahedron) -> float:
     """Right-hand side d_1 d_2 d_3 / 8 of the altitude-quadric equation."""
-    return t.rhs
+    return t._rhs
 
 
 class QuadricKind(Enum):
@@ -119,18 +120,12 @@ def contains_line(
     if qd.kind is QuadricKind.TRIVIAL:
         raise TrivialQuadric("the zero form carries no incidence information")
     m = float(qd.form.max_abs())
-    base, u, center, rows = (a.tolist() for a in (line.base, line.dir, qd.center, qd.form.matrix))
+    base, u, center = (a.tolist() for a in (line.base, line.dir, qd.center))
     # at least the figure's own length |Q*|^(1/4), so that rhs roundoff cannot decide
     span = max(math.dist(base, center), m ** 0.25)
     d = [[b + t * e - c for b, e, c in zip(base, u, center)] for t in (-span, 0.0, span)]
     scale = max(abs(qd.rhs), m * max(x * x + y * y + z * z for x, y, z in d))
-    for x in d:
-        q = 0.0  # x^T Q* x, summed in the order of einsum("i,ij,j", x, Q*, x)
-        for xi, (a, b, c) in zip(x, rows):
-            q = q + xi * a * x[0] + xi * b * x[1] + xi * c * x[2]
-        if not abs(q - qd.rhs) <= tol.gate(scale):
-            return False
-    return True
+    return all(abs(qd.form.bilinear(x, x) - qd.rhs) <= tol.gate(scale) for x in d)
 
 
 def asymptotic_cone(qd: AltitudeQuadric) -> QuadForm3:
@@ -164,7 +159,8 @@ def regulus_of(
         raise NotHyperboloid("reguli exist only for the hyperboloid case")
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
-    meets = sum(row[1] for row in _meet_rule(line.base, line.dir, t.vertices, t.unit_normals, tol))
+    votes = _meet_rule(line.base, line.dir, t.vertices, np.array(t._unit_normals), tol)
+    meets = sum(row[1] for row in votes)
     if meets >= 3:
         return RegulusTag.PERPENDICULAR_REGULUS
     if 4 - meets >= 3:

@@ -79,11 +79,22 @@ class QuadForm3:
     def max_abs(self) -> float:
         return max(abs(c) for c in self.coefficients)
 
+    def bilinear(self, x: list, y: list) -> float:
+        """x^T Sigma y on coordinate lists, the terms x_i s_ij y_j summed over
+        (i, j) in row order."""
+        (x1, x2, x3), (y1, y2, y3) = x, y
+        s11, s22, s33, s12, s13, s23 = self.coefficients
+        return (
+            x1 * s11 * y1 + x1 * s12 * y2 + x1 * s13 * y3
+            + x2 * s12 * y1 + x2 * s22 * y2 + x2 * s23 * y3
+            + x3 * s13 * y1 + x3 * s23 * y2 + x3 * s33 * y3
+        )
+
 
 def evaluate(q: QuadForm3, x: Vec3) -> float:
     """Value x^T Sigma x of the form at x."""
-    x = as_vec(x)
-    return float(x @ q.matrix @ x)
+    x = as_vec(x).tolist()
+    return q.bilinear(x, x)
 
 
 def trace(q: QuadForm3) -> float:

@@ -105,17 +105,7 @@ def altitude_level_residual(t: Tetrahedron) -> float:
     sixth-power length scale of the equation.  It is 0 when every lambda_0j is 0
     (a right-angled corner at a_0); a scale that underflows is raised.
     """
-    r, s = t.rhs, t.edge_scale()
-    s11, s22, s33, s12, s13, s23 = t.q_star.coefficients
-
-    def form(x: list, y: list) -> float:
-        (x1, x2, x3), (y1, y2, y3) = x, y
-        return (
-            x1 * (s11 * y1 + s12 * y2 + s13 * y3)
-            + x2 * (s12 * y1 + s22 * y2 + s23 * y3)
-            + x3 * (s13 * y1 + s23 * y2 + s33 * y3)
-        )
-
+    r, s, form = t._rhs, t.edge_scale(), t._q_star.bilinear
     devs = []
     for c, n in zip(t._centered, t._unit_normals):
         level, slope, curve = form(c, c) - r, 2.0 * s * form(c, n), s * s * form(n, n)

@@ -4,11 +4,11 @@ Edge vectors, altitudes and orthocentric perpendiculars, midplanes, the Monge
 point, centroid, circumcenter, Euler line, and the generic /
 semi-orthocentric / orthocentric classification.  A `Tetrahedron` computes
 its tolerance-free record at construction, in one straight-line pass on Python
-floats relative to a_0, and builds the read-only arrays of its public fields
-from those floats on first read.  The Monge point and the circumcenter are
-closed forms on the volume, which is summed with error-free transformations.
-The public functions below read the record.  `classify` keeps its decision
-per tolerance.
+floats relative to a_0, and keeps it private.  The Monge point and the
+circumcenter are closed forms on the volume, which is summed with error-free
+transformations.  The public functions below read the record; one that returns
+an array builds a fresh read-only one on each call.  `classify` keeps its
+decision per tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -92,9 +91,9 @@ def _volume(u: list, r: list, n: list) -> float:
     return p + (e + (_dot(r[0], n[0]) + _dot(r[1], n[1]) + _dot(r[2], n[2])))
 
 
-def _array_of(field: str) -> cached_property:
-    """A read-only array built on first read from the record's float field."""
-    return cached_property(lambda self: _frozen(np.array(getattr(self, field))))
+def _basic_form(b: list, c: list) -> list:
+    """Coefficients, in `QuadForm3` order, of the basic form (x.b)(x.c), sym(b (x) c)."""
+    return [0.5 * (b[i] * c[j] + b[j] * c[i]) for i, j in _COEFFICIENTS]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,33 +105,32 @@ class Tetrahedron:
 
     Construction computes the tolerance-free record in one straight-line pass
     on Python floats, with b_ij = a_i - a_j, e_j = a_j - a_0 and m the Monge
-    point.  These read-only arrays are built from it on first read:
+    point.  Its public surface is `vertices` and `edge_scale`; the functions
+    of this module and of `altquadric` read the record's private fields,
+    Python floats and lists of them:
 
-    - `edges` (4, 4, 3), edges[i, j] = b_ij;
-    - `face_normals` (4, 3), (a_j - a_i) x (a_k - a_i) for the face i < j < k
-      opposite l, and `unit_normals`, the same scaled to unit length: up to
-      sign, the directions of the altitudes;
-    - `opposite_dots` and `opposite_scales` (3,), b_ij . b_kl and |b_ij| |b_kl|
-      in OPPOSITE_EDGE_PAIRS order;
-    - `circumcenter`, c = a_0 + (|e_1|^2 e_2 x e_3 + |e_2|^2 e_3 x e_1 +
-      |e_3|^2 e_1 x e_2) / (2V) with V = e_1 . (e_2 x e_3); `monge`,
-      m = a_0 + (e_1 + e_2 + e_3) / 2 - (c - a_0), as the centroid is the
-      midpoint of m and c; `monge_centered` (4, 3), a_i - m.  All three are
+    - `_pairs`, the opposite edges (b_ij, b_kl), and `_dots` and `_scales`,
+      b_ij . b_kl and |b_ij| |b_kl|, in OPPOSITE_EDGE_PAIRS order;
+    - `_normals`, (a_j - a_i) x (a_k - a_i) for the face i < j < k opposite l,
+      and `_unit_normals`, the same scaled to unit length: up to sign, the
+      directions of the altitudes;
+    - `_c_rel`, c - a_0 = (|e_1|^2 e_2 x e_3 + |e_2|^2 e_3 x e_1 +
+      |e_3|^2 e_1 x e_2) / (2V) for the circumcenter c, with V = e_1 . (e_2 x e_3);
+      `_m_rel`, m - a_0 = (e_1 + e_2 + e_3) / 2 - (c - a_0), as the centroid is
+      the midpoint of m and c; `_centered`, the four a_i - m.  All three are
       formed relative to a_0, so that a translation far from the origin costs
       no digits, and in units of the power of two just above the longest edge,
       so that squares and cubes neither overflow nor underflow.  V is summed
       from the exact edges (`_volume`): on a sliver it is the one
       ill-conditioned quantity, and the same sum decides coplanarity;
-    - `gram` (4, 4), (a_i - m) . (a_j - m), summed in coordinate order, and
-      `lambdas` (3,), its row 0 for j = 1, 2, 3, bit for bit;
-    - `basic_forms` (3, 3, 3), sym(b_0j (x) b_kl), the basic forms
-      (x.b_0j)(x.b_kl), in OPPOSITE_EDGE_PAIRS order.
+    - `_lambdas`, l0j = (a_0 - m) . (a_j - m) for j = 1, 2, 3, summed in
+      coordinate order as every (a_i - m) . (a_j - m) is;
+    - `_q_star`, (d_1 F_2 - d_2 F_1) / 2, and `_rhs`, d_1 d_2 d_3 / 8, with d_p
+      the `_dots` and F_p the basic form sym(b_ij (x) b_kl) of pair p: the
+      paper's sum_j l0j F_j and (l01 - l02)(l02 - l03)(l03 - l01), as
+      2 (l0i - l0j) is a d_p and sum F_p = 0.
 
-    `q_star`, (d_1 F_2 - d_2 F_1) / 2, and `rhs`, d_1 d_2 d_3 / 8, with d_p the
-    `opposite_dots` and F_p the `basic_forms`, are the paper's sum_j l0j F_j and
-    (l01 - l02)(l02 - l03)(l03 - l01), as 2 (l0i - l0j) is a d_p and sum F_p = 0.
-
-    An overflow in `unit_normals`, `lambdas`, `q_star` or `rhs` leaves
+    An overflow in `_unit_normals`, `_lambdas`, `_q_star` or `_rhs` leaves
     non-finite values, which `altquadric.build` rejects, instead of a numpy
     warning.
     """
@@ -180,13 +178,12 @@ class Tetrahedron:
         # (a_j - a_i) x (a_k - a_i) for the faces ijk of _FACES; a_j - a_0 = e_j
         face_0 = _cross(_sub(a[2], a[1]), _sub(a[3], a[1]))
         normals = [face_0, _cross(e[1], e[2]), _cross(e[0], e[2]), _cross(e[0], e[1])]
-        f1, f2 = ([0.5 * (b[i] * c[j] + b[j] * c[i]) for i, j in _COEFFICIENTS] for b, c in pairs[:2])
+        f1, f2 = (_basic_form(*pair) for pair in pairs[:2])
         d1, d2, d3 = dots
         vars(self).update(
             vertices=_frozen(v),
-            q_star=QuadForm3(*(0.5 * (d1 * y - d2 * x) for x, y in zip(f1, f2))),
-            rhs=0.125 * d1 * d2 * d3,
-            # the float record that the arrays below are built from
+            _q_star=QuadForm3(*(0.5 * (d1 * y - d2 * x) for x, y in zip(f1, f2))),
+            _rhs=0.125 * d1 * d2 * d3,
             _pairs=pairs,
             _dots=dots,
             _scales=scales,
@@ -201,32 +198,6 @@ class Tetrahedron:
             _classes={},
         )
 
-    @cached_property
-    def edges(self) -> np.ndarray:
-        v = self.vertices
-        return _frozen(v[:, None] - v[None])
-
-    face_normals = _array_of("_normals")
-    unit_normals = _array_of("_unit_normals")
-    opposite_dots = _array_of("_dots")
-    opposite_scales = _array_of("_scales")
-    monge_centered = _array_of("_centered")
-    lambdas = _array_of("_lambdas")
-    monge = cached_property(lambda self: _frozen(self.vertices[0] + self._m_rel))
-    circumcenter = cached_property(lambda self: _frozen(self.vertices[0] + self._c_rel))
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        c = self._centered
-        return _frozen(np.array([[_dot(x, y) for y in c] for x in c]))
-
-    @cached_property
-    def basic_forms(self) -> np.ndarray:
-        b, c = (np.array(p) for p in zip(*self._pairs))
-        with np.errstate(over="ignore", invalid="ignore"):
-            o = b[:, :, None] * c[:, None, :]
-            return _frozen(0.5 * (o + o.transpose(0, 2, 1)))
-
     def edge_scale(self) -> float:
         """Length of the longest edge."""
         return self._edge_scale
@@ -240,7 +211,7 @@ def _check_edge(i: int, j: int) -> None:
 def edge_vector(t: Tetrahedron, i: int, j: int) -> Vec3:
     """Edge vector from vertex j to vertex i; antisymmetric in (i, j)."""
     _check_edge(i, j)
-    return t.edges[i, j]
+    return _frozen(t.vertices[i] - t.vertices[j])
 
 
 def pluecker_residual(t: Tetrahedron) -> float:
@@ -254,11 +225,11 @@ def _pair_of(i: int, j: int) -> int:
     return next(p for p, es in enumerate(OPPOSITE_EDGE_PAIRS) if {i, j} in map(set, es))
 
 
-def _face_normal(t: Tetrahedron, l: int) -> Vec3:
+def _face_normal(t: Tetrahedron, l: int) -> list:
     """Normal (a_j - a_i) x (a_k - a_i) of the face opposite vertex l."""
     if not 0 <= l <= 3:
         raise BadIndex(f"vertex index {l} out of range")
-    return t.face_normals[l]
+    return t._normals[l]
 
 
 def altitude(t: Tetrahedron, l: int) -> Line3:
@@ -279,8 +250,8 @@ def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
     """Plane orthogonal to edge ij through the midpoint of the opposite edge."""
     _check_edge(i, j)
     k, l = (x for x in range(4) if x not in (i, j))
-    mid = 0.5 * (t.vertices[k] + t.vertices[l])
-    return Plane3.from_point_normal(mid, t.edges[i, j])
+    v = t.vertices
+    return Plane3.from_point_normal(0.5 * (v[k] + v[l]), v[i] - v[j])
 
 
 def _midplanes(t: Tetrahedron) -> list[Plane3]:
@@ -298,13 +269,13 @@ def _midplanes(t: Tetrahedron) -> list[Plane3]:
 
 def monge_point(t: Tetrahedron) -> Vec3:
     """Common point of the six midplanes."""
-    return t.monge
+    return _frozen(t.vertices[0] + t._m_rel)
 
 
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
-    g = t.gram.tolist()
-    return max(abs(g[i][j] - g[k][l]) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS)
+    c = t._centered
+    return max(abs(_dot(c[i], c[j]) - _dot(c[k], c[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS)
 
 
 def centroid(t: Tetrahedron) -> Vec3:
@@ -314,12 +285,12 @@ def centroid(t: Tetrahedron) -> Vec3:
 
 def circumcenter(t: Tetrahedron) -> Vec3:
     """Point equidistant from all four vertices."""
-    return t.circumcenter
+    return _frozen(t.vertices[0] + t._c_rel)
 
 
 def opposite_edge_dots(t: Tetrahedron) -> np.ndarray:
     """Dot products of the three opposite-edge pairs, in OPPOSITE_EDGE_PAIRS order."""
-    return t.opposite_dots
+    return _frozen(np.array(t._dots))
 
 
 def _opposite_gates(t: Tetrahedron, tol: Tolerance) -> list:
@@ -412,7 +383,8 @@ def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints
     Euler line is their join when they differ.  The orthocenter exists exactly
     in the orthocentric case and then coincides with the Monge point.
     """
-    m, g, c = t.monge, centroid(t), t.circumcenter
+    # m from the record, not `monge_point`, which `altquadric.build` already calls
+    m, g, c = _frozen(t.vertices[0] + t._m_rel), centroid(t), circumcenter(t)
     h = m if classify(t, tol).kind is TetraKind.ORTHOCENTRIC else None
     cm = [y - x for x, y in zip(m.tolist(), c.tolist())]
     euler = Line3(g, cm) if math.hypot(*cm) > tol.gate(t.edge_scale()) else None

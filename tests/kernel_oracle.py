@@ -21,7 +21,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from tetraquadric import DEFAULT_TOL, ConicSection, QuadricKind, RegulusTag, TetraKind
+from tetraquadric import (
+    DEFAULT_TOL,
+    ConicSection,
+    QuadricKind,
+    RegulusTag,
+    TetraKind,
+    circumcenter,
+    monge_point,
+    opposite_edge_dots,
+    q_star,
+    rhs,
+)
 from tetraquadric.altquadric import _classify_conic
 from tetraquadric.core import as_vec, cross, cross_rows, dot, norm
 from tetraquadric.errors import CollinearPoints
@@ -80,7 +91,8 @@ def regulus_of(qd, line, t, tol=DEFAULT_TOL):
     assert qd.kind is QuadricKind.HYPERBOLOID
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
-    meets = int(np.sum(meet_rule(line.base, line.dir, t.vertices, t.unit_normals, tol)[1]))
+    _, votes, *_ = meet_rule(line.base, line.dir, t.vertices, np.array(t._unit_normals), tol)
+    meets = int(np.sum(votes))
     if meets >= 3:
         return RegulusTag.PERPENDICULAR_REGULUS
     if 4 - meets >= 3:
@@ -170,8 +182,8 @@ def coplanarity(v):
 
 def classify(t, tol=DEFAULT_TOL):
     """(kind, orthogonal pair, warning) of `classify(t, tol)`."""
-    gates = tol.rel_eps * t.opposite_scales
-    zero = np.abs(t.opposite_dots) <= gates
+    dots, gates = opposite_edge_dots(t), tol.rel_eps * np.array(t._scales)
+    zero = np.abs(dots) <= gates
     n_zero = int(zero.sum())
     if n_zero == 0:
         return TetraKind.GENERIC, None, None
@@ -180,7 +192,7 @@ def classify(t, tol=DEFAULT_TOL):
     if n_zero == 3:
         return TetraKind.ORTHOCENTRIC, None, None
     idx = int(np.argmin(zero))
-    if abs(t.opposite_dots[idx]) <= 10.0 * gates[idx]:
+    if abs(dots[idx]) <= 10.0 * gates[idx]:
         return TetraKind.ORTHOCENTRIC, None, None
     return TetraKind.GENERIC, None, "two opposite-edge dot products vanished but the third did not"
 
@@ -191,7 +203,7 @@ def centroid(t):
 
 def euler_line(t, tol=DEFAULT_TOL):
     """(base, dir) of `noteworthy(t, tol).euler`, or None."""
-    m, c = t.monge, t.circumcenter
+    m, c = monge_point(t), circumcenter(t)
     return line3(centroid(t), c - m) if norm(c - m) > tol.gate(t.edge_scale()) else None
 
 
@@ -210,17 +222,17 @@ def altitude_level_residual(t):
     rounding: 32 eps of Q*'s absolute terms at |a_l - M| + 3 L |n_l| plus
     |rhs|, over the scale, and 4 eps of the value."""
     eps = np.finfo(float).eps
-    r, s = Fraction(t.rhs), Fraction(t.edge_scale())
-    q = [[Fraction(x) for x in row] for row in t.q_star.matrix.tolist()]
+    r, s = Fraction(rhs(t)), Fraction(t.edge_scale())
+    q = [[Fraction(x) for x in row] for row in q_star(t).matrix.tolist()]
     dev = size = Fraction(0)
-    for c, n in zip(t.monge_centered.tolist(), t.unit_normals.tolist()):
+    for c, n in zip(t._centered, t._unit_normals):
         c, n = [Fraction(x) for x in c], [Fraction(x) for x in n]
         for k in range(-3, 4):
             d = [x + k * s * y for x, y in zip(c, n)]
             dev = max(dev, abs(sum(q[i][j] * d[i] * d[j] for i in range(3) for j in range(3)) - r))
         w = [abs(x) + 3 * s * abs(y) for x, y in zip(c, n)]
         size = max(size, sum(abs(q[i][j]) * w[i] * w[j] for i in range(3) for j in range(3)) + abs(r))
-    lam = max(abs(Fraction(x)) for x in t.lambdas.tolist())
+    lam = max(abs(Fraction(x)) for x in t._lambdas)
     denom = max(abs(r), lam**3)
     if not denom:
         return 0.0, 0.0

@@ -131,7 +131,7 @@ def test_q_star_examples(t_gen, t_orth, t_semi):
 def test_forms_hold_python_floats(t_gen, t_semi):
     # as the CLI's forms do, so a coefficient reads 1.5, not np.float64(1.5)
     for t in (t_gen, t_semi):
-        forms = [t.q_star, build(t).form]
+        forms = [q_star(t), build(t).form]
         forms += [q_ijkl(t, p) for p in itertools.permutations(range(4))]
         for q in forms:
             assert all(type(c) is float for c in q.coefficients), q

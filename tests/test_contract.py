@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tetraquadric import TetraKind, Tetrahedron, build, quadric_mesh, random_tetra
+from tetraquadric import TetraKind, Tetrahedron, build, q_star, quadric_mesh, random_tetra
 from tetraquadric.cli import main
 from tetraquadric.errors import DegenerateTetrahedron, GeometryError
 
@@ -68,7 +68,7 @@ def _porism_form(v: np.ndarray) -> str:
     """The tetrahedron's own `Q*`, which is a cone for a generic one; `nan`
     coefficients when the vertices make no tetrahedron."""
     try:
-        coeffs = Tetrahedron(v).q_star.coefficients
+        coeffs = q_star(Tetrahedron(v)).coefficients
     except DegenerateTetrahedron:
         coeffs = (float("nan"),) * 6
     return ",".join(map(repr, map(float, coeffs)))

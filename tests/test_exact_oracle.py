@@ -27,7 +27,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tetraquadric import TetraKind, Tetrahedron, classify, orthocenter2d, random_tetra
+from tetraquadric import (
+    TetraKind,
+    Tetrahedron,
+    circumcenter,
+    classify,
+    monge_point,
+    orthocenter2d,
+    random_tetra,
+)
+from tetraquadric import altquadric
 from tetraquadric.errors import DegenerateTetrahedron
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
 
@@ -171,16 +180,16 @@ def test_library_matches_oracle_on_lattice(unit_exp):
         # natural scales: L and R for lengths, then the length power of each value
         length = t.edge_scale()
         r = max(float(np.linalg.norm(np.array(p, float) - np.array(m, float))) for p in v)
-        cond = float(np.linalg.cond(t.edges[0, 1:]))
+        cond = float(np.linalg.cond(t.vertices[0] - t.vertices[1:]))
         checks = (
-            (t.monge, m, max(length, r) * cond),
-            (t.lambdas, lam, r * r * cond),
+            (monge_point(t), m, max(length, r) * cond),
+            (t._lambdas, lam, r * r * cond),
         )
         for got, exact, scale in checks:
             assert _ulps(got, exact, scale) <= ULPS, v
         # products of lattice dots and half-integers, times powers of two: exact
-        assert t.q_star.matrix.tolist() == [[float(x) for x in row] for row in q], v
-        assert t.rhs == float(rhs), v
+        assert altquadric.q_star(t).matrix.tolist() == [[float(x) for x in row] for row in q], v
+        assert altquadric.rhs(t) == float(rhs), v
 
 
 def sliver_probe(draws=1500):
@@ -206,12 +215,12 @@ def exact_centers(v):
 
 
 def center_errors(t):
-    """Errors of `t.monge` and `t.circumcenter` in eps of max(|m - a_0|, L) and of
+    """Errors of `monge_point(t)` and `circumcenter(t)` in eps of max(|m - a_0|, L) and of
     max(|c - a_0|, L), against the exact values."""
     eps, length = np.finfo(float).eps, t.edge_scale()
     a0, *exact = exact_centers(t.vertices)
     errors = []
-    for got, x in zip((t.monge, t.circumcenter), exact):
+    for got, x in zip((monge_point(t), circumcenter(t)), exact):
         scale = max(length, math.hypot(*(float(p - q) for p, q in zip(x, a0))))
         errors.append(float(max(abs(Fraction(g) - p) for g, p in zip(got.tolist(), x))) / (eps * scale))
     return errors

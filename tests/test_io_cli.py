@@ -18,20 +18,25 @@ from tetraquadric import (
     asymptotic_cone,
     build,
     classify,
+    edge_vector,
     emit_svg_porism,
     ellipse_section,
     evaluate,
     mesh_to_obj,
     midplane,
+    monge_point,
     noteworthy,
     parse_tetrahedron,
     porism_family,
+    q_star,
     quadric_mesh,
     random_tetra,
     reporting,
+    rhs,
     serialize_tetrahedron,
 )
 import tetraquadric
+from tetraquadric import altquadric, tetra
 from tetraquadric.cli import _build_parser, main
 from tetraquadric.core import norm
 from tetraquadric.errors import (
@@ -130,7 +135,7 @@ def test_analyze_residuals_below_gates(t_gen, t_orth, t_semi, t_tri):
 
 def planted(t: Tetrahedron, **stored) -> Tetrahedron:
     """A fresh record of t's vertices whose named stored quantities are replaced;
-    the arrays built on first read are then built from the planted floats."""
+    every reader then reads the planted floats."""
     u = Tetrahedron(t.vertices)
     vars(u).update(stored)
     return u
@@ -148,15 +153,15 @@ def moved_monge(t: Tetrahedron, step) -> dict:
 def faults(t: Tetrahedron) -> dict:
     """Stored quantities of t moved off their values by about 1e-10 of their size."""
     step = 1e-10 * t.edge_scale() * np.array([1.0, 2.0, 2.0]) / 3.0
-    q = t.q_star.matrix
+    q = q_star(t).matrix
     off = np.zeros((3, 3))
     off[0, 1] = off[1, 0] = 1e-10 * np.max(np.abs(q))
     return {
         "m": moved_monge(t, step),
         "c": dict(_c_rel=(np.array(t._c_rel) + step).tolist()),
-        "Q* scaled": dict(q_star=QuadForm3.from_matrix(q * (1 + 1e-10))),
-        "Q* (0,1)": dict(q_star=QuadForm3.from_matrix(q + off)),
-        "rhs": dict(rhs=t.rhs * (1 + 1e-10)),
+        "Q* scaled": dict(_q_star=QuadForm3.from_matrix(q * (1 + 1e-10))),
+        "Q* (0,1)": dict(_q_star=QuadForm3.from_matrix(q + off)),
+        "rhs": dict(_rhs=rhs(t) * (1 + 1e-10)),
         "d_1": dict(_dots=[t._dots[0] * (1 + 1e-10), *t._dots[1:]]),
     }
 
@@ -189,9 +194,10 @@ def test_monge_point_off_its_midplanes_warns(kind):
     # the warning's gate is 100 rel_eps of the longest edge
     for seed in range(1000, 1020):
         t = random_tetra(kind, seed)
-        i, j = np.unravel_index(np.argmax(np.linalg.norm(t.edges, axis=-1)), (4, 4))
+        edges = t.vertices[:, None] - t.vertices[None]
+        i, j = np.unravel_index(np.argmax(np.linalg.norm(edges, axis=-1)), (4, 4))
         for k, warns in ((1e-6, True), (1e-10, False)):
-            step = k * t.edges[i, j]
+            step = k * edge_vector(t, i, j)
             u = planted(t, **moved_monge(t, step))
             assert ("monge point residual above gate" in analyze(u).warnings) is warns
 
@@ -209,26 +215,32 @@ def test_far_from_the_origin_the_monge_point_stays_on_its_midplanes():
 
 def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
     targets = {
-        "solve": (np.linalg, "solve"),
-        "eigh": (np.linalg, "eigh"),
-        "Plane3": (Plane3, "__post_init__"),
-        "Line3": (Line3, "__post_init__"),
+        "solve": [(np.linalg, "solve")],
+        "eigh": [(np.linalg, "eigh")],
+        "Plane3": [(Plane3, "__post_init__")],
+        "Line3": [(Line3, "__post_init__")],
+        # every binding the library calls them through
+        "monge_point": [(tetra, "monge_point"), (altquadric, "monge_point")],
+        "build": [(altquadric, "build")],
     }
     calls = dict.fromkeys(targets, 0)
-    for key, (owner, name) in targets.items():
+    for key, bindings in targets.items():
+        for owner, name in bindings:
 
-        def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
-            calls[_key] += 1
-            return _fn(*args, **kwargs)
+            def counted(*args, _key=key, _fn=getattr(owner, name), **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+            monkeypatch.setattr(owner, name, counted)
     assert analyze(Tetrahedron(t_gen.vertices)).tetra_class == "generic"
     # construction solves no system: the Monge point and the circumcenter are
     # closed forms; no eigh: the quadric kind is the class's kind; one plane per
     # distinct midplane, and the altitude residual builds no line, so the only
-    # line is the Euler line
+    # line is the Euler line; `build` reads the Monge point once, and
+    # `noteworthy` reads it from the record
     assert calls["solve"] == 0 and calls["eigh"] == 0
     assert calls["Plane3"] == 6 and calls["Line3"] <= 1
+    assert calls["monge_point"] == 1 and calls["build"] == 1
 
 
 @pytest.mark.parametrize("positive", [2, 1])
@@ -325,17 +337,17 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
     eps = np.finfo(float).eps
     for seed in range(5):
         t = Tetrahedron(scale * random_tetra(kind, seed).vertices)
-        m, q, r, s = t.monge, t.q_star, t.rhs, t.edge_scale()
+        m, q, r, s = monge_point(t), q_star(t), rhs(t), t.edge_scale()
         res = analyze(t).residuals["monge_midplanes"]
         # the twelve ordered midplanes in the Monge frame, where m is the origin:
         # b_ij . x = b_ij . ((a_k - m) + (a_l - m)) / 2, summed in coordinate order;
         # each plane appears twice, so six give the same max
-        c = t.monge_centered.tolist()
+        c = t._centered
         pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
         planes = []
         for i, j in pairs:
             k, l = (x for x in range(4) if x not in (i, j))
-            b = t.edges[i, j].tolist()
+            b = edge_vector(t, i, j).tolist()
             planes.append(Plane3(b, 0.5 * sum(u * (y + z) for u, y, z in zip(b, c[k], c[l]))))
         assert max(abs(p.offset) for p in planes) / s == res
         # the world midplanes agree to the rounding of world coordinates
@@ -346,7 +358,7 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
         ref = max(abs(evaluate(q, p - m) - r) for p in pts)
         level = np.linalg.norm(q.matrix) * max(norm(p - m) for p in pts) ** 2 + abs(r)
-        denom = max(abs(r), float(np.max(np.abs(t.lambdas)) ** 3))
+        denom = max(abs(r), float(np.max(np.abs(t._lambdas)) ** 3))
         assert abs(reporting.altitude_level_residual(t) * denom - ref) <= 16 * eps * level
 
 

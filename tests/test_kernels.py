@@ -33,10 +33,15 @@ from tetraquadric import (
     analyze,
     build,
     centroid,
+    circumcenter,
     contains_line,
+    edge_vector,
+    monge_point,
     noteworthy,
+    opposite_edge_dots,
     ortho_perpendicular,
     orthocenter2d,
+    q_star,
     random_tetra,
     regulus_of,
     section,
@@ -50,7 +55,7 @@ from tetraquadric.errors import (
     GeometryError,
 )
 from tetraquadric.reporting import altitude_level_residual
-from tetraquadric.tetra import _FACES, _classify
+from tetraquadric.tetra import _FACES, OPPOSITE_EDGE_PAIRS, _classify
 
 import kernel_oracle as oracle
 from test_tetra import SLIVER
@@ -90,7 +95,7 @@ def _same(a, b):
 def _ulps(x, k):
     """The float k ulps above (k > 0) or below x."""
     for _ in range(abs(k)):
-        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
     return x
 
 
@@ -140,7 +145,8 @@ def test_meet_rule_matches_its_oracle(figures):
             # the altitudes, as `regulus_of` reads them; every line, itself and its
             # parallel included; one other line, as `line_line_meet` reads it
             b = lines[(i + 1) % len(lines)]
-            for bases, dirs in ((t.vertices, t.unit_normals), every, (b.base[None], b.dir[None])):
+            altitudes = (t.vertices, np.array(t._unit_normals))
+            for bases, dirs in (altitudes, every, (b.base[None], b.dir[None])):
                 got = list(zip(*_meet_rule(a.base, a.dir, bases, dirs, DEFAULT_TOL)))
                 want = oracle.meet_rule(a.base, a.dir, bases, dirs)
                 assert list(got[0]) == want[0].tolist() and list(got[1]) == want[1].tolist(), name
@@ -241,9 +247,10 @@ def _same_record(got, want, fields):
 def _vectors(t):
     """The records' inputs on the analyze path of t, each with the offset of its
     plane through m, and `EXTREME` with none."""
-    edges = [t.edges[i, j] for i in range(4) for j in range(4) if i != j]
-    own = [*t.face_normals, *edges, t.circumcenter - t.monge, *t.monge_centered]
-    return [(v, (dot(v, t.monge),)) for v in own] + [(v, ()) for v in EXTREME]
+    m = monge_point(t)
+    edges = [edge_vector(t, i, j) for i in range(4) for j in range(4) if i != j]
+    own = [*np.array(t._normals), *edges, circumcenter(t) - m, *np.array(t._centered)]
+    return [(v, (dot(v, m),)) for v in own] + [(v, ()) for v in EXTREME]
 
 
 def test_line_plane_and_direction_match_their_oracles(figures):
@@ -251,7 +258,7 @@ def test_line_plane_and_direction_match_their_oracles(figures):
         for v, own_offset in _vectors(t):
             got, want = _either(canonical_dir, v), _either(oracle.canonical_dir, v)
             assert got is want if isinstance(want, type) else _same(got, want), name
-            for base in (t.vertices[0], t.monge, v):
+            for base in (t.vertices[0], monge_point(t), v):
                 line = _either(Line3, base, v)
                 assert _same_record(line, _either(oracle.line3, base, v), ("base", "dir")), name
             for off in OFFSETS + own_offset:
@@ -263,14 +270,17 @@ def test_line_plane_and_direction_match_their_oracles(figures):
 def test_from_matrix_matches_its_oracle(figures):
     rng = np.random.default_rng(5)
     for name, t, _, _ in figures:
-        (d1, d2, _), f = t.opposite_dots, t.basic_forms
-        q_star = 0.5 * (d1 * f[1] - d2 * f[0])
-        for m in (q_star, *f, *-f, t.edge_scale() ** 2 * rng.normal(size=(3, 3))):
+        # the basic forms sym(b_ij (x) b_kl), written the long way
+        pairs = [(edge_vector(t, *e), edge_vector(t, *g)) for e, g in OPPOSITE_EDGE_PAIRS]
+        f = np.array([0.5 * (o + o.T) for o in (np.outer(b, c) for b, c in pairs)])
+        d1, d2, _ = opposite_edge_dots(t)
+        q = 0.5 * (d1 * f[1] - d2 * f[0])
+        for m in (q, *f, *-f, t.edge_scale() ** 2 * rng.normal(size=(3, 3))):
             coefficients, sym = oracle.from_matrix(m)
-            q = QuadForm3.from_matrix(m)
-            assert all(type(c) is float for c in q.coefficients), name
-            assert _same(q.coefficients, coefficients) and _same(q.matrix, sym), name
-        assert _same(t.q_star.coefficients, oracle.from_matrix(q_star)[0]), name
+            form = QuadForm3.from_matrix(m)
+            assert all(type(c) is float for c in form.coefficients), name
+            assert _same(form.coefficients, coefficients) and _same(form.matrix, sym), name
+        assert _same(q_star(t).coefficients, oracle.from_matrix(q)[0]), name
     # sums past the double range, and a subnormal one
     m = np.array([[1e308, 1e308, -1e308], [1e308, -1e308, 2.0], [-1e308, 3.0, 1e-320]])
     coefficients, sym = oracle.from_matrix(m)
@@ -279,14 +289,15 @@ def test_from_matrix_matches_its_oracle(figures):
 
 def test_class_decision_matches_its_oracle(figures):
     for name, t, _, _ in figures:
-        rel = [abs(d) / s for d, s in zip(t.opposite_dots.tolist(), t.opposite_scales.tolist())]
+        dots = opposite_edge_dots(t)
+        rel = [abs(d) / s for d, s in zip(dots.tolist(), t._scales)]
         # gates on each dot to the ulp, and at a tenth of it for two-zero patterns
         near = [_ulps(r / div, k) for r in rel if r > 0 for div in (1, 10) for k in range(-2, 3)]
         tols = [DEFAULT_TOL] + [Tolerance(x) for x in near]
         for tol in tols:
             c = _classify(t, tol)
             assert (c.kind, c.orthogonal_pair, c.warning) == oracle.classify(t, tol), name
-            zero = np.abs(t.opposite_dots) <= tol.rel_eps * t.opposite_scales
+            zero = np.abs(dots) <= tol.rel_eps * np.array(t._scales)
             for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (3, 1), (2, 3)):
                 assert altitudes_meet(t, i, j, tol) is altitudes_meet(t, j, i, tol)
             met = [altitudes_meet(t, i, j, tol) for i, j in ((2, 3), (3, 1), (1, 2))]
@@ -294,31 +305,36 @@ def test_class_decision_matches_its_oracle(figures):
 
 
 def test_coplanarity_decision_matches_its_oracle():
-    raised = built = 0
+    coplanar = lambda x: operator.le(*oracle.coplanarity(x))
     for name, v in list(CASES.items())[::3]:
         c = v[:3].mean(axis=0)
-        # v_3 moved toward the plane of its face, to where the oracle's decision flips
+        # v_3 moved toward the centroid c of its face, to the first vertex on the
+        # path where the oracle's decision flips from coplanar
         w = lambda h: np.vstack([v[:3], c + h * (v[3] - c)])
-        coplanar = lambda h: operator.le(*oracle.coplanarity(w(h)))
-        value, gate = oracle.coplanarity(v)
-        lo, hi = 0.25 * gate / value, 4.0 * gate / value
-        for _ in range(80):
+        lo, hi = 0.0, 1.0
+        assert coplanar(w(lo)) and not coplanar(w(hi)), name
+        for _ in range(100):
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if coplanar(mid) else (lo, mid)
-        for k in range(-16, 17):
-            h = _ulps(hi, k)
-            got = _either(Tetrahedron, w(h))
-            assert (got is DegenerateTetrahedron) == coplanar(h), (name, k)
-            raised += got is DegenerateTetrahedron
-            built += got is not DegenerateTetrahedron
-    assert raised and built
+            lo, hi = (mid, hi) if coplanar(w(mid)) else (lo, mid)
+        # then each of its coordinates stepped in its own ulps, one at a time, so
+        # that every step is a distinct vertex; one ulp of each moves the volume
+        # by a different amount, so the three sweeps land nearer the flip than one
+        u, sides = w(hi), set()
+        for k in range(3):
+            for j in range(-16, 17):
+                x = u.copy()
+                x[3, k] = _ulps(u[3, k], j)
+                got = _either(Tetrahedron, x)
+                assert (got is DegenerateTetrahedron) == coplanar(x), (name, k, j)
+                sides.add(got is DegenerateTetrahedron)
+        assert sides == {True, False}, name
 
 
 def test_noteworthy_and_analyze_residuals_match_their_oracles(figures):
     for name, t, _, _ in figures:
         assert _same(centroid(t), oracle.centroid(t)), name
         # gates on |c - m| to the ulp, so that a gap off by one ulp changes the Euler line
-        gap = norm(t.circumcenter - t.monge) / t.edge_scale()
+        gap = norm(circumcenter(t) - monge_point(t)) / t.edge_scale()
         for tol in [DEFAULT_TOL] + [Tolerance(_ulps(gap, k)) for k in range(-2, 3)]:
             want = oracle.euler_line(t, tol)
             euler = noteworthy(t, tol).euler

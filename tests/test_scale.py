@@ -45,7 +45,7 @@ def decisions(t: Tetrahedron) -> list:
     if rep.quadric_kind == "hyperboloid":
         qd = build(t)
         for l in range(4):
-            face = Plane3.from_point_normal(t.vertices[_FACES[l][0]], t.face_normals[l])
+            face = Plane3.from_point_normal(t.vertices[_FACES[l][0]], t._normals[l])
             out.append(section(qd, face).kind)
         for line in (altitude, ortho_perpendicular):
             out += [regulus_of(qd, line(t, l), t) for l in range(4)]
