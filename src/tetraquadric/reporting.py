@@ -284,13 +284,19 @@ def _obj_rows(fmt: str, rows: np.ndarray) -> str:
 
 
 def mesh_to_obj(mesh: Mesh) -> str:
-    """OBJ text: one `v` line per vertex, then one `f` line per triangle."""
+    """OBJ text: one `v` line per vertex, then one `f` line per triangle.
+
+    The text is byte for byte `"v %.12g %.12g %.12g\\n"` of each vertex and
+    `"f %d %d %d\\n"` of each triangle's one-based indices.
+    """
     f = mesh.triangles
     if f is _cached_grid and not f.flags.writeable:
         faces = _grid_faces(math.isqrt(len(f) // 2))
     else:
         faces = _obj_rows("f %d %d %d\n", f + 1)
-    return _obj_rows("v %.12g %.12g %.12g\n", mesh.vertices) + faces
+    from ._objtext import vertex_lines  # compiled on first use: most processes write no mesh
+
+    return vertex_lines(mesh.vertices) + faces
 
 
 #: Draws a rejection loop may make before it gives up; seeds 0..2999 need at most 5.

@@ -375,9 +375,57 @@ def obj_of(mesh):
     return text[:-1].split("\n")
 
 
-def test_mesh_to_obj_matches_line_by_line_text(t_gen):
-    mesh = quadric_mesh(build(t_gen), 3.0, 16)
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e14])
+def test_mesh_to_obj_matches_line_by_line_text(t_gen, scale):
+    # fixed notation at 1 ("0.34" among it), e-XX at 1e-9 and e+XX at 1e14
+    t = Tetrahedron(t_gen.vertices * scale)
+    mesh = quadric_mesh(build(t), 3.0 * scale, 16)
     assert obj_of(mesh) == obj_lines(mesh)
+
+
+def _percent_12g_sets():
+    rng = np.random.default_rng(28)
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64)
+    bits[::50] &= np.uint64(0x800FFFFFFFFFFFFF)  # subnormals and zeros
+    bits = bits.view(np.float64)
+    powers = np.array([float(f"1e{j}") for j in range(-30, 41)])
+    n = rng.integers(10**11, 10**12, 2000)
+    return {
+        "bit_patterns": bits[np.isfinite(bits)],
+        "magnitudes": rng.choice([-1.0, 1.0], 200_000) * 10 ** rng.uniform(-20, 40, 200_000),
+        "signed_zeros_inf_nan": np.array([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        "powers_of_ten": np.concatenate(
+            [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers]
+        ),
+        "switch_points": np.array([1e-5, 9.99999999999995e-5, 1e-4, 999999999999.5, 1e12]),
+        # exact ties, and 13-digit decimals ending in 5 whose double rounds to one
+        "ties": np.array(
+            [123456789012.5, 123456789013.5, -100000000000.5, 12345678901.25]
+            + [float(f"{v}5e{e}") for v, e in zip(n, rng.integers(-23, 23, 2000))]
+        ),
+        "empty": np.zeros(0),
+    }
+
+
+PERCENT_12G_SETS = _percent_12g_sets()
+
+
+@pytest.mark.parametrize("name", list(PERCENT_12G_SETS))
+def test_obj_vertex_text_is_percent_12g_element_by_element(name):
+    x = PERCENT_12G_SETS[name]
+    fill = np.full_like(x, 1.5)
+    # as given, and beside two in-range numbers in each row, so that the
+    # kernel formats the block even when most of the set is out of its range
+    cases = [np.resize(x, (len(x) + 2) // 3 * 3).reshape(-1, 3)]
+    cases += [np.column_stack([x, fill, -fill]), np.column_stack([fill, fill, x])]
+    for rows in cases:
+        text = mesh_to_obj(Mesh(rows, np.zeros((0, 3), int)))
+        assert text.endswith("\n") or not len(rows)
+        lines = text.splitlines()
+        assert all(line[:2] == "v " for line in lines) and len(lines) == len(rows)
+        assert [f for line in lines for f in line.split(" ")[1:]] == [
+            "%.12g" % v for v in rows.ravel().tolist()
+        ]
 
 
 @pytest.mark.parametrize("res", [8, 9, 64])
