@@ -23,7 +23,6 @@ from .errors import (
     NotHyperboloid,
     ParseError,
 )
-from .forms import rank
 from .porism import Ellipse3, InscribedTriangle
 from .tetra import TetraKind, Tetrahedron
 
@@ -195,12 +194,13 @@ class Mesh:
 def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
     """Parametric mesh of the one-sheet hyperboloid in its principal frame.
 
-    `extent` bounds the coordinate along the hyperboloid axis; every emitted
-    vertex satisfies the quadric equation up to roundoff.  Vertex
-    `j * resolution + i` sits at angle 2 pi i / resolution on ring j.  A form
-    of rank below 3 at the default tolerance raises `DegenerateForm` (unlike
-    `porism.ellipse_section`, the trace and the caller's tolerance are not
-    read), and so does an extent whose vertices leave the double range.
+    `extent` bounds the coordinate along the hyperboloid axis.  Vertex
+    `j * resolution + i` sits at angle 2 pi i / resolution on ring j.  The
+    class and the sign of `rhs` choose the axes: Q* has trace 0 and det Q* =
+    -rhs V^2 / 4, V = e_1 . (e_2 x e_3), so two eigenvalues share rhs's sign.
+    Each vertex p meets Q*(p - M) = rhs within 4 eps (L^4 r (r + |p|) + L^6),
+    r = |p - M| and L the longest edge, in max norm.  Vertices that leave the
+    double range, as a zero eigenvalue's do, raise `DegenerateForm`.
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("meshes are generated for the hyperboloid case")
@@ -208,27 +208,21 @@ def quadric_mesh(qd: AltitudeQuadric, extent: float, resolution: int) -> Mesh:
         raise ValueError("extent must be finite and positive")
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    if rank(qd.form) < 3:
-        raise DegenerateForm("a mesh needs a form of rank 3")
     frame = qd.form.frame
-    ratios = frame.values / qd.rhs
-    pos = [r for r in range(3) if ratios[r] > 0]
-    neg = [r for r in range(3) if ratios[r] <= 0]
-    if len(pos) != 2:
-        raise InternalInvariantError("level set is not a one-sheet hyperboloid")
-    a = 1.0 / math.sqrt(ratios[pos[0]])
-    b = 1.0 / math.sqrt(ratios[pos[1]])
-    c = 1.0 / math.sqrt(-ratios[neg[0]])
-    e_a, e_b, e_c = frame.axes[pos[0]], frame.axes[pos[1]], frame.axes[neg[0]]
-    u_max = math.asinh(extent / c)
+    # values descend: rows 0 and 1 share rhs's sign when rhs > 0, else rows 1 and 2
+    rows = [0, 1, 2] if qd.rhs > 0 else [1, 2, 0]
+    e_a, e_b, e_c = frame.axes[rows]
 
     n = resolution
     th = 2.0 * math.pi * np.arange(n) / n
     # 1-D samples through `math`, so that every vertex equals the pointwise
     # formula to the bit (numpy's cosh and sinh can differ in the last bit)
     cos_t, sin_t = (np.array(list(map(f, th.tolist()))) for f in (math.cos, math.sin))
-    # an inf u_max or an overflowing vertex shows up as a non-finite vertex
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an infinite semi-axis (a zero eigenvalue), an inf u_max or an overflowing
+    # vertex shows up as a non-finite vertex
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, b, c = 1.0 / np.sqrt(np.abs(frame.values[rows] / qd.rhs))
+        u_max = math.asinh(extent / c)
         u = -u_max + 2.0 * u_max * np.arange(n + 1) / n
         cosh_u, sinh_u = (np.array(list(map(f, u.tolist()))) for f in (math.cosh, math.sinh))
         # coordinates (3, n + 1, n), the long ring axis innermost

@@ -234,7 +234,8 @@ def _face_normal(t: Tetrahedron, l: int) -> list:
 
 def altitude(t: Tetrahedron, l: int) -> Line3:
     """Altitude through vertex l, orthogonal to the opposite face."""
-    return Line3(t.vertices[l], _face_normal(t, l))
+    n = _face_normal(t, l)  # checks l before `vertices` is indexed with it
+    return Line3(t.vertices[l], n)
 
 
 def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) -> Line3:

@@ -225,7 +225,7 @@ def test_asymptotic_cone(t_gen, t_semi):
         asymptotic_cone(build(t_semi))
 
 
-def test_regulus_examples(t_gen):
+def test_regulus_examples(t_gen, t_semi):
     qd = build(t_gen)
     assert regulus_of(qd, altitude(t_gen, 2), t_gen) is RegulusTag.ALTITUDE_REGULUS
     assert (
@@ -233,6 +233,8 @@ def test_regulus_examples(t_gen):
         is RegulusTag.PERPENDICULAR_REGULUS
     )
     assert regulus_of(qd, noteworthy(t_gen).euler, t_gen) is RegulusTag.NOT_ON_QUADRIC
+    with pytest.raises(NotHyperboloid):
+        regulus_of(build(t_semi), altitude(t_semi, 0), t_semi)
 
 
 def test_face_perpendiculars_of_a_far_shifted_tetrahedron_vote_their_regulus():

@@ -28,6 +28,7 @@ from tetraquadric.cli import main
 from tetraquadric.errors import DegenerateTetrahedron, GeometryError
 
 from test_exact_oracle import exact_quadric, _form_value, _sub
+from test_io_cli import NEAR_RANK_2_HYPERBOLOIDS
 
 README_TETRA = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
 NON_FINITE_JSON = re.compile(r"NaN|Infinity")
@@ -106,6 +107,11 @@ def test_cli_exits_0_with_finite_output_or_2(v, log_extent, log_rho):
 
 @settings(max_examples=175, deadline=None, derandomize=True)
 @given(v=vertices(), log_extent=st.floats(-300.0, 308.0))
+# middle eigenvalues of 7.2e-17 and 1.4e-13 of the largest; `eigh` gets the first's sign wrong
+@example(v=np.array(NEAR_RANK_2_HYPERBOLOIDS[0]), log_extent=0.0)
+@example(v=np.array(NEAR_RANK_2_HYPERBOLOIDS[0]), log_extent=3.0)
+@example(v=np.array(NEAR_RANK_2_HYPERBOLOIDS[1]), log_extent=0.0)
+@example(v=np.array(NEAR_RANK_2_HYPERBOLOIDS[1]), log_extent=3.0)
 def test_mesh_vertices_lie_on_the_exact_quadric(v, log_extent):
     # Q*(p - M) - rhs, exact at each float vertex p, with M, Q* and rhs exact
     # from the binary input, within 4 eps of its operands' scale: the vertex's

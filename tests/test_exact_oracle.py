@@ -56,15 +56,19 @@ def _cross(u, v):
     return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
 
 
+def _det(m):
+    return _dot(m[0], _cross(m[1], m[2]))
+
+
 def _solve(rows, rhs):
     """Exact solution of the 3x3 system rows . x = rhs, by Cramer's rule."""
-    det = _dot(rows[0], _cross(rows[1], rows[2]))
+    det = _det(rows)
     cols = list(zip(*rows))
     x = []
     for c in range(3):
         swapped = [rhs if k == c else cols[k] for k in range(3)]
         m = list(zip(*swapped))
-        x.append(Fraction(_dot(m[0], _cross(m[1], m[2]))) / det)
+        x.append(Fraction(_det(m)) / det)
     return x
 
 
@@ -131,7 +135,7 @@ def lattice_tetrahedra(count=120, seed=11, bound=3):
     while len(out) < count:
         v = rng.integers(-bound, bound + 1, size=(4, 3)).tolist()
         b = [_sub(v[0], v[j]) for j in (1, 2, 3)]
-        if _dot(b[0], _cross(b[1], b[2])) != 0:
+        if _det(b) != 0:
             out.append(v)
     return out
 
@@ -155,11 +159,15 @@ def test_oracle_altitudes_lie_on_the_quadric_exactly(v):
 
 
 def test_dot_form_equals_the_lambda_form_exactly():
-    # lambda_01 - lambda_02 = d_3 / 2 (and cyclically) and F_1 + F_2 + F_3 = 0
+    # lambda_01 - lambda_02 = d_3 / 2 (and cyclically) and F_1 + F_2 + F_3 = 0;
+    # det Q* = -rhs V^2 / 4 with V = e_1 . (e_2 x e_3), e_j = a_j - a_0, so a
+    # generic Q* has rank 3 and two eigenvalues of rhs's sign
     for v in LATTICE:
         v = [[Fraction(x) for x in p] for p in v]
         _, _, _, _, q, rhs = exact_quadric(v)
         assert dot_form_quadric(v) == (q, rhs), v
+        volume = _det([_sub(v[j], v[0]) for j in (1, 2, 3)])
+        assert _det(q) == -rhs * volume**2 / 4, v
 
 
 def _ulps(got, exact, scale):

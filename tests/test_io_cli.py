@@ -629,10 +629,12 @@ def test_cli_near_the_gate_reads_the_class_once(tmp_path, capsys):
     assert "hyperboloid" in capsys.readouterr().err
 
 
-#: Hyperboloids whose Q* has rank 2 at the default tolerance: an input whose
-#: eigenvalues are (167.6, 24.4, 0.0), and the semi-orthocentric seed 1030 of the
+#: Hyperboloids whose Q* has rank 3 but a middle eigenvalue near 0, which the
+#: mesh's former rank test at the default tolerance read as rank 2: exactly
+#: 8.0e-15, 7.2e-17 of the largest (`eigh` reads -1.4e-15, the wrong sign), and
+#: -6.3e-11, 1.4e-13 of the largest, the semi-orthocentric seed 1030 of the
 #: near-gate probe with vertex 3 moved by 3e-9 edge lengths.
-RANK_2_HYPERBOLOIDS = [
+NEAR_RANK_2_HYPERBOLOIDS = [
     [[0.5317310368456285, -3.4268705688593277, -0.30259516355327376],
      [-6.750428061564884, -7.257682250264996, 2.8398659076985178],
      [-0.20408459828290226, -0.6979155688333947, 0.5235460758081802],
@@ -644,17 +646,19 @@ RANK_2_HYPERBOLOIDS = [
 ]
 
 
-@pytest.mark.parametrize("verts", RANK_2_HYPERBOLOIDS)
-def test_mesh_of_a_rank_2_form_is_degenerate_input(tmp_path, capsys, verts):
-    # these raised ZeroDivisionError (exit 1) and InternalInvariantError (exit 3)
+@pytest.mark.parametrize("verts", NEAR_RANK_2_HYPERBOLOIDS)
+def test_mesh_of_a_near_rank_2_form_is_written(tmp_path, capsys, verts):
+    # never exit 1 or 3: these once raised ZeroDivisionError and InternalInvariantError
     qd = build(Tetrahedron(verts))
     assert qd.kind is QuadricKind.HYPERBOLOID
-    with pytest.raises(DegenerateForm):
-        quadric_mesh(qd, 3.0, 16)
-    f = _write_tetra(tmp_path, verts)
-    assert main(["quadric", str(f), "--obj", str(tmp_path / "q.obj")]) == 2
-    assert "rank 3" in capsys.readouterr().err
-    assert not (tmp_path / "q.obj").exists()
+    assert np.isfinite(quadric_mesh(qd, 3.0, 16).vertices).all()
+    f, out = _write_tetra(tmp_path, verts), tmp_path / "q.obj"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["quadric", str(f), "--obj", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    text = out.read_text()
+    assert "v " in text and "nan" not in text and "inf" not in text
 
 
 #: Draw 3 of the sliver probe: vertex 3 sits 7e-7 edge lengths from the centroid
@@ -957,6 +961,19 @@ def test_cli_quadric_extent_beyond_the_double_range(tmp_path, capsys):
         assert main([*cmd, "--extent", "1e308", "--res", "8"]) == 2
     assert "double range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "form, rhs", [((1.0, 0.0, -1.0), 1.0), ((1.0, 0.0, -1.0), -1.0), ((0.0, 0.0, 0.0), 1.0)]
+)
+def test_mesh_of_a_zero_eigenvalue_leaves_the_double_range(form, rhs):
+    # a generic Q* has none, but a zero eigenvalue's infinite semi-axis is
+    # refused as a non-finite vertex, not raised as ZeroDivisionError
+    qd = altquadric.AltitudeQuadric(np.zeros(3), QuadForm3(*form), rhs, QuadricKind.HYPERBOLOID)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateForm, match="double range"):
+            quadric_mesh(qd, 3.0, 8)
 
 
 def test_cli_porism_height_beyond_the_double_range(tmp_path, capsys):

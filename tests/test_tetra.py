@@ -46,6 +46,10 @@ def test_degenerate_rejected():
         Tetrahedron(np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 1]], float))
     with pytest.raises(DegenerateTetrahedron):
         Tetrahedron(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float))
+    with pytest.raises(DegenerateTetrahedron):
+        Tetrahedron(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, np.nan]]))
+    with pytest.raises(DegenerateTetrahedron):
+        Tetrahedron(np.eye(3))
 
 
 def test_edge_vector_examples(t_tri, t_gen):
@@ -138,6 +142,12 @@ def test_altitude_examples(t_tri, t_gen, t_orth):
     h = altitude(t_gen, 3)
     np.testing.assert_allclose(h.dir, [0, 0, 1], atol=1e-12)
     np.testing.assert_allclose(h.base, [2, 1, 2])
+
+    for l in (4, -1):
+        with pytest.raises(BadIndex):
+            altitude(t_gen, l)
+        with pytest.raises(BadIndex):
+            ortho_perpendicular(t_gen, l)
 
 
 def test_ortho_perpendicular_examples(t_tri, t_gen, t_orth):
