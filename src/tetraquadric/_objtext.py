@@ -1,7 +1,7 @@
 """OBJ vertex lines, `"v %.12g %.12g %.12g\\n"` of each row byte for byte,
 formatted by numpy instead of one Python `%` per coordinate.
 
-`reporting.mesh_to_obj` imports this module on its first call, so that a
+`reporting.obj_blocks` imports this module on its first call, so that a
 process that writes no mesh does not compile it.
 """
 
@@ -18,7 +18,7 @@ BLOCK = 1024
 
 @functools.cache
 def _tables():
-    """Lookup tables of `_block_lines`, built on first use (about 70 kB).
+    """Lookup tables of `block_lines`, built on first use (about 70 kB).
 
     `quads[g]` holds the four ASCII digits of 0 <= g < 10^4 in one
     little-endian word, and `zeros[g]` counts its trailing zeros (4 for 0).
@@ -57,7 +57,7 @@ def _tables():
     return quads, zeros, up, down, layout, sep
 
 
-def _block_lines(rows: np.ndarray) -> bytes:
+def block_lines(rows: np.ndarray) -> bytes:
     """The lines of one block of at most `BLOCK` rows.
 
     With E = floor(log10 |x|) and 1e-11 <= |x| < 1e34, the scale 10^(11 - E)
@@ -101,9 +101,3 @@ def _block_lines(rows: np.ndarray) -> bytes:
         text = np.array(((b"%.12g " * len(v)) % tuple(v)).split(), "S32")
         words[1:, fallback] = text.view("<u4").reshape(-1, 8).T
     return words.T.tobytes().translate(None, b"\0") + b"\n"
-
-
-def vertex_lines(verts: np.ndarray) -> str:
-    """`"v %.12g %.12g %.12g\\n" % tuple(row)` for each row of `verts` (n, 3)."""
-    blocks = np.split(verts, range(BLOCK, len(verts), BLOCK))
-    return b"".join(map(_block_lines, blocks)).decode("ascii")

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import altquadric, porism, reporting, tetra
 from .core import Tolerance
@@ -91,9 +92,10 @@ def _load(path: Path) -> tetra.Tetrahedron:
     return reporting.parse_tetrahedron(text)
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, blocks: Iterable[str]) -> None:
     try:
-        path.write_text(text)
+        with path.open("w") as f:
+            f.writelines(blocks)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -114,7 +116,7 @@ def _run(args: argparse.Namespace) -> int:
         t = _load(args.file)
         qd = altquadric.build(t, tol)
         mesh = reporting.quadric_mesh(qd, args.extent, args.res)
-        _write(args.obj, reporting.mesh_to_obj(mesh))
+        _write(args.obj, reporting.obj_blocks(mesh))
         _emit(
             {
                 "obj": str(args.obj),
@@ -133,7 +135,7 @@ def _run(args: argparse.Namespace) -> int:
         q = QuadForm3(*coeffs)
         family = porism.porism_family(q, args.rho, args.count, tol)
         ellipse = porism.ellipse_section(q, args.rho, tol)
-        _write(args.svg, reporting.emit_svg_porism(family, ellipse))
+        _write(args.svg, [reporting.emit_svg_porism(family, ellipse)])
         _emit({"svg": str(args.svg), "triangles": len(family)}, args.pretty)
     elif args.command == "random":
         kind = {

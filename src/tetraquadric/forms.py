@@ -83,7 +83,7 @@ class QuadForm3:
         """x^T Sigma y on coordinate lists, the terms x_i s_ij y_j summed over
         (i, j) in row order."""
         (x1, x2, x3), (y1, y2, y3) = x, y
-        s11, s22, s33, s12, s13, s23 = self.coefficients
+        s11, s22, s33, s12, s13, s23 = self.s11, self.s22, self.s33, self.s12, self.s13, self.s23
         return (
             x1 * s11 * y1 + x1 * s12 * y2 + x1 * s13 * y3
             + x2 * s12 * y1 + x2 * s22 * y2 + x2 * s23 * y3

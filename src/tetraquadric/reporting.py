@@ -8,7 +8,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,18 +36,16 @@ def parse_tetrahedron(text: str) -> Tetrahedron:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ParseError('document must be an object with a "vertices" field')
     verts = doc["vertices"]
-    if (
-        not isinstance(verts, list)
-        or len(verts) != 4
-        or any(not isinstance(v, list) or len(v) != 3 for v in verts)
-    ):
+    if not isinstance(verts, list) or [isinstance(v, list) and len(v) for v in verts] != [3] * 4:
         raise ParseError("vertices must be four [x, y, z] triples")
-    coords = [x for v in verts for x in v]
-    if any(type(x) not in (int, float) for x in coords):  # no str, bool or null
-        raise ParseError("vertex coordinates must be numbers")
-    if not all(abs(x) <= sys.float_info.max for x in coords):  # exact on big integers
+    big, finite = sys.float_info.max, True
+    for x in (*verts[0], *verts[1], *verts[2], *verts[3]):
+        if type(x) is not float and type(x) is not int:  # no str, bool or null
+            raise ParseError("vertex coordinates must be numbers")
+        finite = finite and abs(x) <= big  # exact on big integers
+    if not finite:
         raise ParseError("vertex coordinates must be finite")
-    return Tetrahedron(np.array(verts, dtype=float))
+    return Tetrahedron(verts)
 
 
 def serialize_tetrahedron(t: Tetrahedron) -> str:
@@ -131,12 +129,11 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     cls = tetra.classify(t, tol)
     # `build` first: it rejects the scales where the Euler line would overflow
     qd = altquadric.build(t, tol)
-    points = tetra.noteworthy(t, tol)
+    m, g, c, h, euler = tetra._points(t, cls.kind, tol)
     s = t.edge_scale()
 
     # m is the origin of the Monge frame, so its distance from each plane is |offset|
     midplane_res = max(abs(p.offset) for p in tetra._midplanes(t))
-    m, g, c = points.monge.tolist(), points.centroid.tolist(), points.circumcenter.tolist()
     c0, c1, c2 = c
     circum_d = [math.hypot(x - c0, y - c1, z - c2) for x, y, z in t.vertices.tolist()]
     residuals = {
@@ -158,8 +155,8 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
         monge=m,
         centroid=g,
         circumcenter=c,
-        orthocenter=points.orthocenter.tolist() if points.orthocenter is not None else None,
-        euler_direction=points.euler.dir.tolist() if points.euler is not None else None,
+        orthocenter=h,
+        euler_direction=euler,
         lambdas=list(t._lambdas),
         opposite_edge_dots=list(t._dots),
         q_star=list(qd.form.coefficients),
@@ -266,15 +263,26 @@ def _build_grid(n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _grid_faces(n: int) -> str:
     """OBJ face lines of `_grid(n)`; they depend on the resolution only."""
-    return _obj_rows("f %d %d %d\n", _grid(n) + 1)
+    return "".join(_face_blocks(_grid(n)))
 
 
-def _obj_rows(fmt: str, rows: np.ndarray) -> str:
-    # a block of rows at a time, so that no Python number outlives its block
-    return "".join(
-        (fmt * len(b)) % tuple(b.ravel().tolist())
-        for b in np.split(rows, range(4096, len(rows), 4096))
-    )
+def _face_blocks(tris: np.ndarray) -> Iterator[str]:
+    # a block of rows at a time, so that no Python number or one-based index outlives it
+    for b in np.split(tris, range(4096, len(tris), 4096)):
+        yield ("f %d %d %d\n" * len(b)) % tuple((b + 1).ravel().tolist())
+
+
+def obj_blocks(mesh: Mesh) -> Iterator[str]:
+    """The text of `mesh_to_obj` in blocks of lines, vertex blocks first."""
+    from ._objtext import BLOCK, block_lines  # compiled on first use: most processes write no mesh
+
+    v, f = mesh.vertices, mesh.triangles
+    for b in np.split(v, range(BLOCK, len(v), BLOCK)):
+        yield block_lines(b).decode("ascii")
+    if f is _cached_grid and not f.flags.writeable:
+        yield _grid_faces(math.isqrt(len(f) // 2))
+    else:
+        yield from _face_blocks(f)
 
 
 def mesh_to_obj(mesh: Mesh) -> str:
@@ -283,14 +291,7 @@ def mesh_to_obj(mesh: Mesh) -> str:
     The text is byte for byte `"v %.12g %.12g %.12g\\n"` of each vertex and
     `"f %d %d %d\\n"` of each triangle's one-based indices.
     """
-    f = mesh.triangles
-    if f is _cached_grid and not f.flags.writeable:
-        faces = _grid_faces(math.isqrt(len(f) // 2))
-    else:
-        faces = _obj_rows("f %d %d %d\n", f + 1)
-    from ._objtext import vertex_lines  # compiled on first use: most processes write no mesh
-
-    return vertex_lines(mesh.vertices) + faces
+    return "".join(obj_blocks(mesh))
 
 
 #: Draws a rejection loop may make before it gives up; seeds 0..2999 need at most 5.

@@ -30,6 +30,7 @@ from .core import (
     _cross,
     _dot,
     _frozen,
+    _unit,
     orthocenter2d,
 )
 from .errors import BadIndex, DegenerateTetrahedron
@@ -43,8 +44,6 @@ OPPOSITE_EDGE_PAIRS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
 )
 #: Vertices (i, j, k), i < j < k, of the face opposite each vertex l.
 _FACES = tuple(tuple(i for i in range(4) if i != l) for l in range(4))
-#: Index pairs (r, s) of the six coefficients of a `QuadForm3`, in its order.
-_COEFFICIENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 #: The six terms (a, b, c, sign) of det(u_1, u_2, u_3) = sum sign u_1[a] u_2[b] u_3[c].
 _DET_TERMS = ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0),
               (0, 2, 1, -1.0), (2, 1, 0, -1.0), (1, 0, 2, -1.0))
@@ -54,13 +53,6 @@ _SPLITTER = 134217729.0
 
 def _sub(u: list, v: list) -> list:
     return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
 
 
 def _two_product(a: float, b: float) -> tuple[float, float]:
@@ -78,22 +70,27 @@ def _volume(u: list, r: list, n: list) -> float:
 
     `Dot2` of Ogita, Rump and Oishi ("Accurate Sum and Dot Product", SIAM J.
     Sci. Comput. 26(6), 2005) over the six triple products of det(u), each
-    from two TwoProducts, with the terms r_j . n_j of first order in the r_j
-    added to the error sum: as accurate as the volume of the exact edges u + r
-    summed in twice the working precision."""
+    from two TwoProducts and added by Knuth's TwoSum, with the terms r_j . n_j
+    of first order in the r_j added to the error sum: as accurate as the volume
+    of the exact edges u + r summed in twice the working precision."""
     u1, u2, u3 = u
     p = e = 0.0
     for a, b, c, sign in _DET_TERMS:
         h, f = _two_product(u2[b], u3[c])
         g, k = _two_product(u1[a], h)
-        p, s = _two_sum(p, sign * g)
-        e += s + sign * (k + u1[a] * f)
+        x = sign * g
+        q = p + x
+        z = q - p
+        e += ((p - (q - z)) + (x - z)) + sign * (k + u1[a] * f)
+        p = q
     return p + (e + (_dot(r[0], n[0]) + _dot(r[1], n[1]) + _dot(r[2], n[2])))
 
 
 def _basic_form(b: list, c: list) -> list:
     """Coefficients, in `QuadForm3` order, of the basic form (x.b)(x.c), sym(b (x) c)."""
-    return [0.5 * (b[i] * c[j] + b[j] * c[i]) for i, j in _COEFFICIENTS]
+    (b1, b2, b3), (c1, c2, c3) = b, c
+    return [0.5 * (b1 * c1 + b1 * c1), 0.5 * (b2 * c2 + b2 * c2), 0.5 * (b3 * c3 + b3 * c3),
+            0.5 * (b1 * c2 + b2 * c1), 0.5 * (b1 * c3 + b3 * c1), 0.5 * (b2 * c3 + b3 * c2)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,6 +122,7 @@ class Tetrahedron:
       ill-conditioned quantity, and the same sum decides coplanarity;
     - `_lambdas`, l0j = (a_0 - m) . (a_j - m) for j = 1, 2, 3, summed in
       coordinate order as every (a_i - m) . (a_j - m) is;
+    - `_centroid`, the mean of the four vertices, summed in vertex order;
     - `_q_star`, (d_1 F_2 - d_2 F_1) / 2, and `_rhs`, d_1 d_2 d_3 / 8, with d_p
       the `_dots` and F_p the basic form sym(b_ij (x) b_kl) of pair p: the
       paper's sum_j l0j F_j and (l01 - l02)(l02 - l03)(l03 - l01), as
@@ -140,59 +138,67 @@ class Tetrahedron:
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float)
         a = v.tolist()
-        if v.shape != (4, 3) or not all(math.isfinite(x) for p in a for x in p):
+        if v.shape != (4, 3) or not all(map(math.isfinite, a[0] + a[1] + a[2] + a[3])):
             raise DegenerateTetrahedron("need four finite 3-vectors")
-        pairs = [(_sub(a[i], a[j]), _sub(a[k], a[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS]
-        x, y, z = zip(*(b for pair in pairs for b in pair))
+        (a0, a1, a2, a3), (x0, y0, z0) = a, a[0]
+        b01, b23, b02, b31 = _sub(a0, a1), _sub(a2, a3), _sub(a0, a2), _sub(a3, a1)
+        b03, b12 = _sub(a0, a3), _sub(a1, a2)
+        x, y, z = zip(b01, b23, b02, b31, b03, b12)
         with np.errstate(over="ignore"):
-            lengths = np.hypot(np.hypot(x, y), z).tolist()
-        s = max(lengths)
+            l01, l23, l02, l31, l03, l12 = np.hypot(np.hypot(x, y), z).tolist()
+        s = max(l01, l23, l02, l31, l03, l12)
         if not math.isfinite(s):
             raise DegenerateTetrahedron("an edge leaves the double range")
-        # e_j = a_j - a_0, rounded, and in units of the power of two just above
-        # the longest edge, as in `orthocenter2d`, u_j and its rounding error r_j
+        # e_j = a_j - a_0, rounded, and in units of the power of two just above the
+        # longest edge, as in `orthocenter2d`, u_j and its TwoSum rounding error r_j
         # (so u_j + r_j is exact): no square or cube there overflows or underflows
-        frac, exp = math.frexp(s)
-        a0 = a[0]
-        split = [[_two_sum(x, -y) for x, y in zip(p, a0)] for p in a[1:]]
-        e = [[h for h, _ in ej] for ej in split]
-        u, r = ([[math.ldexp(t[i], -exp) for t in ej] for ej in split] for i in (0, 1))
-        n = [_cross(u[1], u[2]), _cross(u[2], u[0]), _cross(u[0], u[1])]
+        (frac, exp), e, u, r = math.frexp(s), [], [], []
+        for x, y, z in (a1, a2, a3):
+            hx, hy, hz = x - x0, y - y0, z - z0
+            sx, sy, sz = hx - x, hy - y, hz - z
+            e.append([hx, hy, hz])
+            u.append([math.ldexp(hx, -exp), math.ldexp(hy, -exp), math.ldexp(hz, -exp)])
+            r.append([math.ldexp((x - (hx - sx)) + (-x0 - sx), -exp),
+                      math.ldexp((y - (hy - sy)) + (-y0 - sy), -exp),
+                      math.ldexp((z - (hz - sz)) + (-z0 - sz), -exp)])
+        (e1, e2, e3), (u1, u2, u3) = e, u
+        n = n1, n2, n3 = _cross(u2, u3), _cross(u3, u1), _cross(u1, u2)
         vol = _volume(u, r, n)
         if abs(vol) <= DEFAULT_TOL.gate(frac, frac, frac):
             raise DegenerateTetrahedron("vertices are coplanar")
-        scales = [lengths[p] * lengths[p + 1] for p in (0, 2, 4)]
-        dots = [_dot(b, c) for b, c in pairs]
-        finite = all(map(math.isfinite, dots))
+        scales = [l01 * l23, l02 * l31, l03 * l12]
+        dots = d1, d2, d3 = [_dot(b01, b23), _dot(b02, b31), _dot(b03, b12)]
+        finite = math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)
         if not (finite and TINY <= min(scales) and max(scales) < math.inf):
             raise DegenerateTetrahedron("opposite-edge products leave the double range")
         # c - a_0 and m - a_0 in closed form: |V| is above the gate, so they lie
         # within about 1e10 longest edges of a_0, and the change back to world
         # units neither overflows nor underflows
-        sq = [_dot(x, x) for x in u]
-        w = 2.0 * vol
-        c_unit = [(sq[0] * x + sq[1] * y + sq[2] * z) / w for x, y, z in zip(*n)]
-        m_unit = [0.5 * (x + y + z) - c for x, y, z, c in zip(*u, c_unit)]
-        c_rel, m_rel = ([math.ldexp(x, exp) for x in p] for p in (c_unit, m_unit))
-        centered = [[-x for x in m_rel]] + [_sub(ej, m_rel) for ej in e]
-        # (a_j - a_i) x (a_k - a_i) for the faces ijk of _FACES; a_j - a_0 = e_j
-        face_0 = _cross(_sub(a[2], a[1]), _sub(a[3], a[1]))
-        normals = [face_0, _cross(e[1], e[2]), _cross(e[0], e[2]), _cross(e[0], e[1])]
-        f1, f2 = (_basic_form(*pair) for pair in pairs[:2])
-        d1, d2, d3 = dots
+        q1, q2, q3, w = _dot(u1, u1), _dot(u2, u2), _dot(u3, u3), 2.0 * vol
+        c_rel, m_rel = [], []
+        for i in range(3):
+            c = (q1 * n1[i] + q2 * n2[i] + q3 * n3[i]) / w
+            c_rel.append(math.ldexp(c, exp))
+            m_rel.append(math.ldexp(0.5 * (u1[i] + u2[i] + u3[i]) - c, exp))
+        c0, c1, c2, c3 = [-x for x in m_rel], _sub(e1, m_rel), _sub(e2, m_rel), _sub(e3, m_rel)
+        normals = [_cross(_sub(a2, a1), _sub(a3, a1)), _cross(e2, e3), _cross(e1, e3),
+                   _cross(e1, e2)]
+        f1, f2 = _basic_form(b01, b23), _basic_form(b02, b31)
         vars(self).update(
             vertices=_frozen(v),
-            _q_star=QuadForm3(*(0.5 * (d1 * y - d2 * x) for x, y in zip(f1, f2))),
+            _q_star=QuadForm3(*[0.5 * (d1 * y - d2 * x) for x, y in zip(f1, f2)]),
             _rhs=0.125 * d1 * d2 * d3,
-            _pairs=pairs,
+            _pairs=[(b01, b23), (b02, b31), (b03, b12)],
             _dots=dots,
             _scales=scales,
             _normals=normals,
-            _unit_normals=[[x / h for x in p] for p in normals for h in (math.hypot(*p),)],
+            _unit_normals=[[x / h, y / h, z / h]
+                           for x, y, z in normals for h in (math.hypot(x, y, z),)],
             _c_rel=c_rel,
             _m_rel=m_rel,
-            _centered=centered,
-            _lambdas=[_dot(centered[0], p) for p in centered[1:]],
+            _centroid=[(p0 + p1 + p2 + p3) / 4.0 for p0, p1, p2, p3 in zip(a0, a1, a2, a3)],
+            _centered=[c0, c1, c2, c3],
+            _lambdas=[_dot(c0, c1), _dot(c0, c2), _dot(c0, c3)],
             _edge_scale=s,
             # `classify`'s decision for each tolerance asked so far
             _classes={},
@@ -281,7 +287,7 @@ def monge_identity_residual(t: Tetrahedron) -> float:
 
 def centroid(t: Tetrahedron) -> Vec3:
     """Mean of the four vertices, summed in vertex order."""
-    return np.array([(a + b + c + d) / 4.0 for a, b, c, d in zip(*t.vertices.tolist())])
+    return np.array(t._centroid)
 
 
 def circumcenter(t: Tetrahedron) -> Vec3:
@@ -377,6 +383,17 @@ class NoteworthyPoints:
     euler: Optional[Line3]
 
 
+def _points(t: Tetrahedron, kind: TetraKind, tol: Tolerance) -> tuple:
+    """m, g, c, the orthocenter and the unit, canonical Euler direction as fresh
+    lists, the last two None where absent: what `noteworthy` and `analyze` report."""
+    a0 = t.vertices[0].tolist()
+    m, c = ([x + y for x, y in zip(a0, p)] for p in (t._m_rel, t._c_rel))
+    cm = [y - x for x, y in zip(m, c)]
+    euler = _unit(cm)[0] if math.hypot(*cm) > tol.gate(t.edge_scale()) else None
+    h = list(m) if kind is TetraKind.ORTHOCENTRIC else None
+    return m, list(t._centroid), c, h, euler
+
+
 def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints:
     """Monge point, centroid, circumcenter, optional orthocenter, optional Euler line.
 
@@ -384,9 +401,7 @@ def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints
     Euler line is their join when they differ.  The orthocenter exists exactly
     in the orthocentric case and then coincides with the Monge point.
     """
-    # m from the record, not `monge_point`, which `altquadric.build` already calls
-    m, g, c = _frozen(t.vertices[0] + t._m_rel), centroid(t), circumcenter(t)
-    h = m if classify(t, tol).kind is TetraKind.ORTHOCENTRIC else None
-    cm = [y - x for x, y in zip(m.tolist(), c.tolist())]
-    euler = Line3(g, cm) if math.hypot(*cm) > tol.gate(t.edge_scale()) else None
-    return NoteworthyPoints(m, g, c, h, euler)
+    m, g, c, h, euler = _points(t, classify(t, tol).kind, tol)
+    m, g, c = (_frozen(np.array(p)) for p in (m, g, c))
+    euler = None if euler is None else Line3(g, c - m)
+    return NoteworthyPoints(m, g, c, None if h is None else m, euler)

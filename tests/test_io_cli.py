@@ -74,6 +74,37 @@ def test_parse_rejects_malformed(text):
         parse_tetrahedron(text)
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        "5",
+        "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0]]",
+        "[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]",
+        '[[0, 0, 0], [1, 0, 0], [0, 1, 0], ["x", 0]]',
+    ],
+    ids=["number", "two_vector", "five_vertices", "string_in_a_two_vector"],
+)
+def test_parse_wants_four_triples_before_it_reads_a_coordinate(vertices):
+    with pytest.raises(ParseError, match=r"four \[x, y, z\] triples"):
+        parse_tetrahedron(f'{{"vertices": {vertices}}}')
+
+
+@pytest.mark.parametrize("scale", [1, 10**6, 2**70 + 1], ids=["1", "1e6", "2^70+1"])
+def test_integer_and_float_coordinates_give_one_record_and_one_report(scale):
+    # the README tetrahedron written with integers and with the floats they round
+    # to, "x.0" at the small scales; 2^70 + 1 is past int64 and rounds to 2^70
+    corners = [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]]
+    ints = json.dumps({"vertices": [[scale * x for x in p] for p in corners]})
+    floats = json.dumps({"vertices": [[float(scale * x) for x in p] for p in corners]})
+    assert ints != floats
+    a, b = parse_tetrahedron(ints), parse_tetrahedron(floats)
+    assert a.vertices.dtype == b.vertices.dtype == np.float64
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    record = lambda t: repr({k: v for k, v in vars(t).items() if k not in ("vertices", "_classes")})
+    assert record(a) == record(b)
+    assert json.dumps(analyze(a).to_dict()) == json.dumps(analyze(b).to_dict())
+
+
 def test_round_trip():
     for s in range(5):
         t = random_tetra(TetraKind.GENERIC, s)
@@ -713,8 +744,12 @@ def test_cli_bad_input(tmp_path, capsys):
         ("[true, 0, 0]", "must be numbers"),
         (f"[{'9' * 400}, 0, 0]", "must be finite"),
         (f"[{'9' * 5000}, 0, 0]", "invalid JSON"),
+        ("[NaN, 0, 0]", "must be finite"),
+        ("[0, Infinity, 0]", "must be finite"),
+        ("[0, 0, -Infinity]", "must be finite"),
+        ("[NaN, \"0\", 0]", "must be numbers"),
     ],
-    ids=["string", "boolean", "400_digits", "5000_digits"],
+    ids=["string", "boolean", "400_digits", "5000_digits", "nan", "inf", "minus_inf", "nan_string"],
 )
 def test_cli_coordinates_must_be_finite_json_numbers(tmp_path, capsys, vertex, message):
     # strings once parsed as 0.0 and true as 1.0, both with exit 0; a 400-digit
@@ -824,6 +859,22 @@ def test_cli_accepts_the_ends_of_each_range():
         cmd = f"porism --form 1,1,-2,0,0,0 --rho 1 --svg o.svg --count {count}"
         assert parse(cmd.split()).count == count
     assert parse("random --class generic --seed 0".split()).seed == 0
+
+
+def test_cli_writes_the_obj_text_of_mesh_to_obj(tmp_path, capsys):
+    # above the kept grid's resolution: several vertex and face blocks, each
+    # face block with its own one-based indices
+    f = _write_tetra(tmp_path, [[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]])
+    out = tmp_path / "q.obj"
+    res = reporting._GRID_CACHE_RES + 4
+    assert main(["quadric", str(f), "--obj", str(out), "--res", str(res)]) == 0
+    capsys.readouterr()
+    mesh = quadric_mesh(build(parse_tetrahedron(f.read_text())), 3.0, res)
+    blocks = list(reporting.obj_blocks(mesh))
+    assert len(blocks) > 4 and all(b.endswith("\n") for b in blocks)
+    faces = "".join(f"f {i + 1} {j + 1} {k + 1}\n" for i, j, k in mesh.triangles.tolist())
+    text = out.read_text()
+    assert text == "".join(blocks) == mesh_to_obj(mesh) and text.endswith(faces)
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):

@@ -333,13 +333,22 @@ def test_coplanarity_decision_matches_its_oracle():
 def test_noteworthy_and_analyze_residuals_match_their_oracles(figures):
     for name, t, _, _ in figures:
         assert _same(centroid(t), oracle.centroid(t)), name
-        # gates on |c - m| to the ulp, so that a gap off by one ulp changes the Euler line
+        # gates on |c - m| to the ulp, so that a gap off by one ulp changes the Euler
+        # line; `analyze` reads the points from the float helper that `noteworthy`
+        # wraps into arrays and a `Line3`, and must report the same bits
         gap = norm(circumcenter(t) - monge_point(t)) / t.edge_scale()
         for tol in [DEFAULT_TOL] + [Tolerance(_ulps(gap, k)) for k in range(-2, 3)]:
             want = oracle.euler_line(t, tol)
-            euler = noteworthy(t, tol).euler
-            assert (euler is None) == (want is None), name
+            points, report = noteworthy(t, tol), analyze(t, tol)
+            euler = points.euler
+            assert (euler is None) == (want is None) == (report.euler_direction is None), name
             assert euler is None or _same_record(euler, want, ("base", "dir")), name
+            assert euler is None or _same(report.euler_direction, euler.dir), name
+            ortho = _classify(t, tol).kind is TetraKind.ORTHOCENTRIC
+            assert (points.orthocenter is None) == (report.orthocenter is None) == (not ortho)
+            assert not ortho or _same(report.orthocenter, points.orthocenter), name
+            for f in ("monge", "centroid", "circumcenter"):
+                assert _same(getattr(report, f), getattr(points, f)), name
         points, report = noteworthy(t), analyze(t)
         euler_midpoint, spread = oracle.analyze_residuals(t, points)
         assert _same(report.residuals["euler_midpoint"], euler_midpoint), name
@@ -347,5 +356,12 @@ def test_noteworthy_and_analyze_residuals_match_their_oracles(figures):
         incidence, bound = oracle.altitude_level_residual(t)
         assert abs(altitude_level_residual(t) - incidence) <= bound, name
         assert _same(report.residuals["altitude_incidence"], altitude_level_residual(t)), name
-        for f in ("monge", "centroid", "circumcenter"):
-            assert _same(getattr(report, f), getattr(points, f)), name
+        # the twelve ordered midplanes in the Monge frame, b_ij . x = b_ij . ((a_k - m)
+        # + (a_l - m)) / 2, normalised by the oracle: m's largest |offset|, over L
+        c, offsets = t._centered, []
+        for i, j in ((i, j) for i in range(4) for j in range(4) if i != j):
+            k, l = (x for x in range(4) if x not in (i, j))
+            b = edge_vector(t, i, j)
+            off = 0.5 * sum(u * (y + z) for u, y, z in zip(b.tolist(), c[k], c[l]))
+            offsets.append(abs(oracle.plane3(b, off)[1]))
+        assert _same(report.residuals["monge_midplanes"], max(offsets) / t.edge_scale()), name
