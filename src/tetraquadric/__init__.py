@@ -10,7 +10,6 @@ from .core import (
     dot,
     line_line_meet,
     orthocenter2d,
-    triple,
     vec,
 )
 from .forms import (

@@ -120,7 +120,7 @@ def contains_line(
     if qd.kind is QuadricKind.TRIVIAL:
         raise TrivialQuadric("the zero form carries no incidence information")
     m = float(qd.form.max_abs())
-    base, u, center = (a.tolist() for a in (line.base, line.dir, qd.center))
+    base, u, center = line._base, line._dir, qd.center.tolist()
     # at least the figure's own length |Q*|^(1/4), so that rhs roundoff cannot decide
     span = max(math.dist(base, center), m ** 0.25)
     d = [[b + t * e - c for b, e, c in zip(base, u, center)] for t in (-span, 0.0, span)]
@@ -159,7 +159,7 @@ def regulus_of(
         raise NotHyperboloid("reguli exist only for the hyperboloid case")
     if not contains_line(qd, line, tol):
         return RegulusTag.NOT_ON_QUADRIC
-    votes = _meet_rule(line.base, line.dir, t.vertices, np.array(t._unit_normals), tol)
+    votes = _meet_rule(line._base, line._dir, t._vertices, t._unit_normals, tol)
     meets = sum(row[1] for row in votes)
     if meets >= 3:
         return RegulusTag.PERPENDICULAR_REGULUS
@@ -207,13 +207,13 @@ def section(
     # in-plane origin: plane point closest to the quadric center
     origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
     # in-plane basis (u, n x u), u the coordinate axis least aligned with n, projected
-    n = p.normal.tolist()
+    n = p._normal
     k = min(range(3), key=lambda i: abs(n[i]))
     u = [float(i == k) - n[k] * x for i, x in enumerate(n)]
     length = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     u = [x / length for x in u]
     # the conic's symmetric 3x3 matrix in the frame (u, v, origin)
-    frame = np.array([u, _cross(n, u), (origin - qd.center).tolist()])
+    frame = np.array([u, _cross(n, u), origin - qd.center])
     h = frame @ qd.form.matrix @ frame.T
     h[2, 2] -= qd.rhs
     kind = _classify_conic(h, qd.form.max_abs(), tol)

@@ -1,8 +1,10 @@
 """Vector, line, and plane primitives.
 
-Vectors are plain numpy arrays of shape (3,); lines and planes are small
-immutable records.  Every zero test is one purely relative rule, `Tolerance`,
-so each decision is the same for a figure and for any similar copy of it.
+The library computes on Python floats, three to a coordinate list; numpy
+arrays appear only at the public boundary.  `Line3` and `Plane3` keep their
+coordinates as float lists and build each public `(3,)` array, read-only, on
+its first read.  Every zero test is one purely relative rule, `Tolerance`, so
+each decision is the same for a figure and for any similar copy of it.
 """
 
 from __future__ import annotations
@@ -33,21 +35,32 @@ def as_vec(v) -> Vec3:
     return a
 
 
+def _coords(v) -> list:
+    """The coordinates of a 3-vector as a list of Python floats: a list of
+    three numbers as it is, anything else through `as_vec`."""
+    x, y, z = v if type(v) is list else as_vec(v).tolist()
+    return [float(x), float(y), float(z)]
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Make a cached array read-only, so that no caller can change it."""
     a.flags.writeable = False
     return a
 
 
+def _array_on_read(record, name: str) -> Vec3:
+    """`__getattr__` of the float records: the public array `name`, built on its
+    first read, read-only, from the record's float list `_<name>`, and kept."""
+    floats = vars(record).get("_" + name)
+    if floats is None:
+        raise AttributeError(name)
+    a = vars(record)[name] = _frozen(np.array(floats))
+    return a
+
+
 def dot(u: Vec3, v: Vec3) -> float:
-    """Euclidean inner product."""
+    """Euclidean inner product (BLAS, which may round differently from `_dot`)."""
     return float(np.dot(u, v))
-
-
-def cross(u: Vec3, v: Vec3) -> Vec3:
-    """Cross product of two 3-vectors; the closed form, equal to `np.cross` to
-    the bit and far cheaper per call."""
-    return np.array(_cross(u.tolist(), v.tolist()))
 
 
 def _dot(u: list, v: list) -> float:
@@ -56,34 +69,15 @@ def _dot(u: list, v: list) -> float:
 
 
 def _cross(u: list, v: list) -> list:
-    """The closed form of `cross` on coordinate lists."""
+    """Cross product of two coordinate lists; the closed form, equal to
+    `np.cross` to the bit."""
     (a, b, c), (d, e, f) = u, v
     return [b * f - c * e, c * d - a * f, a * e - b * d]
 
 
-#: Index arrays of the cyclic shifts (y, z, x) and (z, x, y) of a 3-vector.
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
-def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross products along the last axis of broadcastable (..., 3) arrays; the
-    same closed form as `cross`, so equal to `np.cross` to the bit."""
-    return u[..., _NEXT] * v[..., _PREV] - u[..., _PREV] * v[..., _NEXT]
-
-
-def norm(v: Vec3) -> float:
-    """Euclidean length; free of overflow and underflow in the squares."""
-    return math.hypot(*v.tolist())
-
-
-def triple(u: Vec3, v: Vec3, w: Vec3) -> float:
-    """Determinant of the 3x3 matrix with rows u, v, w, as u . (v x w)."""
-    return dot(u, cross(v, w))
-
-
 def _leads_negative(u: list) -> bool:
     """True when the first coordinate of the unit vector u above 1e-12 in
-    magnitude is negative: the sign rule of `canonical_dir` and `Plane3`."""
+    magnitude is negative: the sign rule of `_unit`."""
     for c in u:
         if abs(c) > 1e-12:
             return c < 0
@@ -92,9 +86,10 @@ def _leads_negative(u: list) -> bool:
 
 def _unit(v: list) -> tuple[list, float]:
     """(v / s, s) for the coordinate list v and s = +-|v|, the sign passing
-    `_leads_negative`.  A subnormal |v| has lost bits, so v is then divided by
-    its length in the unit of the power of two just above it, as in
-    `orthocenter2d`: exact, and u is unit to the last bits."""
+    `_leads_negative`: lines and planes are sets, so this picks one of the two
+    unit vectors that describe them.  A subnormal |v| has lost bits, so v is
+    then divided by its length in the unit of the power of two just above it,
+    as in `orthocenter2d`: exact, and u is unit to the last bits."""
     x, y, z = v
     s = math.hypot(x, y, z)
     if not 0.0 < s < math.inf:
@@ -106,15 +101,6 @@ def _unit(v: list) -> tuple[list, float]:
         h = s
     u = [x / h, y / h, z / h]
     return ([-x / h, -y / h, -z / h], -s) if _leads_negative(u) else (u, s)
-
-
-def canonical_dir(v: Vec3) -> Vec3:
-    """Unit vector with the first component of significant size made positive.
-
-    Lines are sets, so a direction and its negative describe the same line;
-    this picks one representative deterministically.
-    """
-    return np.array(_unit(v.tolist())[0])
 
 
 @dataclass(frozen=True)
@@ -140,40 +126,48 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True, eq=False)
 class Line3:
-    """Line given by a finite base point and a unit direction."""
+    """Line given by a finite base point and a unit direction, made
+    sign-canonical by `_unit`.  The record is the float lists `_base` and
+    `_dir`; `base` and `dir` are read-only arrays of them."""
 
     base: Vec3
     dir: Vec3
 
     def __post_init__(self):
-        base = as_vec(self.base).tolist()
+        base = _coords(vars(self).pop("base"))
         if not all(map(math.isfinite, base)):
             raise ValueError("a line needs a finite base point")
-        vars(self).update(base=np.array(base), dir=canonical_dir(as_vec(self.dir)))
+        vars(self).update(_base=base, _dir=_unit(_coords(vars(self).pop("dir")))[0])
+
+    __getattr__ = _array_on_read
 
     def point_at(self, t: float) -> Vec3:
         return self.base + t * self.dir
 
     def distance_to_point(self, p: Vec3) -> float:
         off = p - self.base
-        return norm(off - dot(off, self.dir) * self.dir)
+        return math.hypot(*(off - dot(off, self.dir) * self.dir).tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class Plane3:
     """Plane { x : normal . x = offset } with a unit, sign-canonical normal:
     normal and offset are divided by |normal|, then both negated when the unit
-    normal fails the sign rule of `canonical_dir`.  Both must be finite."""
+    normal fails the sign rule of `_unit`.  Both must be finite.  The record is
+    the float list `_normal` and the float `offset`; `normal` is a read-only
+    array of the first."""
 
     normal: Vec3
     offset: float
 
     def __post_init__(self):
-        u, s = _unit(as_vec(self.normal).tolist())
+        u, s = _unit(_coords(vars(self).pop("normal")))
         off = float(self.offset) / s
         if not math.isfinite(off):
             raise ValueError("a plane needs a finite offset")
-        vars(self).update(normal=np.array(u), offset=off)
+        vars(self).update(_normal=u, offset=off)
+
+    __getattr__ = _array_on_read
 
     @classmethod
     def from_point_normal(cls, point: Vec3, normal: Vec3) -> "Plane3":
@@ -197,9 +191,9 @@ def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) ->
     twice, |n|^2 is never formed.  A triangle so flat that its orthocenter lies
     beyond the largest double raises `CollinearPoints`.
     """
-    v = [as_vec(p).tolist() for p in tri]
-    if not all(math.isfinite(x) for p in v for x in p):
-        raise ValueError("triangle vertices must be finite")
+    v = list(map(_coords, tri))
+    if len(v) != 3 or not all(math.isfinite(x) for p in v for x in p):
+        raise ValueError("triangle vertices must be finite, and exactly three")
     v_exp = math.frexp(max(abs(x) for p in v for x in p))[1]
     w = [[math.ldexp(x, -v_exp) for x in p] for p in v]
     frac, exp = math.frexp(max(math.dist(w[i], w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
@@ -237,19 +231,18 @@ class LineMeet:
 
 
 def _meet_rule(
-    base: Vec3, direction: Vec3, bases: np.ndarray, directions: np.ndarray, tol: Tolerance
+    base: list, direction: list, bases: list, directions: list, tol: Tolerance
 ) -> Iterator[tuple[bool, bool, float, float, list]]:
-    """How the line (base, direction) lies against each line (bases, directions) (N, 3),
-    directions unit, row by row on Python floats: yields (parallel, meets, gap, scale, c),
+    """How the line (base, direction) lies against each line of the coordinate lists
+    (bases, directions), directions unit: yields (parallel, meets, gap, scale, c),
     c the directions' cross product, gap |(base_k - base) . c| / |c| (NaN when c = 0) and
     scale the larger |base|; parallel is |c| <= gate(1), meets not parallel, gap <= gate(scale)."""
-    b0, d0 = base.tolist(), direction.tolist()
-    s0, g1 = math.hypot(*b0), tol.gate(1.0)
-    for b, d in zip(bases.tolist(), directions.tolist()):
-        c = _cross(d0, d)
+    s0, g1 = math.hypot(*base), tol.gate(1.0)
+    for b, d in zip(bases, directions):
+        c = _cross(direction, d)
         c_norm = math.hypot(*c)
         scale = max(s0, math.hypot(*b))
-        w0, w1, w2 = (x - y for x, y in zip(b, b0))
+        w0, w1, w2 = (x - y for x, y in zip(b, base))
         gap = abs(w0 * c[0] + w1 * c[1] + w2 * c[2]) / c_norm if c_norm else math.nan
         yield c_norm <= g1, c_norm > g1 and gap <= tol.gate(scale), gap, scale, c
 
@@ -262,7 +255,7 @@ def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMe
     meeting point is the midpoint of the closest points l1(t1), l2(t2), with
     t1 = ((w x d2) . c) / |c|^2, t2 = ((w x d1) . c) / |c|^2, w = l2.base - l1.base
     and c the rule's own cross product d1 x d2."""
-    (rule,) = _meet_rule(l1.base, l1.dir, l2.base[None], l2.dir[None], tol)
+    (rule,) = _meet_rule(l1._base, l1._dir, [l2._base], [l2._dir], tol)
     parallel, meets, gap, scale, c = rule
     if parallel:
         gap = l1.distance_to_point(l2.base)
@@ -270,6 +263,6 @@ def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMe
         return LineMeet(relation, None, gap)
     if not meets:
         return LineMeet(LineRelation.SKEW, None, gap)
-    w, cc = l2.base - l1.base, dot(c, c)
-    t1, t2 = dot(cross(w, l2.dir), c) / cc, dot(cross(w, l1.dir), c) / cc
+    w, cc = [x - y for x, y in zip(l2._base, l1._base)], dot(c, c)
+    t1, t2 = dot(_cross(w, l2._dir), c) / cc, dot(_cross(w, l1._dir), c) / cc
     return LineMeet(LineRelation.MEETING, 0.5 * (l1.point_at(t1) + l2.point_at(t2)), gap)

@@ -23,8 +23,8 @@ from .core import (
     Plane3,
     Tolerance,
     Vec3,
+    _coords,
     _frozen,
-    as_vec,
 )
 from .errors import DegenerateForm, NotTraceless
 
@@ -93,7 +93,7 @@ class QuadForm3:
 
 def evaluate(q: QuadForm3, x: Vec3) -> float:
     """Value x^T Sigma x of the form at x."""
-    x = as_vec(x).tolist()
+    x = _coords(x)
     return q.bilinear(x, x)
 
 

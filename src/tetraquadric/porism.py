@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, as_vec, canonical_dir, cross, cross_rows
-)
+from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, _unit, as_vec
 from .errors import DegenerateForm, NotOnCone, PlaneMissesLeg, ZeroOffset
 from .forms import QuadForm3, evaluate, not_traceless, rank
 
@@ -121,7 +119,7 @@ def tripod_through_generator(
     (s1, s2), e3 = unit.semi_axes, unit.center
     w = g / (g @ e3)
     h = _companion(e3, s1, s2, np.asarray(w @ s1), np.asarray(w @ s2))
-    return Tripod((canonical_dir(g), canonical_dir(h), canonical_dir(cross(g, h))))
+    return Tripod(tuple(np.array(_unit(leg.tolist())[0]) for leg in (g, h, np.cross(g, h))))
 
 
 def porism_family(
@@ -154,7 +152,7 @@ def porism_family(
     legs[:, 1] = _companion(e3, s1, s2, (s1 @ s1) * c, (s2 @ s2) * s)
     # the cross product, not the circle's other root, keeps the third leg
     # orthogonal to both on a long ellipse
-    legs[:, 2] = cross_rows(legs[:, 0], legs[:, 1])
+    legs[:, 2] = np.cross(legs[:, 0], legs[:, 1])
     pts = _cut(legs, cut, tol)
     # counter-clockwise in the frame of the semi-axes
     x, y, nxt = pts @ s1, pts @ s2, [1, 2, 0]

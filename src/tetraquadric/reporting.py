@@ -14,7 +14,7 @@ import numpy as np
 
 from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
-from .core import DEFAULT_TOL, TINY, Tolerance, _frozen, norm, orthocenter2d
+from .core import DEFAULT_TOL, TINY, Tolerance, _frozen, orthocenter2d
 from .errors import (
     DegenerateForm,
     DegenerateTetrahedron,
@@ -49,7 +49,7 @@ def parse_tetrahedron(text: str) -> Tetrahedron:
 
 
 def serialize_tetrahedron(t: Tetrahedron) -> str:
-    return json.dumps({"vertices": [list(v) for v in t.vertices]})
+    return json.dumps({"vertices": t._vertices})
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     # m is the origin of the Monge frame, so its distance from each plane is |offset|
     midplane_res = max(abs(p.offset) for p in tetra._midplanes(t))
     c0, c1, c2 = c
-    circum_d = [math.hypot(x - c0, y - c1, z - c2) for x, y, z in t.vertices.tolist()]
+    circum_d = [math.hypot(x - c0, y - c1, z - c2) for x, y, z in t._vertices]
     residuals = {
         "pluecker": abs(tetra.pluecker_residual(t)) / s / s,
         "monge_midplanes": midplane_res / s,
@@ -150,7 +150,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
         warnings.append("monge point residual above gate")
 
     return AnalysisReport(
-        vertices=t.vertices.tolist(),
+        vertices=[list(p) for p in t._vertices],
         **class_fields(cls),
         monge=m,
         centroid=g,
@@ -339,7 +339,7 @@ def _draw_tetra(kind: TetraKind, rng: np.random.Generator) -> Optional[Tetrahedr
     if kind is TetraKind.GENERIC:
         verts = rng.uniform(-5.0, 5.0, size=(4, 3))
         b = verts[0] - verts[1:]
-        if abs(np.linalg.det(b)) < 1e-2 * max(map(norm, b)) ** 3:
+        if abs(np.linalg.det(b)) < 1e-2 * max(math.hypot(*r) for r in b.tolist()) ** 3:
             return None
         t = Tetrahedron(verts)
         # generic with a margin: every opposite-edge dot above ten times its gate
@@ -354,7 +354,7 @@ def _draw_tetra(kind: TetraKind, rng: np.random.Generator) -> Optional[Tetrahedr
         # a point on exactly one base altitude, away from the orthocenter
         v = int(rng.integers(3))
         along = base[v] - ortho
-        if norm(np.append(along, 0.0)) < 0.5:
+        if math.hypot(*along.tolist()) < 0.5:
             return None
         u = rng.uniform(0.2, 0.8)
         foot = ortho + u * along

@@ -4,11 +4,12 @@ Edge vectors, altitudes and orthocentric perpendiculars, midplanes, the Monge
 point, centroid, circumcenter, Euler line, and the generic /
 semi-orthocentric / orthocentric classification.  A `Tetrahedron` computes
 its tolerance-free record at construction, in one straight-line pass on Python
-floats relative to a_0, and keeps it private.  The Monge point and the
-circumcenter are closed forms on the volume, which is summed with error-free
-transformations.  The public functions below read the record; one that returns
-an array builds a fresh read-only one on each call.  `classify` keeps its
-decision per tolerance.
+floats relative to a_0, and keeps it private; its `vertices` array is only
+the public view of the vertex lists.  The Monge point and the circumcenter are
+closed forms on the volume, which is summed with error-free transformations.
+The public functions below read the record; one that returns an array builds a
+fresh read-only one on each call.  `classify` keeps its decision per
+tolerance.
 """
 
 from __future__ import annotations
@@ -102,10 +103,11 @@ class Tetrahedron:
 
     Construction computes the tolerance-free record in one straight-line pass
     on Python floats, with b_ij = a_i - a_j, e_j = a_j - a_0 and m the Monge
-    point.  Its public surface is `vertices` and `edge_scale`; the functions
-    of this module and of `altquadric` read the record's private fields,
-    Python floats and lists of them:
+    point.  Its public surface is `vertices`, a read-only array, and
+    `edge_scale`; the functions of this module and of `altquadric` read the
+    record's private fields, Python floats and lists of them:
 
+    - `_vertices`, the four a_i;
     - `_pairs`, the opposite edges (b_ij, b_kl), and `_dots` and `_scales`,
       b_ij . b_kl and |b_ij| |b_kl|, in OPPOSITE_EDGE_PAIRS order;
     - `_normals`, (a_j - a_i) x (a_k - a_i) for the face i < j < k opposite l,
@@ -186,6 +188,7 @@ class Tetrahedron:
         f1, f2 = _basic_form(b01, b23), _basic_form(b02, b31)
         vars(self).update(
             vertices=_frozen(v),
+            _vertices=a,
             _q_star=QuadForm3(*[0.5 * (d1 * y - d2 * x) for x, y in zip(f1, f2)]),
             _rhs=0.125 * d1 * d2 * d3,
             _pairs=[(b01, b23), (b02, b31), (b03, b12)],
@@ -240,8 +243,8 @@ def _face_normal(t: Tetrahedron, l: int) -> list:
 
 def altitude(t: Tetrahedron, l: int) -> Line3:
     """Altitude through vertex l, orthogonal to the opposite face."""
-    n = _face_normal(t, l)  # checks l before `vertices` is indexed with it
-    return Line3(t.vertices[l], n)
+    n = _face_normal(t, l)  # checks l before `_vertices` is indexed with it
+    return Line3(t._vertices[l], n)
 
 
 def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) -> Line3:
@@ -250,7 +253,7 @@ def ortho_perpendicular(t: Tetrahedron, l: int, tol: Tolerance = DEFAULT_TOL) ->
     Parallel to the altitude through l, but in general a different line.
     """
     n = _face_normal(t, l)
-    return Line3(orthocenter2d(tuple(t.vertices[i] for i in _FACES[l]), tol), n)
+    return Line3(orthocenter2d([t._vertices[i] for i in _FACES[l]], tol), n)
 
 
 def midplane(t: Tetrahedron, i: int, j: int) -> Plane3:
@@ -287,7 +290,7 @@ def monge_identity_residual(t: Tetrahedron) -> float:
 
 def centroid(t: Tetrahedron) -> Vec3:
     """Mean of the four vertices, summed in vertex order."""
-    return np.array(t._centroid)
+    return _frozen(np.array(t._centroid))
 
 
 def circumcenter(t: Tetrahedron) -> Vec3:
@@ -386,8 +389,7 @@ class NoteworthyPoints:
 def _points(t: Tetrahedron, kind: TetraKind, tol: Tolerance) -> tuple:
     """m, g, c, the orthocenter and the unit, canonical Euler direction as fresh
     lists, the last two None where absent: what `noteworthy` and `analyze` report."""
-    a0 = t.vertices[0].tolist()
-    m, c = ([x + y for x, y in zip(a0, p)] for p in (t._m_rel, t._c_rel))
+    m, c = ([x + y for x, y in zip(t._vertices[0], p)] for p in (t._m_rel, t._c_rel))
     cm = [y - x for x, y in zip(m, c)]
     euler = _unit(cm)[0] if math.hypot(*cm) > tol.gate(t.edge_scale()) else None
     h = list(m) if kind is TetraKind.ORTHOCENTRIC else None

@@ -1,14 +1,18 @@
 """The numpy kernels of the figure and analyze paths, kept as test oracles.
 
-The library runs the per-call primitives of the figure path on Python floats:
-`core._meet_rule`, `core.orthocenter2d`, `altquadric.contains_line` and the
-in-plane basis of `altquadric.section`.  So does the analyze path: the records
-`Line3`, `Plane3` and `QuadForm3.from_matrix`, `canonical_dir`, the class
-decision, the centroid and Euler line of `noteworthy`, and the guards and
-residuals of `reporting`.  Each was written before as the numpy expression
-below, with the same operations in the same order, so the tests can require
-the library's results to equal these bit for bit.  `dot` is the library's own
-(BLAS) inner product in both forms.
+The library computes on Python floats and shows numpy arrays only at its
+public boundary.  `Line3` and `Plane3` keep float records and build their
+`base`, `dir` and `normal` arrays from them; the line meet rule
+`core._meet_rule` reads those floats and the tetrahedron's vertex lists, as do
+`core.orthocenter2d`, `altquadric.contains_line` and the in-plane basis of
+`altquadric.section`.  So does the analyze path: the records, the sign rule of
+`core._unit`, `QuadForm3.from_matrix`, the class decision, the centroid and
+Euler line of `noteworthy`, and the guards and residuals of `reporting`.  Each
+was written before as the numpy expression below, with the same operations in
+the same order, so the tests can require the library's results to equal these
+bit for bit.  `dot` is the library's own (BLAS) inner product in both forms,
+`np.cross` is the closed form of `core._cross`, and `math.hypot` is the
+library's length.
 
 Two are exact instead: the coplanarity test of `Tetrahedron`, which decides on
 a compensated volume, reads the sign of the exact volume in `Fraction`; and
@@ -34,7 +38,7 @@ from tetraquadric import (
     rhs,
 )
 from tetraquadric.altquadric import _classify_conic
-from tetraquadric.core import as_vec, cross, cross_rows, dot, norm
+from tetraquadric.core import as_vec, dot
 from tetraquadric.errors import CollinearPoints
 from tetraquadric.tetra import OPPOSITE_EDGE_PAIRS
 
@@ -44,9 +48,9 @@ from tripod_oracle import plane_bases
 def meet_rule(base, direction, bases, directions, tol=DEFAULT_TOL):
     """(parallel, meets, gap, scale, c) as arrays over the N lines (bases,
     directions), c (N, 3)."""
-    c = cross_rows(direction, directions)
+    c = np.cross(direction, directions)
     c_norm = np.array([math.hypot(*r) for r in c.tolist()])
-    scale = np.maximum(norm(base), [math.hypot(*v) for v in bases.tolist()])
+    scale = np.maximum(math.hypot(*base), [math.hypot(*v) for v in bases.tolist()])
     # a parallel pair has c = 0; its gap, 0 / 0, is masked
     with np.errstate(divide="ignore", invalid="ignore"):
         gap = np.abs(np.sum((bases - base) * c, axis=1)) / c_norm
@@ -59,14 +63,16 @@ def orthocenter2d(tri, tol=DEFAULT_TOL):
     v = np.array([as_vec(p) for p in tri])
     v_exp = math.frexp(float(np.max(np.abs(v))))[1]
     w = np.ldexp(v, -v_exp)
-    frac, exp = math.frexp(max(norm(w[i] - w[j]) for i, j in ((1, 0), (2, 0), (2, 1))))
+    frac, exp = math.frexp(max(math.hypot(*(w[i] - w[j])) for i, j in ((1, 0), (2, 0), (2, 1))))
     v0, v1, v2 = np.ldexp(w, -exp)
     e1, e2 = v1 - v0, v2 - v0
-    n = cross(e1, e2)
-    if norm(n) <= tol.gate(frac, frac):
+    n = np.cross(e1, e2)
+    if math.hypot(*n) <= tol.gate(frac, frac):
         raise CollinearPoints("triangle vertices are collinear")
     with np.errstate(over="ignore", invalid="ignore"):
-        h = np.ldexp(v0 + dot(e1, e2) / norm(n) * (cross(n, v1 - v2) / norm(n)), v_exp + exp)
+        h = np.ldexp(
+            v0 + dot(e1, e2) / math.hypot(*n) * (np.cross(n, v1 - v2) / math.hypot(*n)), v_exp + exp
+        )
     if not np.isfinite(h).all():
         raise CollinearPoints("triangle too flat: its orthocenter leaves the double range")
     return h
@@ -74,7 +80,7 @@ def orthocenter2d(tri, tol=DEFAULT_TOL):
 
 def incidence(qd, line):
     """Residuals |Q*(x - M) - rhs| at the line's three sample points, and their scale."""
-    span = max(norm(line.base - qd.center), qd.form.max_abs() ** 0.25)
+    span = max(math.hypot(*(line.base - qd.center)), qd.form.max_abs() ** 0.25)
     d = line.base + np.array([[-span], [0.0], [span]]) * line.dir - qd.center
     scale = max(abs(qd.rhs), qd.form.max_abs() * float(np.max(np.sum(d * d, axis=1))))
     return np.abs(np.einsum("ki,ij,kj->k", d, qd.form.matrix, d) - qd.rhs), scale
@@ -124,16 +130,16 @@ def _leads_negative(u):
 def _direction(v):
     """(v / |v|, |v|); a subnormal |v| is divided in the exact unit of the power
     of two above it."""
-    n = norm(v)
+    n = math.hypot(*v)
     if not 0.0 < n < math.inf:
         raise ValueError("cannot normalize a zero or non-finite vector")
     if n < np.finfo(float).tiny:
         w = np.ldexp(v, -math.frexp(n)[1])
-        return w / norm(w), n
+        return w / math.hypot(*w), n
     return v / n, n
 
 
-def canonical_dir(v):
+def unit_direction(v):
     u, _ = _direction(v)
     return -u if _leads_negative(u) else u
 
@@ -143,7 +149,7 @@ def line3(base, direction):
     base = as_vec(base)
     if not all(map(math.isfinite, base.tolist())):
         raise ValueError("a line needs a finite base point")
-    return base, canonical_dir(as_vec(direction))
+    return base, unit_direction(as_vec(direction))
 
 
 def plane3(normal, offset):
@@ -204,14 +210,14 @@ def centroid(t):
 def euler_line(t, tol=DEFAULT_TOL):
     """(base, dir) of `noteworthy(t, tol).euler`, or None."""
     m, c = monge_point(t), circumcenter(t)
-    return line3(centroid(t), c - m) if norm(c - m) > tol.gate(t.edge_scale()) else None
+    return line3(centroid(t), c - m) if math.hypot(*(c - m)) > tol.gate(t.edge_scale()) else None
 
 
 def analyze_residuals(t, points):
     """`euler_midpoint` and `circumdistance_spread` of `analyze`."""
     s = t.edge_scale()
     circum_d = [math.hypot(*d) for d in (t.vertices - points.circumcenter).tolist()]
-    euler = norm(points.centroid - 0.5 * (points.circumcenter + points.monge)) / s
+    euler = math.hypot(*(points.centroid - 0.5 * (points.circumcenter + points.monge))) / s
     return euler, (max(circum_d) - min(circum_d)) / s
 
 

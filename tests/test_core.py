@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 from fractions import Fraction
 
@@ -7,21 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tetraquadric
 from tetraquadric import (
     ConicKind,
     Line3,
     LineRelation,
     Plane3,
     Tolerance,
+    altitude,
     build,
+    centroid,
     dot,
     line_line_meet,
+    midplane,
     orthocenter2d,
+    random_tetra,
     section,
-    triple,
     vec,
 )
-from tetraquadric.core import canonical_dir, norm
+from tetraquadric.core import _unit
+from tetraquadric.tetra import _volume
 
 from line_oracle import reference_line_meet
 from test_exact_oracle import _cross, _dot, _sub
@@ -39,25 +45,71 @@ coord = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 vectors = st.builds(vec, coord, coord, coord)
 
 
+def test_exported_names_are_pinned():
+    names = [n for n, v in vars(tetraquadric).items() if not isinstance(v, types.ModuleType)]
+    assert sorted(n for n in names if not n.startswith("_")) == [
+        "AltitudeQuadric", "AnalysisReport", "ConicKind", "ConicSection", "DEFAULT_TOL",
+        "EigenFrame", "Ellipse3", "InscribedTriangle", "Line3", "LineMeet", "LineRelation",
+        "Mesh", "NoteworthyPoints", "Plane3", "QuadForm3", "QuadricKind", "RegulusTag",
+        "TetraClass", "TetraKind", "Tetrahedron", "Tolerance", "TracelessClass",
+        "TracelessKind", "Tripod", "altitude", "altitudes_meet", "analyze", "asymptotic_cone",
+        "build", "centroid", "circumcenter", "classify", "classify_traceless", "contains_line",
+        "dot", "edge_vector", "ellipse_section", "emit_svg_porism", "evaluate",
+        "line_line_meet", "mesh_to_obj", "midplane", "monge_identity_residual", "monge_point",
+        "noteworthy", "opposite_edge_dots", "ortho_perpendicular", "orthocenter2d",
+        "parse_tetrahedron", "pluecker_residual", "porism_family", "q_ijkl", "q_star",
+        "quadric_mesh", "random_tetra", "rank", "regulus_of", "rhs", "section",
+        "serialize_tetrahedron", "trace", "tripod_through_generator", "vec",
+    ]
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda t: altitude(t, 0).base,
+        lambda t: altitude(t, 0).dir,
+        lambda t: midplane(t, 0, 1).normal,
+        lambda t: t.vertices,
+        lambda t: build(t).center,
+        centroid,
+    ],
+    ids=[
+        "Line3.base", "Line3.dir", "Plane3.normal", "Tetrahedron.vertices",
+        "AltitudeQuadric.center", "centroid",
+    ],
+)
+def test_public_arrays_of_the_records_are_read_only(read):
+    # a write would make the array disagree with the floats the library reads
+    with pytest.raises(ValueError, match="read-only"):
+        read(random_tetra("generic", 3))[:] = [1.0, 0.0, 0.0]
+
+
 def test_dot_examples():
     assert dot(vec(1, 0, 0), vec(0, 1, 0)) == 0
     assert dot(vec(-4, 0, 0), vec(0, 2, -2)) == 0  # b01.b23 of the orthocentric fixture
     assert dot(vec(-4, 0, 0), vec(-1, 2, -2)) == 4  # b01.b23 of the generic fixture
 
 
-def test_triple_examples():
-    assert triple(vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)) == pytest.approx(1)
-    assert triple(vec(1, 0, 0), vec(2, 0, 0), vec(0, 1, 0)) == pytest.approx(0)
-    assert triple(vec(-4, 0, 0), vec(-1, -3, 0), vec(-2, -1, -2)) == pytest.approx(-24)
+def _det(u, v, w):
+    """det(u, v, w) by `Tetrahedron`'s compensated volume sum, the rows exact."""
+    rows = [x.tolist() for x in (u, v, w)]
+    n = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+    return _volume(rows, [[0.0] * 3] * 3, n)
+
+
+def test_volume_examples():
+    assert _det(vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)) == pytest.approx(1)
+    assert _det(vec(1, 0, 0), vec(2, 0, 0), vec(0, 1, 0)) == pytest.approx(0)
+    assert _det(vec(-4, 0, 0), vec(-1, -3, 0), vec(-2, -1, -2)) == pytest.approx(-24)
 
 
 @given(vectors, vectors, vectors)
-def test_triple_is_alternating(u, v, w):
+def test_volume_is_alternating(u, v, w):
     slack = 1e-12 * max(
         1.0, np.linalg.norm(u) * np.linalg.norm(v) * np.linalg.norm(w)
     )
-    assert triple(u, v, w) == pytest.approx(-triple(v, u, w), abs=slack)
-    assert triple(u, v, w) == pytest.approx(-triple(u, w, v), abs=slack)
+    assert _det(u, v, w) == pytest.approx(-_det(v, u, w), abs=slack)
+    assert _det(u, v, w) == pytest.approx(-_det(u, w, v), abs=slack)
 
 
 def test_solve3_axis_aligned():
@@ -192,7 +244,7 @@ def assert_meeting_point_is_exact(m, l1, l2):
     t1, t2 = _dot(_cross(w, d2), c) / cc, _dot(_cross(w, d1), c) / cc
     exact = [(p + t1 * u + q + t2 * v) / 2 for p, u, q, v in zip(b1, d1, b2, d2)]
     err = math.hypot(*(float(Fraction(g) - e) for g, e in zip(m.point.tolist(), exact)))
-    assert err * math.sqrt(cc) <= 4 * EPS * max(norm(l1.base), norm(l2.base))
+    assert err * math.sqrt(cc) <= 4 * EPS * max(math.hypot(*l1.base), math.hypot(*l2.base))
 
 
 def test_line_line_meet_matches_the_scalar_reference():
@@ -204,7 +256,7 @@ def test_line_line_meet_matches_the_scalar_reference():
         got = line_line_meet(l1, l2)
         relation, gap = reference_line_meet(l1, l2)
         assert got.relation is relation
-        assert abs(got.gap - gap) <= 1e-14 * max(norm(l2.base - l1.base), 1.0)
+        assert abs(got.gap - gap) <= 1e-14 * max(math.hypot(*(l2.base - l1.base)), 1.0)
         assert (got.point is None) == (relation is not LineRelation.MEETING)
         if got.point is not None:
             assert_meeting_point_is_exact(got, l1, l2)
@@ -220,7 +272,7 @@ def test_near_parallel_lines_are_decided():
     for tilt in (3e-9, 1e-7):
         m = line_line_meet(x_axis, Line3(vec(5, 0, 0), vec(1, tilt, 0)))
         assert m.relation is LineRelation.MEETING
-        assert norm(m.point - vec(5, 0, 0)) <= 1e-12 * 5
+        assert math.hypot(*(m.point - vec(5, 0, 0))) <= 1e-12 * 5
         skew = line_line_meet(x_axis, Line3(vec(5, 0, 1), vec(1, tilt, 0)))
         assert skew.relation is LineRelation.SKEW
 
@@ -235,8 +287,9 @@ def test_tolerance_validation():
 @pytest.mark.parametrize("mag", [1e200, 1e-200])
 def test_norm_free_of_overflow_and_underflow(mag):
     v = vec(mag, mag, 0)
-    assert norm(v) == pytest.approx(mag * np.sqrt(2), rel=1e-15)
-    np.testing.assert_allclose(canonical_dir(v), [np.sqrt(0.5), np.sqrt(0.5), 0], rtol=1e-15)
+    u, s = _unit(v.tolist())
+    assert s == pytest.approx(mag * np.sqrt(2), rel=1e-15)
+    np.testing.assert_allclose(u, [np.sqrt(0.5), np.sqrt(0.5), 0], rtol=1e-15)
     np.testing.assert_array_equal(Line3(vec(0, 0, 0), vec(-mag, 0, 0)).dir, [1, 0, 0])
 
 
@@ -316,12 +369,12 @@ def test_records_at_the_ends_of_the_double_range(c):
         warnings.simplefilter("error")
         for v in vectors:
             if not finite:
-                for make, args in ((canonical_dir, (v,)), (Line3, (v, w)), (Line3, (w, v)),
+                for make, args in ((_unit, (v.tolist(),)), (Line3, (v, w)), (Line3, (w, v)),
                                    (Plane3, (v, 1.0)), (Plane3, (w, c))):
                     with pytest.raises(ValueError, match="finite"):
                         make(*args)
                 continue
-            assert _unit_and_finite(canonical_dir(v), v)
+            assert _unit_and_finite(_unit(v.tolist())[0], v)
             assert Line3(v, w).base.tolist() == v.tolist()
             assert _unit_and_finite(Line3(w, v).dir, v)
             assert Plane3(w, c).offset == c / math.hypot(*w)
@@ -340,3 +393,18 @@ def test_orthocenter2d_rejects_a_non_finite_vertex(bad):
         tri[i] = vec(1, bad, 0)
         with pytest.raises(ValueError, match="triangle vertices must be finite"):
             orthocenter2d(tuple(tri))
+
+
+@pytest.mark.parametrize(
+    "tri",
+    [
+        [(0, 0, 0), (4, 0, 0), (1, 3, 0), (1, 1, 0)],
+        [(0, 0, 0), (4, 0, 0)],
+        [],
+        [(0, 0, 0), (4, 0, 0), (1, 3)],
+    ],
+    ids=["four_points", "two_points", "no_point", "a_2_vector"],
+)
+def test_orthocenter2d_wants_three_3_vectors(tri):
+    with pytest.raises(ValueError):
+        orthocenter2d([np.array(p, dtype=float) for p in tri])

@@ -38,7 +38,6 @@ from tetraquadric import (
 import tetraquadric
 from tetraquadric import altquadric, tetra
 from tetraquadric.cli import _build_parser, main
-from tetraquadric.core import norm
 from tetraquadric.errors import (
     DegenerateForm,
     DegenerateTetrahedron,
@@ -383,12 +382,12 @@ def test_analyze_residuals_match_reference_loop(kind, scale):
         assert max(abs(p.offset) for p in planes) / s == res
         # the world midplanes agree to the rounding of world coordinates
         ref = max(midplane(t, i, j).residual(m) for i, j in pairs)
-        reach = max(norm(m), *map(norm, t.vertices))
+        reach = max(math.hypot(*m), *(math.hypot(*p) for p in t.vertices))
         assert abs(res - ref / s) <= 16 * eps * reach / s
         # the 28 altitude samples, each its own evaluate
         pts = [altitude(t, l).point_at(k * s) for l in range(4) for k in range(-3, 4)]
         ref = max(abs(evaluate(q, p - m) - r) for p in pts)
-        level = np.linalg.norm(q.matrix) * max(norm(p - m) for p in pts) ** 2 + abs(r)
+        level = np.linalg.norm(q.matrix) * max(math.hypot(*(p - m)) for p in pts) ** 2 + abs(r)
         denom = max(abs(r), float(np.max(np.abs(t._lambdas)) ** 3))
         assert abs(reporting.altitude_level_residual(t) * denom - ref) <= 16 * eps * level
 

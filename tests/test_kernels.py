@@ -2,7 +2,7 @@
 
 `core._meet_rule`, `core.orthocenter2d`, `altquadric.contains_line`,
 `altquadric.regulus_of` and `altquadric.section`, and on the analyze path
-`Line3`, `Plane3`, `canonical_dir`, `QuadForm3.from_matrix`, the class
+`Line3`, `Plane3`, the unit direction of `core._unit`, `QuadForm3.from_matrix`, the class
 decision, the coplanarity test, the centroid, the Euler line and the residuals
 of `analyze` must return the values of the numpy expressions in `kernel_oracle`
 to the bit, on random tetrahedra of every class at scales 2**-20, 1 and 2**20,
@@ -47,7 +47,7 @@ from tetraquadric import (
     section,
     vec,
 )
-from tetraquadric.core import _meet_rule, canonical_dir, dot, norm
+from tetraquadric.core import _meet_rule, _unit, dot
 from tetraquadric.errors import (
     AmbiguousRegulus,
     CollinearPoints,
@@ -147,7 +147,8 @@ def test_meet_rule_matches_its_oracle(figures):
             b = lines[(i + 1) % len(lines)]
             altitudes = (t.vertices, np.array(t._unit_normals))
             for bases, dirs in (altitudes, every, (b.base[None], b.dir[None])):
-                got = list(zip(*_meet_rule(a.base, a.dir, bases, dirs, DEFAULT_TOL)))
+                rule = _meet_rule(a._base, a._dir, bases.tolist(), dirs.tolist(), DEFAULT_TOL)
+                got = list(zip(*rule))
                 want = oracle.meet_rule(a.base, a.dir, bases, dirs)
                 assert list(got[0]) == want[0].tolist() and list(got[1]) == want[1].tolist(), name
                 for g, w in zip(got[2:], want[2:]):
@@ -256,7 +257,8 @@ def _vectors(t):
 def test_line_plane_and_direction_match_their_oracles(figures):
     for name, t, _, _ in figures:
         for v, own_offset in _vectors(t):
-            got, want = _either(canonical_dir, v), _either(oracle.canonical_dir, v)
+            got = _either(lambda v: _unit(v.tolist())[0], v)
+            want = _either(oracle.unit_direction, v)
             assert got is want if isinstance(want, type) else _same(got, want), name
             for base in (t.vertices[0], monge_point(t), v):
                 line = _either(Line3, base, v)
@@ -336,7 +338,7 @@ def test_noteworthy_and_analyze_residuals_match_their_oracles(figures):
         # gates on |c - m| to the ulp, so that a gap off by one ulp changes the Euler
         # line; `analyze` reads the points from the float helper that `noteworthy`
         # wraps into arrays and a `Line3`, and must report the same bits
-        gap = norm(circumcenter(t) - monge_point(t)) / t.edge_scale()
+        gap = math.hypot(*(circumcenter(t) - monge_point(t))) / t.edge_scale()
         for tol in [DEFAULT_TOL] + [Tolerance(_ulps(gap, k)) for k in range(-2, 3)]:
             want = oracle.euler_line(t, tol)
             points, report = noteworthy(t, tol), analyze(t, tol)

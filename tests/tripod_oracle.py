@@ -14,14 +14,13 @@ import math
 
 import numpy as np
 
-from tetraquadric.core import cross_rows
-
 AXES = np.eye(3)
 
 
 def canonical_rows(v):
-    """`canonical_dir` along the last axis.  With weights 4, 2, 1 the first
-    component above 1e-12 in magnitude decides the sign of `lead`."""
+    """The unit direction of `core._unit` along the last axis.  With weights
+    4, 2, 1 the first component above 1e-12 in magnitude decides the sign of
+    `lead`."""
     u = v / np.linalg.norm(v, axis=-1, keepdims=True)
     lead = ((np.abs(u) > 1e-12) * np.sign(u)) @ [4.0, 2.0, 1.0]
     return np.where(lead[..., None] < 0, -u, u)
@@ -34,7 +33,7 @@ def plane_bases(n):
     k = np.argmin(np.abs(n), axis=1)
     u = AXES[k] - n[np.arange(len(n)), k, None] * n
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return np.stack([u, cross_rows(n, u)], axis=1)
+    return np.stack([u, np.cross(n, u)], axis=1)
 
 
 def tripods(q, g):
