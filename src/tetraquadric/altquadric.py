@@ -123,9 +123,13 @@ def contains_line(
     base, u, center = line._base, line._dir, qd.center.tolist()
     # at least the figure's own length |Q*|^(1/4), so that rhs roundoff cannot decide
     span = max(math.dist(base, center), m ** 0.25)
-    d = [[b + t * e - c for b, e, c in zip(base, u, center)] for t in (-span, 0.0, span)]
-    scale = max(abs(qd.rhs), m * max(x * x + y * y + z * z for x, y, z in d))
-    return all(abs(qd.form.bilinear(x, x) - qd.rhs) <= tol.gate(scale) for x in d)
+    # in the unit 2^-k just above span, rhs in its square: exact, and no product overflows
+    k = -math.frexp(span)[1]
+    d = [[math.ldexp(b + t * e - c, k) for b, e, c in zip(base, u, center)]
+         for t in (-span, 0.0, span)]
+    r = math.ldexp(qd.rhs, 2 * k)
+    scale = max(abs(r), m * max(x * x + y * y + z * z for x, y, z in d))
+    return all(abs(qd.form.bilinear(x, x) - r) <= tol.gate(scale) for x in d)
 
 
 def asymptotic_cone(qd: AltitudeQuadric) -> QuadForm3:
@@ -214,8 +218,11 @@ def section(
     u = [x / length for x in u]
     # the conic's symmetric 3x3 matrix in the frame (u, v, origin)
     frame = np.array([u, _cross(n, u), origin - qd.center])
-    h = frame @ qd.form.matrix @ frame.T
-    h[2, 2] -= qd.rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = frame @ qd.form.matrix @ frame.T
+        h[2, 2] -= qd.rhs
+    if not np.isfinite(h).all():
+        raise DegenerateForm("the section leaves the double range")
     kind = _classify_conic(h, qd.form.max_abs(), tol)
     linear = 2.0 * h[:2, 2]
     return ConicSection(p, h[:2, :2], linear, h[2, 2], origin, (frame[0], frame[1]), kind)
@@ -224,11 +231,16 @@ def section(
 def _classify_conic(h: np.ndarray, form_scale: float, tol: Tolerance) -> ConicKind:
     """Kind of the conic (s, t, 1) h (s, t, 1)^T = 0 from its invariants in
     closed form; `form_scale` is the largest coefficient of the form cut by the
-    plane."""
+    plane.  The tests read (s, t) in the conic's own unit 2^j and h in the power
+    of two above max|quad|: exact, and each test is homogeneous in both."""
     (a, b, x), (_, c, y), (_, _, k) = h.tolist()
     a_norm = max(abs(a), abs(b), abs(c))
     if a_norm <= tol.gate(form_scale):
         return ConicKind.OTHER
+    e = math.frexp(a_norm)[1]
+    j = max(math.frexp(max(abs(x), abs(y)))[1] - e, (math.frexp(k)[1] - e + 1) // 2)
+    a, b, c, a_norm = (math.ldexp(z, -e) for z in (a, b, c, a_norm))
+    x, y, k = math.ldexp(x, -e - j), math.ldexp(y, -e - j), math.ldexp(k, -e - 2 * j)
     det2 = a * c - b * b
     tr2 = a + c
     # det h = k det2 - (x, y) adj(quad) (x, y)^T

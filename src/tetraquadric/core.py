@@ -59,13 +59,11 @@ def _array_on_read(record, name: str) -> Vec3:
 
 
 def dot(u: Vec3, v: Vec3) -> float:
-    """Euclidean inner product (BLAS, which may round differently from `_dot`)."""
-    return float(np.dot(u, v))
-
-
-def _dot(u: list, v: list) -> float:
-    """Inner product of two coordinate lists, summed in coordinate order."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    """Euclidean inner product of two 3-vectors (lists, tuples or arrays),
+    summed in coordinate order: the same bits on every CPU and BLAS kernel.
+    Any other length raises `ValueError`."""
+    (a, b, c), (d, e, f) = u, v
+    return a * d + b * e + c * f
 
 
 def _cross(u: list, v: list) -> list:
@@ -171,8 +169,8 @@ class Plane3:
 
     @classmethod
     def from_point_normal(cls, point: Vec3, normal: Vec3) -> "Plane3":
-        n = as_vec(normal)
-        return cls(n, dot(n, as_vec(point)))
+        n = _coords(normal)
+        return cls(n, dot(n, _coords(point)))
 
     def residual(self, x: Vec3) -> float:
         return abs(dot(self.normal, x) - self.offset)

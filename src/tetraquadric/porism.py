@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, _unit, as_vec
+from .core import DEFAULT_TOL, Plane3, Tolerance, Vec3, _frozen, _unit, as_vec, dot
 from .errors import DegenerateForm, NotOnCone, PlaneMissesLeg, ZeroOffset
 from .forms import QuadForm3, evaluate, not_traceless, rank
 
@@ -113,12 +113,12 @@ def tripod_through_generator(
     # `orthocenter2d`: exact, so the squares neither overflow nor underflow
     g = np.ldexp(g, -np.frexp(np.max(np.abs(g)))[1])
     unit = ellipse_section(q, 1.0, tol)
-    on_cone = evaluate(q, g / np.linalg.norm(g))
+    on_cone = evaluate(q, g / math.sqrt(dot(g, g)))
     if abs(on_cone) > tol.gate(q.max_abs()):
         raise NotOnCone(f"Q(g) = {on_cone} is not zero")
     (s1, s2), e3 = unit.semi_axes, unit.center
-    w = g / (g @ e3)
-    h = _companion(e3, s1, s2, np.asarray(w @ s1), np.asarray(w @ s2))
+    w = g / dot(g, e3)
+    h = _companion(e3, s1, s2, dot(w, s1), dot(w, s2))
     return Tripod(tuple(np.array(_unit(leg.tolist())[0]) for leg in (g, h, np.cross(g, h))))
 
 
@@ -149,7 +149,7 @@ def porism_family(
     legs = np.empty((count, 3, 3))
     legs[:, 0] = e3 + c[:, None] * s1 + s[:, None] * s2
     # g . s1 and g . s2 for g = e3 + c s1 + s s2
-    legs[:, 1] = _companion(e3, s1, s2, (s1 @ s1) * c, (s2 @ s2) * s)
+    legs[:, 1] = _companion(e3, s1, s2, dot(s1, s1) * c, dot(s2, s2) * s)
     # the cross product, not the circle's other root, keeps the third leg
     # orthogonal to both on a long ellipse
     legs[:, 2] = np.cross(legs[:, 0], legs[:, 1])

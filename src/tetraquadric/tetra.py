@@ -29,9 +29,9 @@ from .core import (
     Tolerance,
     Vec3,
     _cross,
-    _dot,
     _frozen,
     _unit,
+    dot,
     orthocenter2d,
 )
 from .errors import BadIndex, DegenerateTetrahedron
@@ -84,7 +84,7 @@ def _volume(u: list, r: list, n: list) -> float:
         z = q - p
         e += ((p - (q - z)) + (x - z)) + sign * (k + u1[a] * f)
         p = q
-    return p + (e + (_dot(r[0], n[0]) + _dot(r[1], n[1]) + _dot(r[2], n[2])))
+    return p + (e + (dot(r[0], n[0]) + dot(r[1], n[1]) + dot(r[2], n[2])))
 
 
 def _basic_form(b: list, c: list) -> list:
@@ -169,14 +169,14 @@ class Tetrahedron:
         if abs(vol) <= DEFAULT_TOL.gate(frac, frac, frac):
             raise DegenerateTetrahedron("vertices are coplanar")
         scales = [l01 * l23, l02 * l31, l03 * l12]
-        dots = d1, d2, d3 = [_dot(b01, b23), _dot(b02, b31), _dot(b03, b12)]
+        dots = d1, d2, d3 = [dot(b01, b23), dot(b02, b31), dot(b03, b12)]
         finite = math.isfinite(d1) and math.isfinite(d2) and math.isfinite(d3)
         if not (finite and TINY <= min(scales) and max(scales) < math.inf):
             raise DegenerateTetrahedron("opposite-edge products leave the double range")
         # c - a_0 and m - a_0 in closed form: |V| is above the gate, so they lie
         # within about 1e10 longest edges of a_0, and the change back to world
         # units neither overflows nor underflows
-        q1, q2, q3, w = _dot(u1, u1), _dot(u2, u2), _dot(u3, u3), 2.0 * vol
+        q1, q2, q3, w = dot(u1, u1), dot(u2, u2), dot(u3, u3), 2.0 * vol
         c_rel, m_rel = [], []
         for i in range(3):
             c = (q1 * n1[i] + q2 * n2[i] + q3 * n3[i]) / w
@@ -201,7 +201,7 @@ class Tetrahedron:
             _m_rel=m_rel,
             _centroid=[(p0 + p1 + p2 + p3) / 4.0 for p0, p1, p2, p3 in zip(a0, a1, a2, a3)],
             _centered=[c0, c1, c2, c3],
-            _lambdas=[_dot(c0, c1), _dot(c0, c2), _dot(c0, c3)],
+            _lambdas=[dot(c0, c1), dot(c0, c2), dot(c0, c3)],
             _edge_scale=s,
             # `classify`'s decision for each tolerance asked so far
             _classes={},
@@ -271,7 +271,7 @@ def _midplanes(t: Tetrahedron) -> list[Plane3]:
     distance from the plane, free of the rounding of world coordinates."""
     c = t._centered
     return [
-        Plane3(b, 0.5 * _dot(b, [x + y for x, y in zip(c[k], c[l])]))
+        Plane3(b, 0.5 * dot(b, [x + y for x, y in zip(c[k], c[l])]))
         for pair, edges in zip(OPPOSITE_EDGE_PAIRS, t._pairs)
         for b, (k, l) in zip(edges, pair[::-1])
     ]
@@ -285,7 +285,7 @@ def monge_point(t: Tetrahedron) -> Vec3:
 def monge_identity_residual(t: Tetrahedron) -> float:
     """Max deviation of (a_i-m).(a_l-m) = (a_j-m).(a_k-m) over the index splits."""
     c = t._centered
-    return max(abs(_dot(c[i], c[j]) - _dot(c[k], c[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS)
+    return max(abs(dot(c[i], c[j]) - dot(c[k], c[l])) for (i, j), (k, l) in OPPOSITE_EDGE_PAIRS)
 
 
 def centroid(t: Tetrahedron) -> Vec3:

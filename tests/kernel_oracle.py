@@ -10,9 +10,9 @@ public boundary.  `Line3` and `Plane3` keep float records and build their
 Euler line of `noteworthy`, and the guards and residuals of `reporting`.  Each
 was written before as the numpy expression below, with the same operations in
 the same order, so the tests can require the library's results to equal these
-bit for bit.  `dot` is the library's own (BLAS) inner product in both forms,
-`np.cross` is the closed form of `core._cross`, and `math.hypot` is the
-library's length.
+bit for bit.  `dot` is the library's own inner product, summed in coordinate
+order, in both forms, `np.cross` is the closed form of `core._cross`, and
+`math.hypot` is the library's length.
 
 Two are exact instead: the coplanarity test of `Tetrahedron`, which decides on
 a compensated volume, reads the sign of the exact volume in `Fraction`; and

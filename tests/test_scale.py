@@ -30,7 +30,7 @@ from tetraquadric import (
     regulus_of,
     section,
 )
-from tetraquadric.errors import DegenerateTetrahedron
+from tetraquadric.errors import DegenerateForm, DegenerateTetrahedron
 from tetraquadric.tetra import _FACES
 
 README_TETRA = np.array([[0, 0, 0], [4, 0, 0], [1, 3, 0], [2, 1, 2]], float)
@@ -157,3 +157,35 @@ def test_classify_is_right_or_raises_at_every_scale(name):
             assert classify(t).kind is kind, f"x1e{e}"
             answered.add(e)
     assert set(range(-150, 151, 2)) <= answered
+
+
+@pytest.mark.parametrize("k", range(-51, 52))
+def test_face_sections_of_the_readme_tetrahedron_at_every_scale_it_builds(k):
+    # the conic is read in its own units, so its invariants, products of up to
+    # seven entries of h, neither overflow nor underflow across x1e-51..x1e51,
+    # where `build` succeeds
+    v = README_TETRA * 10.0**k
+    qd = build(Tetrahedron(v))
+    for i, j, m in _FACES:
+        face = Plane3.from_point_normal(v[i], np.cross(v[j] - v[i], v[m] - v[i]))
+        assert section(qd, face).kind.value == "equilateral_hyperbola"
+
+
+def test_a_section_beyond_the_double_range_raises_without_a_numpy_warning():
+    qd = build(Tetrahedron(README_TETRA))
+    with pytest.raises(DegenerateForm):
+        section(qd, Plane3([0.3, 0.2, 1.0], 1e160))
+
+
+@pytest.mark.parametrize("scale", [1e-51, 1.0, 1e50, 1e51])
+def test_regulus_tags_of_the_readme_tetrahedron_up_to_where_it_builds(scale):
+    # the incidence test reads its points in the unit of the line's span, so
+    # Q*(x) - rhs and its gate stay finite: a gate of inf would take every line
+    t = Tetrahedron(README_TETRA * scale)
+    qd = build(t)
+    off = Line3(scale * np.array([7.0, -3.0, 5.0]), np.array([1.0, 2.0, 0.5]))
+    assert not contains_line(qd, off)
+    tags = [regulus_of(qd, line(t, l), t).value for line in (altitude, ortho_perpendicular)
+            for l in range(4)]
+    assert regulus_of(qd, off, t).value == "not_on_quadric"
+    assert tags == ["altitude_regulus"] * 4 + ["perpendicular_regulus"] * 4
