@@ -38,16 +38,13 @@ class DegenerateTetrahedron(GeometryError):
     opposite-edge products leave the normal double range."""
 
 
-class PlaneMissesLeg(GeometryError):
-    """The cutting plane is parallel to a tripod leg or passes through the apex."""
-
-
 class CollinearPoints(GeometryError):
     """Three points expected to span a triangle are collinear."""
 
 
 class ZeroOffset(GeometryError):
-    """A nonzero section offset is required."""
+    """A section height of at least the smallest normal double in magnitude
+    is required: 0 passes through the cone vertex."""
 
 
 class EmptyFamily(GeometryError):

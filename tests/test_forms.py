@@ -188,7 +188,8 @@ def _generators(q, rng, count):
 
 def _random_and_near_rank_two_cones():
     """(q, generators): 100 random cones with 9 generators each, then the near-rank-two
-    cones of `test_porism` (eigenvalue ratio 1e-8..1e-1, and negated) with 20 each."""
+    cones of `test_porism` (eigenvalue ratio 1e-8..1e-1 and 2e-9, and negated)
+    with 20 each."""
     rng = np.random.default_rng(31)
     for _ in range(100):
         yield _cone_generators(rng, 9)

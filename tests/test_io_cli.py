@@ -284,9 +284,14 @@ def test_figure_path_decomposes_the_form_once(positive, monkeypatch):
     qd = build(Tetrahedron(v))
     quadric_mesh(qd, 3.0, 16)
     cone = asymptotic_cone(qd)
+    planes = []
+    post_init = Plane3.__post_init__
+    monkeypatch.setattr(Plane3, "__post_init__", lambda p: planes.append(p) or post_init(p))
     porism_family(cone, 1.0, 12)
-    ellipse_section(cone, 1.0)
+    ellipse = ellipse_section(cone, 1.0)
     assert len(calls) == 1
+    # the family cuts the unit section in closed form: the only plane is the ellipse's
+    assert planes == [ellipse.plane]
     assert int(np.sum(cone.frame.values > 0.0)) == positive
     # q and -q cut the same ellipse: one of them reads the other's frame off
     # its own, the other decomposes afresh

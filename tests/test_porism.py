@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,32 +16,28 @@ from tetraquadric import (
     tripod_through_generator,
     vec,
 )
-from tetraquadric.core import DEFAULT_TOL
-from tetraquadric.errors import (
-    CollinearPoints,
-    DegenerateForm,
-    PlaneMissesLeg,
-    ZeroOffset,
-)
-from tetraquadric.porism import _cut
+from tetraquadric.core import TINY
+from tetraquadric.errors import CollinearPoints, DegenerateForm, ZeroOffset
 from tetraquadric.tetra import TetraKind, Tetrahedron
 
+from test_exact_oracle import exact_orthocenter
 from tripod_oracle import tripods
 
 D = QuadForm3
 
 
-def cut_tripod(tp, cut):
-    """Base vertices where the legs of one tripod pierce the plane; with the
+def cut_tripod(legs, cut):
+    """Base vertices where the three tripod legs pierce the plane; with the
     origin as apex they form a trirectangular tetrahedron."""
-    return _cut(np.array(tp.legs)[None], cut, DEFAULT_TOL)[0]
+    legs = np.array(legs)
+    return (cut.offset / (legs @ cut.normal))[:, None] * legs
 
 
 def test_trirect_from_tripod_cone():
     q = D(1, 1, -2)
     tp = tripod_through_generator(q, vec(1, 1, 1) / math.sqrt(3))
     cut = Plane3(vec(0, 0, 1.0), 1.0)
-    legs = cut_tripod(tp, cut)
+    legs = cut_tripod(tp.legs, cut)
     for a in range(3):
         for b in range(a + 1, 3):
             assert abs(np.dot(legs[a], legs[b])) < 1e-9
@@ -49,31 +46,11 @@ def test_trirect_from_tripod_cone():
 def test_trirect_recovers_axis_tetrahedron():
     # the cone through all three axes, cut by the unit-sum plane
     tp = Tripod((vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)))
-    legs = cut_tripod(tp, Plane3(vec(1, 1, 1.0), 1.0))
+    legs = cut_tripod(tp.legs, Plane3(vec(1, 1, 1.0), 1.0))
     got = sorted(tuple(np.round(l, 9)) for l in legs)
     assert got == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     verts = np.vstack([np.zeros(3), legs])
     assert classify(Tetrahedron(verts)).kind is TetraKind.ORTHOCENTRIC
-
-
-def test_trirect_plane_misses_leg():
-    q = D(1, 1, -2)
-    tp = tripod_through_generator(q, vec(1, 1, 1) / math.sqrt(3))
-    # plane parallel to the seed leg
-    n = np.cross(tp.legs[0], tp.legs[1])
-    with pytest.raises(PlaneMissesLeg):
-        cut_tripod(tp, Plane3(n, 1.0))
-    with pytest.raises(PlaneMissesLeg):
-        cut_tripod(tp, Plane3(vec(0, 0, 1.0), 0.0))
-
-
-@pytest.mark.parametrize("offset", [1e-10, 1e-300])
-def test_trirect_cut_close_to_the_apex(offset):
-    # the cone is scale-free; a plane exactly through the apex still raises above
-    tp = tripod_through_generator(D(1, 1, -2), vec(1, 1, 1) / math.sqrt(3))
-    legs = cut_tripod(tp, Plane3(vec(0, 0, 1.0), offset))
-    unit = cut_tripod(tp, Plane3(vec(0, 0, 1.0), 1.0))
-    np.testing.assert_allclose(legs / offset, unit, rtol=1e-14)
 
 
 def test_orthocenter2d_examples():
@@ -174,6 +151,23 @@ def test_non_finite_height_is_rejected(rho):
             porism_family(q, rho, 3)
 
 
+@pytest.mark.parametrize("rho", [0.0, -0.0, 5e-324, 1e-320, -2e-308])
+def test_zero_and_subnormal_heights_are_rejected(rho):
+    # a subnormal height keeps too few digits: at 5e-324 the drawn ellipse
+    # would have an axis ratio of 0.5 instead of 0.707
+    q = D(2, 1, -3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroOffset):
+            ellipse_section(q, rho)
+        with pytest.raises(ZeroOffset):
+            porism_family(q, rho, 3)
+        for tiny in (TINY, -TINY):
+            e = ellipse_section(q, tiny)
+            assert max(math.hypot(*a) for a in e.semi_axes) == pytest.approx(math.sqrt(3) * TINY)
+            assert len(porism_family(q, tiny, 3)) == 3
+
+
 def test_porism_family_circle_is_equilateral():
     fam = porism_family(D(1, 1, -2), 1.0, 12)
     assert len(fam) == 12
@@ -261,7 +255,7 @@ def _reference_family(q, rho, count):
             + math.sin(phi) / math.sqrt(v2) * e2
             + 1.0 / math.sqrt(-v3) * e3
         )
-        pts = list(_cut(tripods(q, g[None]), cut, DEFAULT_TOL)[0])
+        pts = list(cut_tripod(tripods(q, g[None])[0], cut))
         xy = [(np.dot(p, e1), np.dot(p, e2)) for p in pts]
         area2 = sum(xy[i][0] * xy[i - 2][1] - xy[i - 2][0] * xy[i][1] for i in range(3))
         if area2 < 0:
@@ -314,10 +308,16 @@ def test_porism_at_extreme_heights_stays_finite(rho):
 
 
 def _near_rank_two_forms():
-    """Traceless forms with eigenvalues 1, r and -(1 + r), r in 1e-8..1e-1, in
-    fixed random frames; each also negated, so that one eigenvalue is positive."""
+    """Traceless forms with eigenvalues 1, r and -(1 + r), r in 1e-8..1e-1 and
+    2e-9, in fixed random frames; each also negated, so that one eigenvalue is
+    positive.
+
+    r = 2e-9 is just above the default rank gate, r > 1e-9 (1 + r).  There the
+    third leg k = g x h of a porism tripod comes nearest to the unit section's
+    plane: with g = e3 + u and h = e3 + v, u . v = -1 and |u|, |v| >= sqrt(1 + r),
+    so |k . e3| = sqrt(|u|^2 |v|^2 - 1) > sqrt(2 r), about 6.3e-5."""
     rng = np.random.default_rng(22)
-    for r in np.logspace(-8, -1, 8):
+    for r in [*np.logspace(-8, -1, 8), 2e-9]:
         rot, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         m = rot @ np.diag([1.0, r, -(1.0 + r)]) @ rot.T
         yield QuadForm3.from_matrix(m)
@@ -326,8 +326,10 @@ def _near_rank_two_forms():
 
 @pytest.mark.parametrize("rho", [1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300])
 def test_porism_of_a_near_rank_two_cone_keeps_its_tripods(rho):
-    # an ellipse with semi-axes up to 1e4 apart: each tripod stays orthogonal
-    # and on the cone to a few ulps, and its triangle keeps the center as orthocenter
+    # an ellipse with semi-axes up to 2e4 apart: each tripod stays orthogonal
+    # and on the cone to a few ulps, and its triangle's exact orthocenter is
+    # the center to 1e-15 of the radius.  The float `orthocenter2d` of so long
+    # a triangle is itself off by up to 5e3 eps of the radius at r = 2e-9
     eps = np.finfo(float).eps
     for q in _near_rank_two_forms():
         e = ellipse_section(q, rho)
@@ -338,5 +340,6 @@ def test_porism_of_a_near_rank_two_cone_keeps_its_tripods(rho):
                 assert abs(np.dot(units[i], units[j])) <= 16 * eps
             for u in units:
                 assert abs(u @ q.matrix @ u) <= 32 * eps * q.max_abs()
-            h = orthocenter2d(tri.vertices)
-            assert math.dist(h, e.center) <= 1e-12 * radius
+            h, _ = exact_orthocenter(*([Fraction(x) for x in p] for p in tri.vertices.tolist()))
+            off = sum((x - Fraction(c)) ** 2 for x, c in zip(h, e.center.tolist()))
+            assert off <= Fraction(1e-15 * radius) ** 2
