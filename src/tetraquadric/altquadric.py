@@ -40,8 +40,8 @@ from .tetra import (
     TetraKind,
     _basic_form,
     _pair_of,
+    _sub,
     classify,
-    edge_vector,
     monge_point,
 )
 
@@ -105,7 +105,8 @@ def build(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AltitudeQuadric:
     if cls.kind is TetraKind.ORTHOCENTRIC:
         return AltitudeQuadric(m, form, r, QuadricKind.TRIVIAL)
     if cls.kind is TetraKind.SEMI_ORTHOCENTRIC:
-        planes = tuple(Plane3(edge_vector(t, *e), 0.0) for e in cls.orthogonal_pair)
+        planes = tuple(Plane3(_sub(t._vertices[i], t._vertices[j]), 0.0)
+                       for i, j in cls.orthogonal_pair)
         return AltitudeQuadric(m, form, r, QuadricKind.PLANE_PAIR, planes)
     return AltitudeQuadric(m, form, r, QuadricKind.HYPERBOLOID)
 
@@ -209,9 +210,10 @@ def section(
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("sections are computed for the hyperboloid case")
     # in-plane origin: plane point closest to the quadric center
-    origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
+    n, center = p._normal, qd.center.tolist()
+    step = p._offset - dot(n, center)
+    origin = np.array([c + step * x for c, x in zip(center, n)])
     # in-plane basis (u, n x u), u the coordinate axis least aligned with n, projected
-    n = p._normal
     k = min(range(3), key=lambda i: abs(n[i]))
     u = [float(i == k) - n[k] * x for i, x in enumerate(n)]
     length = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])

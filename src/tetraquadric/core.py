@@ -1,10 +1,10 @@
 """Vector, line, and plane primitives.
 
 The library computes on Python floats, three to a coordinate list; numpy
-arrays appear only at the public boundary.  `Line3` and `Plane3` keep their
-coordinates as float lists and build each public `(3,)` array, read-only, on
-its first read.  Every zero test is one purely relative rule, `Tolerance`, so
-each decision is the same for a figure and for any similar copy of it.
+arrays appear only at the public boundary.  `Line3` and `Plane3` keep float
+lists and build a fresh read-only `(3,)` array of one on each public read.
+Every zero test is one purely relative rule, `Tolerance`, so each decision is
+the same for a figure and for any similar copy of it.
 """
 
 from __future__ import annotations
@@ -43,18 +43,8 @@ def _coords(v) -> list:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """Make a cached array read-only, so that no caller can change it."""
+    """Make an array read-only, so that no caller can change it."""
     a.flags.writeable = False
-    return a
-
-
-def _array_on_read(record, name: str) -> Vec3:
-    """`__getattr__` of the float records: the public array `name`, built on its
-    first read, read-only, from the record's float list `_<name>`, and kept."""
-    floats = vars(record).get("_" + name)
-    if floats is None:
-        raise AttributeError(name)
-    a = vars(record)[name] = _frozen(np.array(floats))
     return a
 
 
@@ -122,50 +112,55 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True, eq=False)
 class Line3:
     """Line given by a finite base point and a unit direction, made
     sign-canonical by `_unit`.  The record is the float lists `_base` and
-    `_dir`; `base` and `dir` are read-only arrays of them."""
+    `_dir`; `base` and `dir` give a fresh read-only array of them per read."""
 
-    base: Vec3
-    dir: Vec3
+    __slots__ = ("_base", "_dir")
 
-    def __post_init__(self):
-        base = _coords(vars(self).pop("base"))
+    def __init__(self, base: Vec3, dir: Vec3):
+        base = _coords(base)
         if not all(map(math.isfinite, base)):
             raise ValueError("a line needs a finite base point")
-        vars(self).update(_base=base, _dir=_unit(_coords(vars(self).pop("dir")))[0])
+        self._base, self._dir = base, _unit(_coords(dir))[0]
 
-    __getattr__ = _array_on_read
+    def __repr__(self) -> str:
+        return f"Line3(base={self._base}, dir={self._dir})"
+
+    base = property(lambda self: _frozen(np.array(self._base)))
+    dir = property(lambda self: _frozen(np.array(self._dir)))
 
     def point_at(self, t: float) -> Vec3:
-        return self.base + t * self.dir
+        return np.array([b + t * d for b, d in zip(self._base, self._dir)])
 
     def distance_to_point(self, p: Vec3) -> float:
-        off = p - self.base
-        return math.hypot(*(off - dot(off, self.dir) * self.dir).tolist())
+        off = [x - b for x, b in zip(_coords(p), self._base)]
+        k = dot(off, self._dir)
+        return math.hypot(*(o - k * d for o, d in zip(off, self._dir)))
 
 
-@dataclass(frozen=True, eq=False)
 class Plane3:
     """Plane { x : normal . x = offset } with a unit, sign-canonical normal:
     normal and offset are divided by |normal|, then both negated when the unit
     normal fails the sign rule of `_unit`.  Both must be finite.  The record is
-    the float list `_normal` and the float `offset`; `normal` is a read-only
-    array of the first."""
+    the float list `_normal` and the float `_offset`; `normal` gives a fresh
+    read-only array of the first per read."""
 
-    normal: Vec3
-    offset: float
+    __slots__ = ("_normal", "_offset")
 
-    def __post_init__(self):
-        u, s = _unit(_coords(vars(self).pop("normal")))
-        off = float(self.offset) / s
+    def __init__(self, normal: Vec3, offset: float):
+        u, s = _unit(_coords(normal))
+        off = float(offset) / s
         if not math.isfinite(off):
             raise ValueError("a plane needs a finite offset")
-        vars(self).update(_normal=u, offset=off)
+        self._normal, self._offset = u, off
 
-    __getattr__ = _array_on_read
+    def __repr__(self) -> str:
+        return f"Plane3(normal={self._normal}, offset={self._offset})"
+
+    normal = property(lambda self: _frozen(np.array(self._normal)))
+    offset = property(lambda self: self._offset)
 
     @classmethod
     def from_point_normal(cls, point: Vec3, normal: Vec3) -> "Plane3":
@@ -173,7 +168,7 @@ class Plane3:
         return cls(n, dot(n, _coords(point)))
 
     def residual(self, x: Vec3) -> float:
-        return abs(dot(self.normal, x) - self.offset)
+        return abs(dot(self._normal, x) - self._offset)
 
 
 def orthocenter2d(tri: tuple[Vec3, Vec3, Vec3], tol: Tolerance = DEFAULT_TOL) -> Vec3:
@@ -256,7 +251,7 @@ def line_line_meet(l1: Line3, l2: Line3, tol: Tolerance = DEFAULT_TOL) -> LineMe
     (rule,) = _meet_rule(l1._base, l1._dir, [l2._base], [l2._dir], tol)
     parallel, meets, gap, scale, c = rule
     if parallel:
-        gap = l1.distance_to_point(l2.base)
+        gap = l1.distance_to_point(l2._base)
         relation = LineRelation.IDENTICAL if gap <= tol.gate(scale) else LineRelation.PARALLEL
         return LineMeet(relation, None, gap)
     if not meets:

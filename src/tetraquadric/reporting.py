@@ -133,7 +133,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     s = t.edge_scale()
 
     # m is the origin of the Monge frame, so its distance from each plane is |offset|
-    midplane_res = max(abs(p.offset) for p in tetra._midplanes(t))
+    midplane_res = max(abs(p._offset) for p in tetra._midplanes(t))
     c0, c1, c2 = c
     circum_d = [math.hypot(x - c0, y - c1, z - c2) for x, y, z in t._vertices]
     residuals = {

@@ -1,13 +1,15 @@
 """The numpy kernels of the figure and analyze paths, kept as test oracles.
 
 The library computes on Python floats and shows numpy arrays only at its
-public boundary.  `Line3` and `Plane3` keep float records and build their
-`base`, `dir` and `normal` arrays from them; the line meet rule
+public boundary.  `Line3` and `Plane3` keep float records: their methods
+`point_at`, `distance_to_point` and `residual` compute on them, and their
+`base`, `dir` and `normal` arrays are built from them.  The line meet rule
 `core._meet_rule` reads those floats and the tetrahedron's vertex lists, as do
-`core.orthocenter2d`, `altquadric.contains_line` and the in-plane basis of
-`altquadric.section`.  So does the analyze path: the records, the sign rule of
-`core._unit`, `QuadForm3.from_matrix`, the class decision, the centroid and
-Euler line of `noteworthy`, and the guards and residuals of `reporting`.  Each
+`core.orthocenter2d`, `altquadric.contains_line` and the origin and in-plane
+basis of `altquadric.section`.  So does the analyze path: the records, the
+sign rule of `core._unit`, `QuadForm3.from_matrix`, the class decision, the
+centroid and Euler line of `noteworthy`, and the guards and residuals of
+`reporting`.  Each
 was written before as the numpy expression below, with the same operations in
 the same order, so the tests can require the library's results to equal these
 bit for bit.  `dot` is the library's own inner product, summed in coordinate
@@ -106,9 +108,27 @@ def regulus_of(qd, line, t, tol=DEFAULT_TOL):
     return None  # the library raises AmbiguousRegulus
 
 
+def point_at(line, t):
+    return line.base + t * line.dir
+
+
+def distance_to_point(line, p):
+    off = p - line.base
+    return math.hypot(*(off - dot(off, line.dir) * line.dir).tolist())
+
+
+def residual(plane, x):
+    return abs(dot(plane.normal, x) - plane.offset)
+
+
+def section_origin(qd, p):
+    """The point of the plane p closest to the quadric's center."""
+    return qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
+
+
 def section(qd, p, tol=DEFAULT_TOL):
     """The planar section, its in-plane basis from the batched `plane_bases`."""
-    origin = qd.center + (p.offset - dot(p.normal, qd.center)) * p.normal
+    origin = section_origin(qd, p)
     frame = np.vstack([plane_bases(p.normal[None])[0], origin - qd.center])
     h = frame @ qd.form.matrix @ frame.T
     h[2, 2] -= qd.rhs

@@ -84,6 +84,23 @@ def test_public_arrays_of_the_records_are_read_only(read):
         read(random_tetra("generic", 3))[:] = [1.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("name", ["base", "dir", "normal", "offset", "extra"])
+def test_line_and_plane_refuse_every_assignment(name):
+    # the records hold only their float slots; the public names are read-only
+    for record in (Line3(vec(1, 2, 3), vec(0, 0, 2)), Plane3(vec(0, 3, 4), 10.0)):
+        with pytest.raises(AttributeError):
+            setattr(record, name, vec(1.0, 0.0, 0.0))
+
+
+def test_each_read_of_a_record_array_is_a_fresh_copy():
+    line, plane = Line3(vec(1, 2, 3), vec(0, 0, 2)), Plane3(vec(0, 3, 4), 10.0)
+    first, second = line.base, line.base
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert not first.flags.writeable and not second.flags.writeable
+    assert repr(line) == "Line3(base=[1.0, 2.0, 3.0], dir=[0.0, 0.0, 1.0])"
+    assert repr(plane) == "Plane3(normal=[0.0, 0.6, 0.8], offset=2.0)"
+
+
 def test_dot_examples():
     assert dot(vec(1, 0, 0), vec(0, 1, 0)) == 0
     assert dot(vec(-4, 0, 0), vec(0, 2, -2)) == 0  # b01.b23 of the orthocentric fixture

@@ -1,10 +1,11 @@
 """The Python-float kernels of the figure and analyze paths against their numpy oracles.
 
 `core._meet_rule`, `core.orthocenter2d`, `altquadric.contains_line`,
-`altquadric.regulus_of` and `altquadric.section`, and on the analyze path
-`Line3`, `Plane3`, the unit direction of `core._unit`, `QuadForm3.from_matrix`, the class
-decision, the coplanarity test, the centroid, the Euler line and the residuals
-of `analyze` must return the values of the numpy expressions in `kernel_oracle`
+`altquadric.regulus_of` and `altquadric.section`, the methods of `Line3` and
+`Plane3`, and on the analyze path `Line3`, `Plane3`, the unit direction of
+`core._unit`, `QuadForm3.from_matrix`, the class decision, the coplanarity
+test, the centroid, the Euler line and the residuals of `analyze` must return
+the values of the numpy expressions in `kernel_oracle`
 to the bit, on random tetrahedra of every class at scales 2**-20, 1 and 2**20,
 at the origin and shifted by 1e6 edge lengths, and on the sliver of
 `test_tetra`.  Each decision is also probed at tolerances or inputs within a
@@ -192,6 +193,24 @@ def test_section_matches_its_oracle(figures):
             for f in ("quad", "linear", "constant", "origin"):
                 assert _same(getattr(got, f), getattr(want, f)), (name, f)
             assert all(_same(g, w) for g, w in zip(got.basis, want.basis)), name
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_record_methods_match_their_numpy_forms(scale):
+    # `section`'s origin is checked in `test_section_matches_its_oracle`
+    rng = np.random.default_rng(34)
+    for _ in range(100):
+        base, direction, normal, point = scale * rng.standard_normal((4, 3))
+        offset, t = scale * rng.standard_normal(2)
+        on_line = base + 0.7 * direction
+        for kind in (np.array, list, tuple):
+            arg = lambda v: kind(v) if kind is np.array else kind(v.tolist())
+            line, plane = Line3(arg(base), arg(direction)), Plane3(arg(normal), offset)
+            for s in (t, float(t), 3):
+                assert _same(line.point_at(s), oracle.point_at(line, s))
+            for p in (arg(point), arg(on_line), arg(base)):
+                assert _same(line.distance_to_point(p), oracle.distance_to_point(line, p))
+                assert _same(plane.residual(p), oracle.residual(plane, p))
 
 
 def test_collinear_triangle_raises_collinear_points():
