@@ -205,37 +205,37 @@ def section(
     """Planar section of the hyperboloid, classified as a conic.
 
     Planes perpendicular to a generator direction cut equilateral hyperbolas;
-    in particular every face plane of the tetrahedron does.
+    in particular every face plane of the tetrahedron does.  The six entries
+    of the conic are `QuadForm3.bilinear` values on the frame (u, v, w).
     """
     if qd.kind is not QuadricKind.HYPERBOLOID:
         raise NotHyperboloid("sections are computed for the hyperboloid case")
     # in-plane origin: plane point closest to the quadric center
     n, center = p._normal, qd.center.tolist()
     step = p._offset - dot(n, center)
-    origin = np.array([c + step * x for c, x in zip(center, n)])
+    origin = [c + step * x for c, x in zip(center, n)]
     # in-plane basis (u, n x u), u the coordinate axis least aligned with n, projected
-    k = min(range(3), key=lambda i: abs(n[i]))
-    u = [float(i == k) - n[k] * x for i, x in enumerate(n)]
+    i = min(range(3), key=lambda j: abs(n[j]))
+    u = [float(j == i) - n[i] * x for j, x in enumerate(n)]
     length = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
     u = [x / length for x in u]
-    # the conic's symmetric 3x3 matrix in the frame (u, v, origin)
-    frame = np.array([u, _cross(n, u), origin - qd.center])
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = frame @ qd.form.matrix @ frame.T
-        h[2, 2] -= qd.rhs
-    if not np.isfinite(h).all():
+    v, w = _cross(n, u), [o - c for o, c in zip(origin, center)]
+    q = qd.form.bilinear
+    a, b, c, x, y, k = q(u, u), q(u, v), q(v, v), q(u, w), q(v, w), q(w, w) - qd.rhs
+    if not all(map(math.isfinite, (a, b, c, x, y, k))):
         raise DegenerateForm("the section leaves the double range")
-    kind = _classify_conic(h, qd.form.max_abs(), tol)
-    linear = 2.0 * h[:2, 2]
-    return ConicSection(p, h[:2, :2], linear, h[2, 2], origin, (frame[0], frame[1]), kind)
+    kind = _classify_conic(a, b, c, x, y, k, qd.form.max_abs(), tol)
+    return ConicSection(p, np.array([[a, b], [b, c]]), np.array([2.0 * x, 2.0 * y]), k,
+                        np.array(origin), (np.array(u), np.array(v)), kind)
 
 
-def _classify_conic(h: np.ndarray, form_scale: float, tol: Tolerance) -> ConicKind:
-    """Kind of the conic (s, t, 1) h (s, t, 1)^T = 0 from its invariants in
-    closed form; `form_scale` is the largest coefficient of the form cut by the
-    plane.  The tests read (s, t) in the conic's own unit 2^j and h in the power
-    of two above max|quad|: exact, and each test is homogeneous in both."""
-    (a, b, x), (_, c, y), (_, _, k) = h.tolist()
+def _classify_conic(a: float, b: float, c: float, x: float, y: float, k: float,
+                    form_scale: float, tol: Tolerance) -> ConicKind:
+    """Kind of the conic a s^2 + 2b st + c t^2 + 2x s + 2y t + k = 0 from its
+    invariants in closed form; `form_scale` is the largest coefficient of the
+    form cut by the plane.  The tests read (s, t) in the conic's own unit 2^j
+    and the entries in the power of two above max|quad|: exact, and each test
+    is homogeneous in both."""
     a_norm = max(abs(a), abs(b), abs(c))
     if a_norm <= tol.gate(form_scale):
         return ConicKind.OTHER
@@ -245,7 +245,7 @@ def _classify_conic(h: np.ndarray, form_scale: float, tol: Tolerance) -> ConicKi
     x, y, k = math.ldexp(x, -e - j), math.ldexp(y, -e - j), math.ldexp(k, -e - 2 * j)
     det2 = a * c - b * b
     tr2 = a + c
-    # det h = k det2 - (x, y) adj(quad) (x, y)^T
+    # the 3x3 determinant: k det2 - (x, y) adj(quad) (x, y)^T
     det3 = k * det2 - (c * x * x - 2.0 * b * x * y + a * y * y)
     terms = abs(k) * a_norm + 4.0 * (x * x + y * y)
     degenerate = abs(det3) <= tol.gate(a_norm, terms)

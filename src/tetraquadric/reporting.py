@@ -14,7 +14,7 @@ import numpy as np
 
 from . import altquadric, tetra
 from .altquadric import AltitudeQuadric, QuadricKind
-from .core import DEFAULT_TOL, TINY, Tolerance, _frozen, orthocenter2d
+from .core import DEFAULT_TOL, TINY, Tolerance, _frozen, _unit, orthocenter2d
 from .errors import (
     DegenerateForm,
     DegenerateTetrahedron,
@@ -129,7 +129,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
     cls = tetra.classify(t, tol)
     # `build` first: it rejects the scales where the Euler line would overflow
     qd = altquadric.build(t, tol)
-    m, g, c, h, euler = tetra._points(t, cls.kind, tol)
+    m, g, c, h, d = tetra._points(t, cls.kind, tol)
     s = t.edge_scale()
 
     # m is the origin of the Monge frame, so its distance from each plane is |offset|
@@ -156,7 +156,7 @@ def analyze(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> AnalysisReport:
         centroid=g,
         circumcenter=c,
         orthocenter=h,
-        euler_direction=euler,
+        euler_direction=None if d is None else _unit(d)[0],
         lambdas=list(t._lambdas),
         opposite_edge_dots=list(t._dots),
         q_star=list(qd.form.coefficients),

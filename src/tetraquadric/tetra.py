@@ -30,7 +30,6 @@ from .core import (
     Vec3,
     _cross,
     _frozen,
-    _unit,
     dot,
     orthocenter2d,
 )
@@ -387,13 +386,14 @@ class NoteworthyPoints:
 
 
 def _points(t: Tetrahedron, kind: TetraKind, tol: Tolerance) -> tuple:
-    """m, g, c, the orthocenter and the unit, canonical Euler direction as fresh
-    lists, the last two None where absent: what `noteworthy` and `analyze` report."""
+    """m, g, c, the orthocenter and the Euler direction c - m as fresh lists,
+    the last two None where absent: what `noteworthy` and `analyze` report.  The
+    direction is left raw, so that each caller normalises it once."""
     m, c = ([x + y for x, y in zip(t._vertices[0], p)] for p in (t._m_rel, t._c_rel))
     cm = [y - x for x, y in zip(m, c)]
-    euler = _unit(cm)[0] if math.hypot(*cm) > tol.gate(t.edge_scale()) else None
+    d = cm if math.hypot(*cm) > tol.gate(t.edge_scale()) else None
     h = list(m) if kind is TetraKind.ORTHOCENTRIC else None
-    return m, list(t._centroid), c, h, euler
+    return m, list(t._centroid), c, h, d
 
 
 def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints:
@@ -403,7 +403,7 @@ def noteworthy(t: Tetrahedron, tol: Tolerance = DEFAULT_TOL) -> NoteworthyPoints
     Euler line is their join when they differ.  The orthocenter exists exactly
     in the orthocentric case and then coincides with the Monge point.
     """
-    m, g, c, h, euler = _points(t, classify(t, tol).kind, tol)
+    m, g, c, h, d = _points(t, classify(t, tol).kind, tol)
+    euler = None if d is None else Line3(g, d)
     m, g, c = (_frozen(np.array(p)) for p in (m, g, c))
-    euler = None if euler is None else Line3(g, c - m)
     return NoteworthyPoints(m, g, c, None if h is None else m, euler)

@@ -16,13 +16,20 @@ bit for bit.  `dot` is the library's own inner product, summed in coordinate
 order, in both forms, `np.cross` is the closed form of `core._cross`, and
 `math.hypot` is the library's length.
 
+The six conic entries of `section` are `QuadForm3.bilinear` values, which
+`section` restates as row-order sums on Python floats.  They were the BLAS
+congruence `section_by_congruence` before, whose bits follow the BLAS kernel;
+the tests bound the entries against it.
+
 Two are exact instead: the coplanarity test of `Tetrahedron`, which decides on
 a compensated volume, reads the sign of the exact volume in `Fraction`; and
 the altitude residual, a quadratic in the step along each altitude, is the
 exact value of the samples' deviations with a bound on its rounding.
 """
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -127,14 +134,36 @@ def section_origin(qd, p):
 
 
 def section(qd, p, tol=DEFAULT_TOL):
-    """The planar section, its in-plane basis from the batched `plane_bases`."""
+    """The planar section: its in-plane basis from the batched `plane_bases`,
+    and the conic's six entries x^T S y, each the terms x_i s_ij y_j of the
+    form's coefficients summed over (i, j) in row order on Python floats."""
+    origin = section_origin(qd, p)
+    u, v = plane_bases(p.normal[None])[0].tolist()
+    w = (origin - qd.center).tolist()
+    s11, s22, s33, s12, s13, s23 = qd.form.coefficients
+    s = [[s11, s12, s13], [s12, s22, s23], [s13, s23, s33]]
+
+    def q(x, y):
+        terms = (x[i] * s[i][j] * y[j] for i in range(3) for j in range(3))
+        return functools.reduce(operator.add, terms)
+
+    a, b, c, x, y, k = q(u, u), q(u, v), q(v, v), q(u, w), q(v, w), q(w, w) - qd.rhs
+    kind = _classify_conic(a, b, c, x, y, k, qd.form.max_abs(), tol)
+    return ConicSection(p, np.array([[a, b], [b, c]]), np.array([2.0 * x, 2.0 * y]), k, origin,
+                        (np.array(u), np.array(v)), kind)
+
+
+def section_by_congruence(qd, p, tol=DEFAULT_TOL):
+    """The planar section as the congruence frame @ Q* @ frame.T of the form's
+    matrix, frame = (u, v, origin - center): the reference that `section`'s
+    entries are bounded against.  Its bits follow the BLAS kernel."""
     origin = section_origin(qd, p)
     frame = np.vstack([plane_bases(p.normal[None])[0], origin - qd.center])
     h = frame @ qd.form.matrix @ frame.T
     h[2, 2] -= qd.rhs
-    kind = _classify_conic(h, qd.form.max_abs(), tol)
-    linear = 2.0 * h[:2, 2]
-    return ConicSection(p, h[:2, :2], linear, h[2, 2], origin, (frame[0], frame[1]), kind)
+    (a, b, x), (_, c, y), (_, _, k) = h.tolist()
+    kind = _classify_conic(a, b, c, x, y, k, qd.form.max_abs(), tol)
+    return ConicSection(p, h[:2, :2], 2.0 * h[:2, 2], h[2, 2], origin, (frame[0], frame[1]), kind)
 
 
 # -- the analyze path ----------------------------------------------------------

@@ -36,7 +36,7 @@ from tetraquadric import (
     serialize_tetrahedron,
 )
 import tetraquadric
-from tetraquadric import altquadric, tetra
+from tetraquadric import altquadric, core, tetra
 from tetraquadric.cli import _build_parser, main
 from tetraquadric.errors import (
     DegenerateForm,
@@ -272,6 +272,15 @@ def test_generic_analyze_computes_each_point_once(t_gen, monkeypatch):
     assert calls["solve"] == 0 and calls["eigh"] == 0
     assert calls["Plane3"] == 6 and calls["Line3"] <= 1
     assert calls["monge_point"] == 1 and calls["build"] == 1
+
+
+def test_noteworthy_normalises_the_euler_direction_once(t_gen, monkeypatch):
+    t, calls, unit = Tetrahedron(t_gen.vertices), [], core._unit
+    # every binding the library could call it through; `tetra` needs none
+    for owner in (core, tetra):
+        monkeypatch.setattr(owner, "_unit", lambda v: calls.append(v) or unit(v), raising=False)
+    assert noteworthy(t).euler is not None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("positive", [2, 1])

@@ -5,11 +5,12 @@
 `Plane3`, and on the analyze path `Line3`, `Plane3`, the unit direction of
 `core._unit`, `QuadForm3.from_matrix`, the class decision, the coplanarity
 test, the centroid, the Euler line and the residuals of `analyze` must return
-the values of the numpy expressions in `kernel_oracle`
-to the bit, on random tetrahedra of every class at scales 2**-20, 1 and 2**20,
-at the origin and shifted by 1e6 edge lengths, and on the sliver of
-`test_tetra`.  Each decision is also probed at tolerances or inputs within a
-few ulps of its gate, so that a value off by one ulp changes it.  The only
+the values of the expressions in `kernel_oracle` to the bit, on random
+tetrahedra of every class at scales 2**-20, 1 and 2**20, at the origin and
+shifted by 1e6 edge lengths, and on the sliver of `test_tetra`.  `section`'s
+conic also stays within 32 eps of the BLAS congruence it replaced.  Each
+decision is also probed at tolerances or inputs within a few ulps of its gate,
+so that a value off by one ulp changes it.  The only
 freedom is the sign of the NaN gap of an exactly parallel pair.
 """
 
@@ -178,21 +179,37 @@ def test_contains_line_and_regulus_of_match_their_oracles(figures):
     assert tags >= 8 * len(SEEDS) * len(SCALES) * len(SHIFTS)
 
 
+def _section_planes(t):
+    """The faces, and planes whose normals lie on or near a coordinate axis."""
+    v = t.vertices
+    normals = [np.cross(v[j] - v[i], v[k] - v[i]) for i, j, k in _FACES]
+    planes = [Plane3.from_point_normal(v[face[0]], n) for face, n in zip(_FACES, normals)]
+    return planes + [Plane3(vec(0, 0, 1), 0.5), Plane3(vec(1e-9, 1, 1e-9), -2.0)]
+
+
 def test_section_matches_its_oracle(figures):
     for name, t, qd, _ in figures:
         if qd.kind is not QuadricKind.HYPERBOLOID:
             continue
-        v = t.vertices
-        normals = [np.cross(v[j] - v[i], v[k] - v[i]) for i, j, k in _FACES]
-        # the faces, and planes whose normals lie on or near a coordinate axis
-        planes = [Plane3.from_point_normal(v[face[0]], n) for face, n in zip(_FACES, normals)]
-        planes += [Plane3(vec(0, 0, 1), 0.5), Plane3(vec(1e-9, 1, 1e-9), -2.0)]
-        for p in planes:
+        for p in _section_planes(t):
             got, want = section(qd, p), oracle.section(qd, p)
             assert got.kind is want.kind and got.plane is want.plane, name
             for f in ("quad", "linear", "constant", "origin"):
                 assert _same(getattr(got, f), getattr(want, f)), (name, f)
             assert all(_same(g, w) for g, w in zip(got.basis, want.basis)), name
+
+
+def test_section_stays_near_the_congruence(figures):
+    # the kind is the reference's, and quad within 32 eps of its largest entry
+    eps = np.finfo(float).eps
+    for name, t, qd, _ in figures:
+        if qd.kind is not QuadricKind.HYPERBOLOID:
+            continue
+        for p in _section_planes(t):
+            got, ref = section(qd, p), oracle.section_by_congruence(qd, p)
+            assert got.kind is ref.kind, name
+            drift = np.max(np.abs(got.quad - ref.quad)) / np.max(np.abs(ref.quad)) / eps
+            assert drift <= 32.0, (name, drift)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
